@@ -250,13 +250,16 @@ def tail_diagnostic(values: Sequence, sizes: Sequence,
             return ConvergenceVerdict(DIVERGENT, growth_exponent=slope,
                                       r_squared=r2, detail="growth fit")
 
-    ratios = np.abs(diffs[1:]) / np.abs(diffs[:-1])
-    if np.all(np.abs(diffs[:-1]) > 0) and np.all(ratios < CONTRACTION_RATIO):
-        r = float(np.exp(np.mean(np.log(ratios))))
-        limit = v[-1] + diffs[-1] * r / (1.0 - r)
-        return ConvergenceVerdict(CONVERGENT, limit_estimate=limit,
-                                  growth_exponent=float(np.log(r) / np.log(n[-1] / n[-2])),
-                                  detail="extrapolated")
+    steps = np.abs(diffs)
+    if np.all(steps[:-1] > 0):
+        ratios = steps[1:] / steps[:-1]
+        if np.all(ratios < CONTRACTION_RATIO):
+            r = float(np.exp(np.mean(np.log(ratios))))
+            limit = v[-1] + diffs[-1] * r / (1.0 - r)
+            return ConvergenceVerdict(
+                CONVERGENT, limit_estimate=limit,
+                growth_exponent=float(np.log(r) / np.log(n[-1] / n[-2])),
+                detail="extrapolated")
 
     return ConvergenceVerdict(INCONCLUSIVE, detail="no stable trend")
 

@@ -303,8 +303,9 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     Scans all dyadic subintervals of (0, 1) down to the given depth, plus
     any caller-supplied candidate intervals (k, a, b). A candidate ladder
     whose ratios keep growing forces NotInA2 with the witnesses recorded;
-    otherwise a supremum that has stopped moving between the two deepest
-    dyadic generations is reported as the constant.
+    otherwise the verdict reads whether the supremum has stopped moving
+    between the two deepest dyadic generations, and the constant is the
+    supremum over every generation scanned.
     """
     witnesses = []
     if candidates:
@@ -339,9 +340,10 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
                             "dyadic ratio exceeded the declared bound")
     if best[1] is not None:
         witnesses.append(("dyadic-sup", _interval_label(*best[1]), best[0]))
+    constant = max(sup_by_level)
     tail_move = abs(sup_by_level[-1] - sup_by_level[-2]) / sup_by_level[-1]
     if tail_move < 0.05:
-        return A2Report(IN_A2, sup_by_level[-1], witnesses,
+        return A2Report(IN_A2, constant, witnesses,
                         f"dyadic suprema settled at depth {depth}")
-    return A2Report(UNDECIDED_A2, sup_by_level[-1], witnesses,
+    return A2Report(UNDECIDED_A2, constant, witnesses,
                     "dyadic suprema still moving at the deepest level")

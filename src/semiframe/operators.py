@@ -394,17 +394,19 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     outside the modelled domain closure is invisible to the expansion and
     exactly the projection of f is recovered. The headline relative error is
     measured against the original f: for f orthogonal to the admissible
-    subspace it equals 1. When a ladder is supplied, the raw coefficient
-    energy of the unprojected f is tracked as a domain diagnostic.
+    subspace it equals 1. A probe shorter than d continues by zero. When a
+    ladder is supplied, the raw coefficient energy of the unprojected f is
+    tracked as a domain diagnostic.
     """
     d, n = level
     f = np.asarray(f, dtype=complex)
+    f_d = _fit_dim(f, d)
     proj = projector if projector is not None else projector_for(family, d)
-    pf = proj.matrix @ f[:d]
+    pf = proj.matrix @ f_d
     coeffs = analysis_matrix(family, level).matrix @ pf
     f_tilde = dual.vectors.T @ coeffs
-    norm_f = np.linalg.norm(f[:d])
-    rel = float(np.linalg.norm(f_tilde - f[:d]) / norm_f) if norm_f > 0 else 0.0
+    norm_f = np.linalg.norm(f_d)
+    rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0
     norm_pf = np.linalg.norm(pf)
     in_span = float(np.linalg.norm(f_tilde - pf) / norm_pf) if norm_pf > 1e-300 else None
     tail = None

@@ -36,14 +36,18 @@ class FourierProfile:
     """A generator's Fourier transform as a vectorized callable.
 
     support is a (lo, hi) window outside which the profile vanishes, or None
-    when it only decays; decaying profiles get tail extrapolation in the
-    alias sums.
+    when it only decays. energy optionally gives |fn|^2 directly, so the
+    self-paired alias sums skip phases that cancel. tail optionally declares
+    (s, envelope) with energy(x) = envelope(x) |x|^-s, envelope 1-periodic:
+    the alias tail then has a closed form through the Hurwitz zeta.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple | None = None
     descriptor: dict = None
+    energy: Callable[[np.ndarray], np.ndarray] | None = None
+    tail: tuple | None = None
 
     def __post_init__(self):
         if self.descriptor is None:
@@ -51,6 +55,15 @@ class FourierProfile:
 
     def __call__(self, gamma):
         return self.fn(np.asarray(gamma, dtype=float))
+
+    def energy_at(self, x):
+        """|fn(x)|^2 as a real array, from one profile evaluation."""
+        if self.energy is not None:
+            return self.energy(x)
+        v = self.fn(x)
+        if np.iscomplexobj(v):
+            return v.real * v.real + v.imag * v.imag
+        return v * v
 
 
 @dataclass
@@ -80,8 +93,16 @@ class TranslateSystem:
 def unit_indicator_profile() -> FourierProfile:
     def fn(g):
         return np.exp(-1j * np.pi * g) * np.sinc(g)
+
+    def energy(g):
+        return np.sinc(g) ** 2
+
+    def envelope(g):
+        return np.sin(np.pi * g) ** 2 / np.pi ** 2
+
     return FourierProfile("unit-indicator", fn, support=None,
-                          descriptor={"profile": "unit-indicator"})
+                          descriptor={"profile": "unit-indicator"},
+                          energy=energy, tail=(2, envelope))
 
 
 def raised_cosine_profile() -> FourierProfile:
@@ -120,44 +141,88 @@ def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
 # aliased sums on the unit-periodic grid
 
 
-def _alias_blocks(primary, second, a: float, gamma: np.ndarray,
-                  n_lo: int, n_hi: int):
-    """sum over n in [n_lo, n_hi] of primary((gamma+n)/a) * conj(second(...)),
-    accumulated in blocks with a deterministic pairwise reduction."""
+# Bernoulli numbers B_2, B_4, ..., B_12 of the Euler-Maclaurin remainder
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
+HURWITZ_DIRECT = 10
+
+
+def hurwitz_zeta(s: float, q) -> np.ndarray:
+    """zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1, q > 0, vectorized in q.
+
+    The first HURWITZ_DIRECT terms are summed directly; the rest is the
+    Euler-Maclaurin integral, endpoint and Bernoulli terms at
+    x = q + HURWITZ_DIRECT >= 10, where the first omitted term is below
+    1e-16 relative for the exponents the profiles declare.
+    """
+    q = np.asarray(q, dtype=float)
+    x = q + HURWITZ_DIRECT
+    total = sum((q + k) ** -s for k in range(HURWITZ_DIRECT))
+    total = total + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** -s
+    # j-th correction: B_2j / (2j)! * s (s+1) ... (s+2j-2) * x^(-s-2j+1)
+    coef, power = s / 2.0, x ** (-s - 1.0)
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total = total + b * coef * power
+        coef *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
+        power = power / (x * x)
+    return total
+
+
+def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
+    """sum over n in [n_lo, n_hi] of term((gamma+n)/a), accumulated in blocks
+    with a deterministic pairwise reduction."""
     ns = np.arange(n_lo, n_hi + 1)
     parts = []
     for start in range(0, ns.size, ALIAS_BLOCK):
         blk = ns[start:start + ALIAS_BLOCK]
         arg = (gamma[None, :] + blk[:, None]) / a
-        vals = primary(arg) * np.conj(second(arg))
-        parts.append(vals.sum(axis=0))
+        parts.append(term(arg).sum(axis=0))
     return pairwise_sum(parts)
+
+
+def _closed_tail_ok(profile: FourierProfile, a: float) -> bool:
+    """The tail model is periodic along the alias terms only when 1/a is an
+    integer: envelope((gamma + n)/a) then equals envelope(gamma/a)."""
+    inv = 1.0 / a
+    return profile.tail is not None and abs(inv - round(inv)) <= 1e-12 * inv
 
 
 def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
                   extrapolate: bool, f_fn=None):
-    """Aliased series with either exact finite range or tail extrapolation.
+    """Aliased series with either exact finite range or a tail correction.
 
-    Pairs f against the generator profile; with f_fn None the profile is
-    paired with itself and the summand is its squared magnitude. Returns
+    Pairs f against the generator profile; with f_fn None (or the profile's
+    own fn) the summand is the profile's real energy |phi|^2. Returns
     (values, tail_gap, extrapolated). Compactly supported profiles sum
-    exactly over the few overlapping shifts. Decaying profiles are summed to
-    K and 2K terms; when the two disagree, combining them removes a 1/K
-    tail model.
+    exactly over the few overlapping shifts. A self-paired profile with a
+    declared tail model and 1/a an integer sums |n| <= K and adds the tail
+    in closed form; tail_gap is that correction's size. Every other decaying
+    series is summed to K and 2K terms; when the two disagree, combining
+    them removes a 1/K tail model.
     """
     a = system.step
-    phi = system.profile.fn
-    primary = phi if f_fn is None else f_fn
-    if system.profile.support is not None:
-        lo, hi = system.profile.support
+    profile = system.profile
+    phi = profile.fn
+    self_paired = f_fn is None or f_fn is phi
+    if self_paired:
+        term = profile.energy_at
+    else:
+        def term(arg):
+            return f_fn(arg) * np.conj(phi(arg))
+    if profile.support is not None:
+        lo, hi = profile.support
         n_lo = int(np.floor(a * lo)) - 1
         n_hi = int(np.ceil(a * hi)) + 1
-        vals = _alias_blocks(primary, phi, a, gamma, n_lo, n_hi)
+        vals = _alias_blocks(term, a, gamma, n_lo, n_hi)
         return vals / a, 0.0, False
     k = int(tail_terms)
-    s_k = _alias_blocks(primary, phi, a, gamma, -k, k)
-    extra = _alias_blocks(primary, phi, a, gamma, k + 1, 2 * k) \
-        + _alias_blocks(primary, phi, a, gamma, -2 * k, -k - 1)
+    s_k = _alias_blocks(term, a, gamma, -k, k)
+    if extrapolate and self_paired and _closed_tail_ok(profile, a):
+        s, envelope = profile.tail
+        tail = envelope(gamma / a) * a ** s * (
+            hurwitz_zeta(s, k + 1 + gamma) + hurwitz_zeta(s, k + 1 - gamma))
+        return (s_k + tail) / a, float(np.max(np.abs(tail))) / a, True
+    extra = _alias_blocks(term, a, gamma, k + 1, 2 * k) \
+        + _alias_blocks(term, a, gamma, -2 * k, -k - 1)
     s_2k = s_k + extra
     gap = float(np.max(np.abs(extra)))
     scale = float(np.max(np.abs(s_2k))) + np.finfo(float).tiny
@@ -294,9 +359,12 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     w = f_hat_grid.values * np.conj(phi_vals)
     j = f_hat_grid.index0 + np.arange(f_hat_grid.size)
     ns = np.arange(-n_max, n_max + 1)
-    phases = np.exp(2j * np.pi * np.outer(ns, j) / m)
+    # exp(2 pi i n j / m) read off the m-th roots of unity at (n j) mod m
+    idx = np.multiply.outer(ns, j)
+    np.mod(idx, m, out=idx)
+    phases = np.exp(2j * np.pi * np.arange(m) / m)[idx]
     coeffs = h * (phases @ w)
-    synth = np.conj(phases).T @ coeffs
+    synth = np.conj(np.conj(coeffs) @ phases)
     return line_grid(phi_vals * synth, h)
 
 

@@ -103,6 +103,13 @@ def test_tail_diagnostic_inconclusive_and_validation():
         tail_diagnostic([1.0, 2.0], [8, 16])
 
 
+@pytest.mark.filterwarnings("error")
+def test_tail_diagnostic_repeated_value_warns_nothing():
+    # a zero step must be ruled out before the step ratios are formed
+    v = tail_diagnostic([1.0, 2.0, 2.0, 3.0], [8, 16, 32, 64])
+    assert v.kind == "Inconclusive"
+
+
 def test_periodic_grid_nodes_and_quadrature():
     g = periodic_grid(np.exp(2j * np.pi * np.arange(8) / 8))
     assert np.allclose(g.nodes(), np.arange(8) / 8)

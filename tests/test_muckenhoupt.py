@@ -159,6 +159,17 @@ def test_a2_estimate_verdicts():
                stepped.witnesses)
 
 
+def test_a2_constant_covers_every_dyadic_level():
+    # cells constant below depth 6 make the deepest levels read ratio 1,
+    # while coarser intervals straddle unequal cells
+    w = SampledWeight(np.exp(np.random.default_rng(5).normal(size=64)))
+    rep = a2_estimate(w, depth=9)
+    assert rep.verdict == "InA2"
+    witnessed = max(r for _, _, r in rep.witnesses)
+    assert witnessed > 2.0
+    assert rep.constant_estimate == witnessed
+
+
 def test_a2_ratio_never_below_one():
     weights = [ConstantWeight(2), PowerWeight(0.3), PowerWeight(-0.4),
                plateau_weight(4), SampledWeight(np.array([1.0, 4.0, 2.0]))]

@@ -154,6 +154,21 @@ def test_reconstruct_in_span_and_orthogonal():
     assert res1.coefficient_tail.kind == "Divergent"
 
 
+def test_reconstruct_pads_short_probe():
+    fam = shared_direction_family(0.0)
+    level = (33, 32)
+    dual = canonical_dual(fam, level)
+    rng = np.random.default_rng(3)
+    short = rng.normal(size=10) + 1j * rng.normal(size=10)
+    short[0] = 0.0
+    padded = np.zeros(33, dtype=complex)
+    padded[:10] = short
+    res = reconstruct(short, fam, dual, level)
+    ref = reconstruct(padded, fam, dual, level)
+    assert res.rel_error == ref.rel_error < 1e-12
+    assert np.array_equal(res.f_tilde, ref.f_tilde)
+
+
 def test_parseval_canonical_is_tight():
     for fam in (shared_direction_family(0.0), shared_direction_family(1.0),
                 seeded_dense_family(1)):

@@ -3,10 +3,11 @@ import pytest
 
 from semiframe.core import line_grid
 from semiframe.translates import (
-    TranslateSystem, analysis_translates, bracket, brute_apply,
-    canonical_dual_translates, classify_translates, line_window,
-    modulation_sum, pphi, plateau_band_system, raised_cosine_profile,
-    reconstruct_translates, unit_indicator_profile, walnut_apply,
+    FourierProfile, TranslateSystem, analysis_translates, bracket,
+    brute_apply, canonical_dual_translates, classify_translates,
+    hurwitz_zeta, line_window, modulation_sum, pphi, plateau_band_system,
+    raised_cosine_profile, reconstruct_translates, unit_indicator_profile,
+    walnut_apply,
 )
 
 RNG = np.random.default_rng(314)
@@ -34,6 +35,51 @@ def test_pphi_indicator_is_flat():
     assert np.abs(grid.values - 1.0).max() < 1e-6
     assert rep.extrapolated
     assert rep.zero_fraction == 0.0
+
+
+def _without_tail_model(profile):
+    """Same transform with no declared energy or tail: 2K + Richardson."""
+    return FourierProfile(profile.name, profile.fn)
+
+
+def test_pphi_indicator_closed_tail_flat_over_sweep():
+    for k in (10, 100, 1000, 10 ** 4):
+        grid, rep = pphi(INDICATOR, m=64, tail_terms=k)
+        assert np.abs(grid.values - 1.0).max() <= 1e-14
+        assert rep.extrapolated
+        # the correction at gamma = 1/2 is (1/pi^2) 2 zeta(2, K + 1/2) ~ 2/(pi^2 K)
+        assert abs(rep.tail_gap * np.pi ** 2 * k / 2.0 - 1.0) < 1.0 / k
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5])
+def test_pphi_closed_tail_matches_richardson(step):
+    k = 1000
+    closed, _ = pphi(TranslateSystem(unit_indicator_profile(), step),
+                     m=128, tail_terms=k)
+    oracle, rep = pphi(
+        TranslateSystem(_without_tail_model(unit_indicator_profile()), step),
+        m=128, tail_terms=k)
+    assert rep.extrapolated
+    assert np.abs(closed.values - oracle.values).max() <= k ** -2.0
+
+
+def test_pphi_indicator_off_lattice_step_uses_richardson():
+    # 1/a is not an integer: the envelope is not periodic along alias terms
+    system = TranslateSystem(unit_indicator_profile(), 2.0 / 3.0)
+    oracle = TranslateSystem(_without_tail_model(system.profile), 2.0 / 3.0)
+    got, rep = pphi(system, m=64, tail_terms=200)
+    want, rep_o = pphi(oracle, m=64, tail_terms=200)
+    # same route; only the declared sinc^2 rounds apart from |fn|^2
+    assert np.abs(got.values - want.values).max() <= 1e-14
+    assert abs(rep.tail_gap - rep_o.tail_gap) <= 1e-14
+
+
+def test_hurwitz_zeta_against_scipy():
+    special = pytest.importorskip("scipy.special")
+    q = np.concatenate([np.linspace(1.0, 10.0, 500), np.logspace(1, 5, 500)])
+    for s in (2, 4):
+        rel = np.abs(hurwitz_zeta(s, q) / special.zeta(s, q) - 1.0)
+        assert rel.max() <= 1e-13
 
 
 def test_pphi_cosine_closed_form():
@@ -94,6 +140,23 @@ def test_walnut_matches_brute_on_trig_probe():
     w = walnut_apply(COSINE, fg)
     b = brute_apply(COSINE, fg, n_max=32)
     assert np.abs(w.values - b.values).max() < 1e-10
+
+
+def test_brute_apply_matches_complex_exp_formula():
+    m, n_max = 256, 64
+    nodes = line_window(COSINE, m=m, cover=1.0)
+    rng = np.random.default_rng(7)
+    f_vals = (rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size)) \
+        * COSINE.profile(nodes)
+    fg = line_grid(f_vals, 1.0 / m)
+    phi = COSINE.profile(nodes)
+    j = fg.index0 + np.arange(fg.size)
+    ns = np.arange(-n_max, n_max + 1)
+    phases = np.exp(2j * np.pi * np.outer(ns, j) / m)
+    coeffs = fg.step * (phases @ (f_vals * np.conj(phi)))
+    expect = phi * (np.conj(phases).T @ coeffs)
+    got = brute_apply(COSINE, fg, n_max).values
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_walnut_validates_lattice():
