@@ -13,8 +13,8 @@ so that callers can surface evidence.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -134,32 +134,45 @@ def default_ladder(family: "VectorFamily", base: int = 256, depth: int = 4) -> T
 class VectorFamily:
     """A countable family of vectors materializable at any truncation level.
 
-    generator(index, d) returns the member with the given family index as a
-    dense length-d array. Families enumerate indices start_index,
-    start_index+1, ... in their canonical order (for integer-frequency
-    systems the canonical order is 0, 1, -1, 2, -2, ...).
+    Each family declares its members by one rule: `sparse(index)` gives
+    (positions, values) pairs independent of d, or, for families with dense
+    members, `generator(index, d)` gives the member as a length-d array.
+    When only `sparse` is given, `generator` is derived from it. Families
+    enumerate indices start_index, start_index+1, ... in their canonical
+    order (for integer-frequency systems the canonical order is
+    0, 1, -1, 2, -2, ...).
 
     Side knowledge travels with the family: `perp_directions` spans the known
     orthogonal complement of the analysis domain at dimension d (empty or
-    None when the domain is dense), `sparse` gives (positions, values) pairs
-    independent of d, `prefix_norm_rule` evaluates closed-form prefix norms
-    for the canonical ordering, and `lower_bound_hint` records an expected
-    lower frame bound on the admissible subspace.
+    None when the domain is dense), and `prefix_norm_rule` evaluates
+    closed-form prefix norms for the canonical ordering.
     """
 
     name: str
-    generator: Callable[[int, int], np.ndarray]
+    generator: Callable[[int, int], np.ndarray] | None = None
     start_index: int = 1
     min_dim: Callable[[int], int] = None
     sparse: Callable[[int], tuple] | None = None
     perp_directions: Callable[[int], np.ndarray] | None = None
-    lower_bound_hint: float | None = None
     prefix_norm_rule: Callable[[np.ndarray], np.ndarray] | None = None
-    descriptor: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.min_dim is None:
             self.min_dim = lambda n: n
+        if self.generator is None:
+            if self.sparse is None:
+                raise ValueError(
+                    f"family {self.name!r} declares no member rule: give "
+                    "sparse(index) or generator(index, d)")
+            sparse = self.sparse
+
+            def dense(idx, d):
+                v = np.zeros(d, dtype=complex)
+                pos, vals = sparse(idx)
+                v[pos] = vals
+                return v
+
+            self.generator = dense
 
     def indices(self, count: int) -> range:
         return range(self.start_index, self.start_index + count)
@@ -183,18 +196,23 @@ def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
     return np.vstack(rows)
 
 
-def family_descriptor(family: VectorFamily) -> str:
-    """JSON descriptor naming the family and its parameters."""
-    return json.dumps({"family": family.name, **family.descriptor},
-                      sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # convergence verdicts
 
 CONVERGENT = "Convergent"
 DIVERGENT = "Divergent"
 INCONCLUSIVE = "Inconclusive"
+
+# classifier verdicts on a system property
+YES, NO, UNDECIDED = "Yes", "No", "Undecided"
+
+
+def frame_verdict(bessel: str, lower: str) -> str:
+    """Frame = Bessel and lower inequality: Yes when both hold, No when
+    either fails, Undecided otherwise."""
+    if bessel == YES and lower == YES:
+        return YES
+    return NO if NO in (bessel, lower) else UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -354,6 +372,18 @@ def grid_from_csv(path, kind: str, step: float, offset: float = 0.0) -> GridFunc
     return line_grid(values, step)
 
 
+def whole_count(ratio: float, precondition: str) -> int:
+    """A grid ratio that must be a positive integer, as an int.
+
+    Raises ValueError(precondition) when the ratio is not within 1e-9
+    relative of a positive integer, so that lattice shifts stay exact.
+    """
+    if not (math.isfinite(ratio) and ratio >= 0.5
+            and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+        raise ValueError(precondition)
+    return int(round(ratio))
+
+
 def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
     """Fold a line-grid function into one period: sum over f(x - k*a), |k| <= shifts.
 
@@ -364,10 +394,7 @@ def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
     """
     if f.kind != LINE:
         raise ValueError("periodize expects a line grid")
-    m = a / f.step
-    if abs(m - round(m)) > 1e-9 * max(1.0, abs(m)):
-        raise ValueError("period must be an integer number of grid steps")
-    m = int(round(m))
+    m = whole_count(a / f.step, "period must be an integer number of grid steps")
     out = np.zeros(m, dtype=complex)
     j0 = f.index0
     for k in range(-shifts, shifts + 1):

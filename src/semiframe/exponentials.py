@@ -15,13 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorFamily, tail_diagnostic
+from .core import (
+    NO, UNDECIDED, YES, VectorFamily, frame_verdict, tail_diagnostic,
+    whole_count,
+)
 from .muckenhoupt import (
-    IN_A2, NOT_IN_A2, A2Report, a2_estimate, plateau_candidates,
+    IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
 )
 
 DEFAULT_CELLS = 2 ** 12
-YES, NO, UNDECIDED = "Yes", "No", "Undecided"
 
 
 def frequency_of(member_index: int) -> int:
@@ -101,10 +103,7 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
 
     return VectorFamily(
         name=system.name, generator=gen, start_index=1,
-        min_dim=lambda n: m, sparse=None, perp_directions=None,
-        descriptor={"kind": "weighted-exponentials", "b": system.b,
-                    "cells": m,
-                    **getattr(system.weight, "descriptor", {})})
+        min_dim=lambda n: m, sparse=None, perp_directions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +158,20 @@ def synthesis_exponentials(system: ExponentialSystem,
     return np.asarray(weight_values, dtype=complex) * series
 
 
+def _ess_bounds(weight) -> tuple:
+    """(ess inf, ess sup) of the weight; refuses weights that declare none."""
+    bounds = getattr(weight, "ess_bounds", None)
+    if bounds is None:
+        raise ValueError(f"{type(weight).__name__} declares no essential "
+                         "bounds (ess_bounds); frame bounds and the dual "
+                         "generator are read off them")
+    return bounds()
+
+
 def canonical_dual_values(system: ExponentialSystem) -> np.ndarray:
     """Grid values of the dual generator b / conj(g); refuses weights that
     come arbitrarily close to zero."""
-    inf, _ = system.weight.ess_bounds()
+    inf, _ = _ess_bounds(system.weight)
     if inf <= 0:
         raise ValueError("dual generator unbounded: weight reaches zero")
     return system.b / np.conj(system.g_values())
@@ -220,10 +229,8 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
     The fold step M / b must be an integer so shifted copies land on nodes.
     """
     m = system.m
-    shift = m / system.b
-    if abs(shift - round(shift)) > 1e-9 * shift:
-        raise ValueError("cell count must be divisible by the fold step M/b")
-    shift = int(round(shift))
+    shift = whole_count(m / system.b,
+                        "cell count must be divisible by the fold step M/b")
     g = system.g_values()
     h = np.conj(g) * np.asarray(f_values, dtype=complex)
     out = np.zeros(m, dtype=complex)
@@ -276,7 +283,7 @@ def classify_exponentials(system: ExponentialSystem) -> ExponentialClassificatio
     """
     if system.b > 1.0:
         raise ValueError("classification assumes density b <= 1")
-    inf_w, sup_w = system.weight.ess_bounds()
+    inf_w, sup_w = _ess_bounds(system.weight)
     props = {}
     scope = "whole-space" if inf_w > 0 else "closed-span"
 
@@ -302,12 +309,8 @@ def classify_exponentials(system: ExponentialSystem) -> ExponentialClassificatio
     else:
         props["lower_bound"] = (NO, {"bound": 0.0})
 
-    bessel_yes = props["bessel"][0] == YES
-    lower_yes = props["lower_bound"][0] == YES
     props["frame"] = (
-        YES if bessel_yes and lower_yes
-        else NO if props["bessel"][0] == NO or props["lower_bound"][0] == NO
-        else UNDECIDED,
+        frame_verdict(props["bessel"][0], props["lower_bound"][0]),
         {"from": ("bessel", "lower_bound")})
 
     if system.b == 1.0:
@@ -319,11 +322,3 @@ def classify_exponentials(system: ExponentialSystem) -> ExponentialClassificatio
         props["unconditional_basis"] = (props["frame"][0],
                                         {"same_as": "frame, at b = 1"})
     return ExponentialClassification(system.name, scope, props, inf_w, sup_w)
-
-
-def schauder_flag(system: ExponentialSystem) -> tuple:
-    """(A2Report, Yes/No/Undecided) for the basis-with-ordering question."""
-    a2 = a2_estimate(system.weight, candidates=_weight_candidates(system.weight))
-    flag = YES if a2.verdict == IN_A2 else NO if a2.verdict == NOT_IN_A2 \
-        else UNDECIDED
-    return a2, flag

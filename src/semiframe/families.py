@@ -2,8 +2,8 @@
 
 Index conventions: members are numbered from each family's start index and
 live against the standard basis e_1, e_2, ... (1-based labels, 0-based
-storage). Sparse constructors are provided so large truncations never
-materialize dense rows unless asked to.
+storage). Each family declares its members once: the sparse ones as
+(positions, values) pairs, the dense one as length-d rows.
 """
 
 from __future__ import annotations
@@ -16,24 +16,16 @@ from .core import VectorFamily
 INTERLEAVED_HEAD = 2.0 - 2.0 ** 1.2 + 2.0 ** 3.2
 
 DIFFERENCE_POWER = 1.6          # 8/5, scale of the difference stream
-DIAGONAL_POWER = 0.5            # scale of the diagonal stream
 TARGET_POWER = -2.0             # decay of the probe vector h_n = n^-2
 
 
 def orthonormal_family() -> VectorFamily:
-    def gen(idx, d):
-        v = np.zeros(d, dtype=complex)
-        v[idx - 1] = 1.0
-        return v
-
     def sparse(idx):
         return np.array([idx - 1]), np.array([1.0 + 0j])
 
     return VectorFamily(
-        name="orthonormal", generator=gen, start_index=1,
-        min_dim=lambda n: n, sparse=sparse, perp_directions=None,
-        lower_bound_hint=1.0,
-        descriptor={"kind": "orthonormal-basis"})
+        name="orthonormal", start_index=1,
+        min_dim=lambda n: n, sparse=sparse, perp_directions=None)
 
 
 def shared_direction_family(power: float = 0.0, name: str | None = None) -> VectorFamily:
@@ -45,13 +37,6 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
     {e_n / n^power} stays Bessel.
     """
 
-    def gen(idx, d):
-        v = np.zeros(d, dtype=complex)
-        w = float(idx) ** power
-        v[0] += w
-        v[idx - 1] += w
-        return v
-
     def sparse(idx):
         w = float(idx) ** power
         return np.array([0, idx - 1]), np.array([w, w], dtype=complex)
@@ -62,29 +47,20 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
         return u
 
     return VectorFamily(
-        name=name or f"shared-direction-p{power:g}", generator=gen,
+        name=name or f"shared-direction-p{power:g}",
         start_index=2, min_dim=lambda n: n + 1, sparse=sparse,
-        perp_directions=perp,
-        lower_bound_hint=1.0 if power == 0 else 2.0 ** (2 * power),
-        descriptor={"kind": "shared-direction", "power": power})
+        perp_directions=perp)
 
 
 def scaled_basis_family(power: float) -> VectorFamily:
     """Members n^power e_n; diagonal, so every diagnostic has a closed form."""
 
-    def gen(idx, d):
-        v = np.zeros(d, dtype=complex)
-        v[idx - 1] = float(idx) ** power
-        return v
-
     def sparse(idx):
         return np.array([idx - 1]), np.array([float(idx) ** power + 0j])
 
     return VectorFamily(
-        name=f"scaled-basis-p{power:g}", generator=gen, start_index=1,
-        min_dim=lambda n: n, sparse=sparse, perp_directions=None,
-        lower_bound_hint=1.0 if power >= 0 else None,
-        descriptor={"kind": "scaled-basis", "power": power})
+        name=f"scaled-basis-p{power:g}", start_index=1,
+        min_dim=lambda n: n, sparse=sparse, perp_directions=None)
 
 
 def seeded_dense_family(seed: int) -> VectorFamily:
@@ -97,8 +73,7 @@ def seeded_dense_family(seed: int) -> VectorFamily:
 
     return VectorFamily(
         name=f"seeded-dense-{seed}", generator=gen, start_index=1,
-        min_dim=lambda n: max(4, n // 2), sparse=None, perp_directions=None,
-        descriptor={"kind": "seeded-dense", "seed": seed})
+        min_dim=lambda n: max(4, n // 2), sparse=None, perp_directions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +142,7 @@ def interleaved_difference_family() -> VectorFamily:
     sums grow, so the quadratic-form domain strictly exceeds the strong one.
     """
 
-    def member(idx):
+    def sparse(idx):
         if idx % 2 == 1:
             k = (idx + 1) // 2
             if k == 1:
@@ -177,23 +152,11 @@ def interleaved_difference_family() -> VectorFamily:
         k = idx // 2
         return np.array([k - 1]), np.array([np.sqrt(float(k)) + 0j])
 
-    def gen(idx, d):
-        v = np.zeros(d, dtype=complex)
-        pos, val = member(idx)
-        v[pos] = val
-        return v
-
-    def sparse(idx):
-        return member(idx)
-
     return VectorFamily(
-        name="interleaved-difference", generator=gen, start_index=1,
+        name="interleaved-difference", start_index=1,
         min_dim=lambda n: (n + 1) // 2, sparse=sparse, perp_directions=None,
         prefix_norm_rule=lambda ms: interleaved_prefix_norms(int(np.max(ms)))[
-            np.asarray(ms, dtype=int) - 1],
-        descriptor={"kind": "interleaved-difference",
-                    "difference_power": DIFFERENCE_POWER,
-                    "diagonal_power": DIAGONAL_POWER})
+            np.asarray(ms, dtype=int) - 1])
 
 
 def decaying_probe(d: int, power: float = TARGET_POWER) -> np.ndarray:

@@ -4,13 +4,15 @@ Everything here works on materialized families: the analysis matrix stacks
 conjugated members as rows, the frame matrix accumulates rank-one terms, and
 the two canonical-dual routes (restricted inverse of the projected frame
 matrix, pseudo-inverse of the analysis matrix) are kept independent so they
-can cross-check each other. Partial-sum traces record order-dependent
-behavior; the frame matrix itself is permutation-invariant.
+can cross-check each other. Lower bounds, the restricted-inverse dual and
+the Parseval normalization all read one restricted spectrum. Partial-sum
+traces record order-dependent behavior; the frame matrix itself is
+permutation-invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,9 +101,6 @@ class PartialSumTrace:
     stabilized: bool
     variation: float
 
-    def to_rows(self):
-        return [(k + 1, float(v)) for k, v in enumerate(self.prefix_norms)]
-
 
 @dataclass
 class ReconstructionResult:
@@ -169,12 +168,9 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     return coeffs_top, verdict
 
 
-def frame_matrix(family: VectorFamily, level: tuple,
-                 ordering: np.ndarray | None = None) -> FrameMatrix:
+def frame_matrix(family: VectorFamily, level: tuple) -> FrameMatrix:
     """Sum of rank-one terms member_n (x) conj(member_n)."""
     x = instantiate(family, level)
-    if ordering is not None:
-        x = x[np.asarray(ordering)]
     t = x.T @ np.conj(x)
     gap = float(np.abs(t - t.conj().T).max())
     return FrameMatrix(t, gap)
@@ -185,24 +181,22 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
     """Largest relative entrywise deviation of the frame matrix under
     seeded row permutations; the accumulated sum is order-free, so only
     roundoff shows up here."""
-    base = frame_matrix(family, level).matrix
+    x = instantiate(family, level)
+    base = x.T @ np.conj(x)
     scale = max(1.0, float(np.abs(base).max()))
     rng = np.random.default_rng(seed)
     worst = 0.0
     n = level[1]
     for _ in range(n_perms):
-        order = rng.permutation(n)
-        t = frame_matrix(family, level, ordering=order).matrix
+        xp = x[rng.permutation(n)]
+        t = xp.T @ np.conj(xp)
         worst = max(worst, float(np.abs(t - base).max()) / scale)
     return worst
 
 
-def frame_action(family: VectorFamily, f: np.ndarray, level: tuple,
-                 ordering: np.ndarray | None = None) -> np.ndarray:
+def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarray:
     """Apply the truncated frame operator without materializing it."""
     x = instantiate(family, level)
-    if ordering is not None:
-        x = x[np.asarray(ordering)]
     return x.T @ (np.conj(x) @ np.asarray(f, dtype=complex))
 
 
@@ -255,6 +249,15 @@ def _axis_positions(dirs: np.ndarray) -> np.ndarray | None:
     return np.array(sorted(set(pos)))
 
 
+def _coordinate_projector(d: int, flagged, kind: str) -> Projector:
+    """Projector that removes the flagged coordinate directions."""
+    flagged = tuple(int(j) for j in flagged)
+    p = np.eye(d, dtype=complex)
+    p[flagged, flagged] = 0.0
+    keep = np.setdiff1d(np.arange(d), np.array(flagged, dtype=int))
+    return Projector(p, kind, np.eye(d, dtype=complex)[:, keep], flagged=flagged)
+
+
 def projector_for(family: VectorFamily, d: int,
                   ladder: TruncationLadder | None = None) -> Projector:
     """Projector onto the modelled analysis-domain closure.
@@ -267,14 +270,10 @@ def projector_for(family: VectorFamily, d: int,
     if family.perp_directions is not None:
         dirs = np.atleast_2d(np.asarray(family.perp_directions(d), dtype=complex))
         axis = _axis_positions(dirs)
-        p = np.eye(d, dtype=complex)
         if axis is not None:
-            keep = np.setdiff1d(np.arange(d), axis)
-            p[axis, axis] = 0.0
-            q = np.eye(d, dtype=complex)[:, keep]
-            return Projector(p, "analytic", q, flagged=tuple(int(j) for j in axis))
+            return _coordinate_projector(d, axis, "analytic")
         u, _ = np.linalg.qr(dirs.T)
-        p = p - u @ u.conj().T
+        p = np.eye(d, dtype=complex) - u @ u.conj().T
         w, v = np.linalg.eigh(p)
         q = v[:, w > 0.5]
         return Projector(p, "analytic", q)
@@ -297,31 +296,58 @@ def projector_for(family: VectorFamily, d: int,
             slope = np.polyfit(np.log(counts), np.log(q), 1)[0]
             if slope > PROJECTOR_GROWTH_EXPONENT:
                 flagged.append(j)
-    p = np.eye(d, dtype=complex)
-    keep = np.setdiff1d(np.arange(d), np.array(flagged, dtype=int))
-    for j in flagged:
-        p[j, j] = 0.0
-    q = np.eye(d, dtype=complex)[:, keep]
-    return Projector(p, "estimated", q, flagged=tuple(flagged))
+    return _coordinate_projector(d, flagged, "estimated")
+
+
+def _projector_at(family: VectorFamily, projector: Projector | None,
+                  d: int) -> Projector:
+    """The given projector carried to dimension d.
+
+    An analytic projector is rebuilt from the family's declared complement;
+    an estimated one keeps its flagged coordinates below d. Without a
+    projector the family's own analytic one is used.
+    """
+    if projector is not None and projector.matrix.shape[0] == d:
+        return projector
+    if projector is None or projector.kind == "analytic":
+        return projector_for(family, d)
+    return _coordinate_projector(
+        d, [j for j in projector.flagged if j < d], projector.kind)
+
+
+def _restricted_spectrum(family: VectorFamily, level: tuple,
+                         projector: Projector | None,
+                         floor_ratio: float | None = None):
+    """Spectrum of the frame matrix restricted to the projector's range.
+
+    Returns (Q, Y, w, V): the range basis Q, the projected members
+    Y = Q^H X^T (r x N, column n holds the coordinates of P member_n), and
+    the ascending eigenpairs of B = Y Y^H = Q^H T Q. With a floor ratio,
+    refuses a numerically singular B.
+    """
+    q = _projector_at(family, projector, level[0]).range_basis
+    y = q.conj().T @ instantiate(family, level).T
+    w, v = np.linalg.eigh(y @ y.conj().T)
+    if floor_ratio is not None:
+        floor = floor_ratio * float(w[-1])
+        if w[0] <= floor:
+            raise SingularRestrictionError(float(w[0]), floor)
+    return q, y, w, v
 
 
 def lower_bound(family: VectorFamily, ladder: TruncationLadder,
                 projector: Projector | None = None):
     """Smallest eigenvalue of the projected frame matrix, per ladder level.
 
+    A projector built at another dimension is carried to each level.
     Returns (per_level, verdict): per_level is a list of ((d, N), lambda_min)
     and the verdict judges stability of the estimates. A stable positive
     limit certifies the lower bound at the modelled truncations only.
     """
     per_level = []
-    for d, n in ladder.levels:
-        proj = projector if projector is not None and projector.matrix.shape[0] == d \
-            else projector_for(family, d)
-        q = proj.range_basis
-        t = frame_matrix(family, (d, n)).matrix
-        b = q.conj().T @ t @ q
-        lam = float(np.linalg.eigvalsh(b)[0])
-        per_level.append(((d, n), lam))
+    for level in ladder.levels:
+        _, _, w, _ = _restricted_spectrum(family, level, projector)
+        per_level.append((level, float(w[0])))
     values = [lam for _, lam in per_level]
     verdict = tail_diagnostic(values, ladder.counts(), rel_tol=1e-10)
     return per_level, verdict
@@ -342,19 +368,9 @@ def canonical_dual(family: VectorFamily, level: tuple,
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound.
     """
-    d, n = level
-    proj = projector if projector is not None else projector_for(family, d)
-    q = proj.range_basis
-    x = instantiate(family, level)
-    t = x.T @ np.conj(x)
-    b = q.conj().T @ t @ q
-    w, v = np.linalg.eigh(b)
-    floor = floor_ratio * float(w[-1])
-    if w[0] <= floor:
-        raise SingularRestrictionError(float(w[0]), floor)
+    q, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
     inv = (v / w) @ v.conj().T                    # B^{-1} on the range basis
-    proj_members = q.conj().T @ x.T               # r x N, coordinates of P xi_n
-    duals = (q @ (inv @ proj_members)).T          # N x d
+    duals = (q @ (inv @ y)).T                     # N x d
     dual_frame = duals.T @ np.conj(duals)
     bessel_est = float(np.linalg.eigvalsh(dual_frame)[-1])
     return DualFamily(duals, "inverse", level, bessel_est,
@@ -424,19 +440,11 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
-    d, n = level
-    proj = projector if projector is not None else projector_for(family, d)
-    q = proj.range_basis
-    x = instantiate(family, level)
-    b = q.conj().T @ (x.T @ np.conj(x)) @ q
-    w, v = np.linalg.eigh(b)
-    floor = floor_ratio * float(w[-1])
-    if w[0] <= floor:
-        raise SingularRestrictionError(float(w[0]), floor)
+    q, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    vectors = (q @ (inv_sqrt @ (q.conj().T @ x.T))).T
-    b2 = q.conj().T @ (vectors.T @ np.conj(vectors)) @ q
-    gap = float(np.abs(np.linalg.eigvalsh(b2) - 1.0).max())
+    vectors = (q @ (inv_sqrt @ y)).T
+    y2 = q.conj().T @ vectors.T                   # normalized members, projected
+    gap = float(np.abs(np.linalg.eigvalsh(y2 @ y2.conj().T) - 1.0).max())
     return vectors, gap
 
 

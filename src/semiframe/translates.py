@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    GridFunction, covering_shifts, line_grid, pairwise_sum, periodize,
-    tail_diagnostic,
+    NO, UNDECIDED, YES, GridFunction, covering_shifts, frame_verdict,
+    line_grid, pairwise_sum, periodize, tail_diagnostic, whole_count,
 )
 from .muckenhoupt import plateau_weight
 
@@ -28,7 +28,7 @@ DEFAULT_TAIL = 10_000
 ZERO_MASK_RATIO = 1e-8          # p below this fraction of its sup counts as zero
 ALIAS_BLOCK = 64
 ORTHO_TOL = 1e-6
-YES, NO, UNDECIDED = "Yes", "No", "Undecided"
+LATTICE_STEP = "grid step must subdivide the dual period 1/a"
 
 
 @dataclass
@@ -330,10 +330,7 @@ def walnut_apply(system: TranslateSystem, f_hat_grid: GridFunction) -> GridFunct
         raise ValueError("expect f sampled on a symmetric line grid")
     a = system.step
     h = f_hat_grid.step
-    m = 1.0 / (a * h)
-    if abs(m - round(m)) > 1e-9 * m:
-        raise ValueError("grid step must subdivide the dual period 1/a")
-    m = int(round(m))
+    m = whole_count(1.0 / (a * h), LATTICE_STEP)
     nodes = f_hat_grid.nodes()
     phi_vals = system.profile(nodes)
     w = f_hat_grid.values * np.conj(phi_vals)
@@ -350,10 +347,7 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     truncated at shifts |n| <= n_max. Slow by design (cross-check route)."""
     a = system.step
     h = f_hat_grid.step
-    m = 1.0 / (a * h)
-    if abs(m - round(m)) > 1e-9 * m:
-        raise ValueError("grid step must subdivide the dual period 1/a")
-    m = int(round(m))
+    m = whole_count(1.0 / (a * h), LATTICE_STEP)
     nodes = f_hat_grid.nodes()
     phi_vals = system.profile(nodes)
     w = f_hat_grid.values * np.conj(phi_vals)
@@ -501,10 +495,8 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     else:
         props["lower_for_span"] = (UNDECIDED, {"grid_inf": rep.ess_inf})
 
-    both_yes = props["bessel"][0] == YES and props["lower_for_span"][0] == YES
-    any_no = props["bessel"][0] == NO or props["lower_for_span"][0] == NO
     props["frame_for_span"] = (
-        YES if both_yes else NO if any_no else UNDECIDED,
+        frame_verdict(props["bessel"][0], props["lower_for_span"][0]),
         {"from": ("bessel", "lower_for_span")})
 
     ortho_gap = float(np.abs(p_grid.values - 1.0).max())

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,11 @@ from semiframe.core import (
     BasisMismatchError, CoefficientVector, GridFunction, TruncationLadder,
     covering_shifts, grid_from_csv, inner_product, line_grid, pairwise_sum,
     periodic_grid, periodization_gap, periodize, tail_diagnostic,
+)
+from semiframe.exponentials import ExponentialSystem, t_general
+from semiframe.muckenhoupt import ConstantWeight
+from semiframe.translates import (
+    TranslateSystem, brute_apply, raised_cosine_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -157,6 +163,36 @@ def test_periodize_requires_lattice_period():
         periodize(f, 0.3, 4)
     with pytest.raises(ValueError):
         periodize(periodic_grid(np.ones(8)), 1.0, 4)
+
+
+def _periodize_off_lattice():
+    periodize(line_grid(np.ones(9), step=0.3), 1.0, 4)
+
+
+def _walnut_off_lattice():
+    system = TranslateSystem(raised_cosine_profile(), 1.0)
+    walnut_apply(system, line_grid(np.ones(9), step=0.3))
+
+
+def _brute_off_lattice():
+    system = TranslateSystem(raised_cosine_profile(), 1.0)
+    brute_apply(system, line_grid(np.ones(9), step=0.3), 4)
+
+
+def _t_general_off_lattice():
+    system = ExponentialSystem(ConstantWeight(1.0), 3.0, 64)
+    t_general(system, np.ones(64))
+
+
+@pytest.mark.parametrize("call, precondition", [
+    (_periodize_off_lattice, "period must be an integer number of grid steps"),
+    (_walnut_off_lattice, "grid step must subdivide the dual period 1/a"),
+    (_brute_off_lattice, "grid step must subdivide the dual period 1/a"),
+    (_t_general_off_lattice, "cell count must be divisible by the fold step M/b"),
+], ids=["periodize", "walnut_apply", "brute_apply", "t_general"])
+def test_step_not_dividing_the_period_is_refused(call, precondition):
+    with pytest.raises(ValueError, match=re.escape(precondition)):
+        call()
 
 
 def test_covering_shifts_covers():

@@ -5,11 +5,11 @@ from semiframe.exponentials import (
     ExponentialSystem, analysis_exponentials, biorthogonality_gap,
     canonical_dual_values, classify_exponentials, defer_negatives_ordering,
     family_on_grid, frequency_of, member_of, reconstruct_exponentials,
-    schauder_flag, synthesis_exponentials, t_general, t_mult,
+    synthesis_exponentials, t_general, t_mult,
 )
 from semiframe.core import instantiate
 from semiframe.muckenhoupt import (
-    ConstantWeight, PowerWeight, SampledWeight, plateau_weight,
+    ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, plateau_weight,
 )
 
 RNG = np.random.default_rng(99)
@@ -163,8 +163,18 @@ def test_classification_stepped_weight():
 
 
 def test_schauder_flag():
-    report, flag = schauder_flag(ExponentialSystem(PowerWeight(0.4), 1.0, 64))
-    assert flag == "Yes" and report.verdict == "InA2"
-    report, flag = schauder_flag(
-        ExponentialSystem(plateau_weight(6, power=2), 1.0, 64))
-    assert flag == "No" and report.verdict == "NotInA2"
+    flag, detail = classify_exponentials(
+        ExponentialSystem(PowerWeight(0.4), 1.0, 64)).properties["conditional_basis"]
+    assert flag == "Yes" and detail["a2"] == "InA2"
+    flag, detail = classify_exponentials(
+        ExponentialSystem(plateau_weight(6, power=2), 1.0, 64)
+    ).properties["conditional_basis"]
+    assert flag == "No" and detail["a2"] == "NotInA2"
+
+
+def test_weight_without_essential_bounds_is_refused():
+    system = ExponentialSystem(ScaledWeight(PowerWeight(0.4), 2.0), 1.0, 64)
+    with pytest.raises(ValueError, match="essential bounds"):
+        classify_exponentials(system)
+    with pytest.raises(ValueError, match="essential bounds"):
+        canonical_dual_values(system)

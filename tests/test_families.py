@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semiframe.core import instantiate
+from semiframe.core import VectorFamily, instantiate
 from semiframe.families import (
     INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
@@ -18,14 +18,28 @@ def test_orthonormal_members():
     assert np.array_equal(x, np.eye(5, dtype=complex))
 
 
-def test_shared_direction_sparse_matches_dense():
-    fam = shared_direction_family(1.0)
-    x = instantiate(fam, (6, 5))
-    rows = [fam.generator(idx, 6) for idx in fam.indices(5)]
+@pytest.mark.parametrize("fam, level, spots", [
+    # member n of the growing shared-direction family is n at coordinates 1 and n
+    pytest.param(shared_direction_family(1.0), (6, 5),
+                 {(0, 0): 2, (0, 1): 2, (3, 0): 5, (3, 4): 5},
+                 id="shared-direction-p1"),
+    pytest.param(orthonormal_family(), (5, 5), {}, id="orthonormal"),
+    pytest.param(scaled_basis_family(-0.5), (4, 4), {}, id="scaled-basis"),
+    pytest.param(interleaved_difference_family(), (8, 9), {},
+                 id="interleaved-difference"),
+])
+def test_shared_direction_sparse_matches_dense(fam, level, spots):
+    d, n = level
+    x = instantiate(fam, level)
+    rows = [fam.generator(idx, d) for idx in fam.indices(n)]
     assert np.array_equal(x, np.vstack(rows))
-    # member n is n at coordinates 1 and n
-    assert x[0, 0] == 2 and x[0, 1] == 2
-    assert x[3, 0] == 5 and x[3, 4] == 5
+    for (row, col), value in spots.items():
+        assert x[row, col] == value
+
+
+def test_family_without_member_rule_is_refused():
+    with pytest.raises(ValueError, match="member rule"):
+        VectorFamily(name="bare")
 
 
 def test_min_dim_enforced():

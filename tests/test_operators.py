@@ -127,6 +127,18 @@ def test_lower_bound_ladder():
     assert verdict.kind == "Convergent"
 
 
+def test_lower_bound_carries_estimated_projector():
+    # without its declared complement the growing family needs the
+    # estimated projector at every level, not only at the top dimension
+    fam = shared_direction_family(1.0)
+    fam.perp_directions = None
+    ladder = TruncationLadder(((65, 64), (129, 128), (257, 256)))
+    proj = projector_for(fam, 257, ladder)
+    per_level, verdict = lower_bound(fam, ladder, proj)
+    assert all(abs(lam - 4.0) < 1e-8 for _, lam in per_level)
+    assert verdict.kind == "Convergent"
+
+
 def test_singular_restriction_raises():
     # members never reach the last coordinate, so the restricted operator
     # is singular once the projector keeps the whole space
