@@ -12,7 +12,7 @@ report (serialization), cli (command line).
 from .core import (
     CONVERGENT, DIVERGENT, INCONCLUSIVE,
     ConvergenceVerdict, GridFunction, TruncationLadder, VectorFamily,
-    default_ladder, inner_product, instantiate, line_grid, periodic_grid,
+    default_ladder, instantiate, line_grid, periodic_grid,
     periodization_gap, periodize, tail_diagnostic,
 )
 from .operators import (

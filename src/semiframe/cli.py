@@ -103,7 +103,7 @@ def _cmd_scenario(args) -> int:
                 write_registry_csv(reports, args.out)
             else:
                 write_registry_json(reports, args.out)
-            print(f"report written to {args.out}")
+            print(f"report written to {args.out}", file=sys.stderr)
         print(f"registry sweep in {time.perf_counter() - t0:.1f}s",
               file=sys.stderr)
         return code

@@ -25,48 +25,6 @@ DIVERGENCE_R2 = 0.99           # fit quality required to declare divergence
 CONTRACTION_RATIO = 0.95       # difference ratios below this allow extrapolation
 
 
-class BasisMismatchError(ValueError):
-    """Raised when vectors tagged with different ambient bases are combined."""
-
-
-@dataclass(frozen=True)
-class CoefficientVector:
-    """Coordinates of a vector in a tagged orthonormal basis."""
-
-    entries: np.ndarray
-    basis_tag: str = "std"
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
-
-def _entries(u) -> np.ndarray:
-    if isinstance(u, CoefficientVector):
-        return u.entries
-    return np.asarray(u)
-
-
-def inner_product(u, v) -> complex:
-    """Pairing sum(u_k * conj(v_k)); conjugate-linear in the second slot.
-
-    Accepts plain arrays or CoefficientVectors; tagged vectors must share
-    their basis tag.
-    """
-    if isinstance(u, CoefficientVector) and isinstance(v, CoefficientVector):
-        if u.basis_tag != v.basis_tag:
-            raise BasisMismatchError(
-                f"cannot pair bases {u.basis_tag!r} and {v.basis_tag!r}")
-    ue, ve = _entries(u), _entries(v)
-    if ue.shape != ve.shape:
-        raise ValueError(f"length mismatch: {ue.shape} vs {ve.shape}")
-    # np.vdot conjugates its first argument
-    return complex(np.vdot(ve, ue))
-
-
 def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
     """Deterministic pairwise reduction of equal-shaped arrays.
 
@@ -351,6 +309,8 @@ class GridFunction:
 
 def periodic_grid(values, period: float = 1.0, offset: float = 0.0) -> GridFunction:
     values = np.asarray(values)
+    if values.size < 2:
+        raise ValueError("grid needs at least two nodes")
     return GridFunction(values, period / values.size, PERIODIC, offset=offset)
 
 
@@ -359,17 +319,6 @@ def line_grid(values, step: float) -> GridFunction:
     if values.size % 2 == 0:
         raise ValueError("line grids have odd node count (symmetric window)")
     return GridFunction(values, step, LINE, index0=-(values.size - 1) // 2)
-
-
-def grid_from_csv(path, kind: str, step: float, offset: float = 0.0) -> GridFunction:
-    rows = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(float(row["re"]) + 1j * float(row["im"]))
-    values = np.array(rows)
-    if kind == PERIODIC:
-        return GridFunction(values, step, PERIODIC, offset=offset)
-    return line_grid(values, step)
 
 
 def whole_count(ratio: float, precondition: str) -> int:

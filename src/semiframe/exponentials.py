@@ -70,7 +70,7 @@ class ExponentialSystem:
     name: str = ""
 
     def __post_init__(self):
-        if self.b <= 0:
+        if not self.b > 0:
             raise ValueError("density must be positive")
         if self.m < 4 or self.m % 2:
             raise ValueError("need an even grid with at least 4 cells")
@@ -172,7 +172,7 @@ def canonical_dual_values(system: ExponentialSystem) -> np.ndarray:
     """Grid values of the dual generator b / conj(g); refuses weights that
     come arbitrarily close to zero."""
     inf, _ = _ess_bounds(system.weight)
-    if inf <= 0:
+    if not inf > 0:
         raise ValueError("dual generator unbounded: weight reaches zero")
     return system.b / np.conj(system.g_values())
 

@@ -29,7 +29,7 @@ class ConstantWeight:
     """omega(x) = c."""
 
     def __init__(self, c):
-        if c <= 0:
+        if not c > 0:
             raise ValueError("weight values must be positive")
         self.c = Fraction(c) if not isinstance(c, float) else c
         self.descriptor = {"kind": "constant", "value": float(c)}
@@ -55,6 +55,8 @@ class PowerWeight:
 
     def __init__(self, alpha: float):
         self.alpha = float(alpha)
+        if not math.isfinite(self.alpha):
+            raise ValueError("power exponent must be finite")
         self.descriptor = {"kind": "power", "alpha": self.alpha}
 
     def average_power(self, q: int, a, b):
@@ -67,13 +69,6 @@ class PowerWeight:
         if p == -1.0:
             return math.log(b / a) / (b - a)
         return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
-
-    def a2_ratio_anchored(self, q: int = 1):
-        """A2 ratio of omega^q on (0, h), any h: the h-powers cancel."""
-        p = q * self.alpha
-        if abs(p) >= 1.0:
-            return math.inf
-        return 1.0 / ((1.0 + p) * (1.0 - p))
 
     def sample(self, x):
         return np.asarray(x, dtype=float) ** self.alpha
@@ -100,7 +95,7 @@ class PiecewiseWeight:
         for (a0, b0, _), (a1, b1, _) in zip(self.pieces, self.pieces[1:]):
             if b0 != a1 or a0 >= b0:
                 raise ValueError("pieces must be increasing and contiguous")
-        if any(v <= 0 for _, _, v in self.pieces):
+        if not all(v > 0 for _, _, v in self.pieces):
             raise ValueError("weight values must be positive")
         self.descriptor = descriptor or {"kind": "piecewise",
                                          "pieces": len(self.pieces)}
@@ -115,11 +110,6 @@ class PiecewiseWeight:
             if left < right:
                 total += (v ** q) * (right - left)
         return total / (b - a)
-
-    def essential_sup(self, a=0, b=1) -> Fraction:
-        a, b = Fraction(a), Fraction(b)
-        return max(v for lo, hi, v in self.pieces
-                   if max(lo, a) < min(hi, b))
 
     def sample(self, x):
         """Float evaluation with half-open pieces [left, right).
@@ -152,7 +142,7 @@ class SampledWeight:
 
     def __init__(self, values, descriptor=None):
         v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0 or np.any(v <= 0):
+        if v.ndim != 1 or v.size == 0 or not np.all(v > 0):
             raise ValueError("need a 1-d array of positive samples")
         self.values = v
         self.m = v.size
@@ -191,7 +181,7 @@ class ScaledWeight:
     interval, so anchored ratios are exactly scale invariant."""
 
     def __init__(self, base, scale):
-        if float(scale) <= 0:
+        if not float(scale) > 0:
             raise ValueError("scale must be positive")
         self.base = base
         self.scale = scale
@@ -307,6 +297,8 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     between the two deepest dyadic generations, and the constant is the
     supremum over every generation scanned.
     """
+    if depth < 1:
+        raise ValueError("dyadic depth must be at least 1")
     witnesses = []
     if candidates:
         ladder = []

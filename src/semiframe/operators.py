@@ -22,8 +22,6 @@ from .core import (
     instantiate, tail_diagnostic,
 )
 
-HERMITICITY_TOL = 1e-12
-PSD_TOL = -1e-10
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
 PINV_CUTOFF_RATIO = 1e-10      # singular-value cutoff relative to the largest
 STABILIZATION_WINDOW = 1e-8    # last-quarter relative variation of prefix norms
@@ -43,15 +41,6 @@ class SingularRestrictionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-@dataclass
-class AnalysisMatrix:
-    """Row n holds conj of the n-th member; matrix @ f gives <f, member_n>."""
-
-    matrix: np.ndarray
-    level: tuple
-    family_name: str
 
 
 @dataclass
@@ -110,8 +99,9 @@ class ReconstructionResult:
     coefficient_tail: ConvergenceVerdict | None
 
 
-def analysis_matrix(family: VectorFamily, level: tuple) -> AnalysisMatrix:
-    return AnalysisMatrix(np.conj(instantiate(family, level)), level, family.name)
+def analysis_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
+    """Row n holds conj of the n-th member; matrix @ f gives <f, member_n>."""
+    return np.conj(instantiate(family, level))
 
 
 def synthesis_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
@@ -123,7 +113,7 @@ def adjoint_gap(family: VectorFamily, level: tuple, probes: int = 8,
                 seed: int = 0) -> float:
     """max |<Cf, c> - <f, Dc>| over seeded unit probes; zero up to roundoff."""
     d, n = level
-    c_mat = analysis_matrix(family, level).matrix
+    c_mat = analysis_matrix(family, level)
     d_mat = synthesis_matrix(family, level)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -161,7 +151,7 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     energies = []
     coeffs_top = None
     for d, n in ladder.levels:
-        c = analysis_matrix(family, (d, n)).matrix @ _fit_dim(f, d)
+        c = analysis_matrix(family, (d, n)) @ _fit_dim(f, d)
         energies.append(float(np.sum(np.abs(c) ** 2)))
         coeffs_top = c
     verdict = tail_diagnostic(energies, ladder.counts())
@@ -230,7 +220,7 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
             ordering: np.ndarray | None = None,
             window: float = STABILIZATION_WINDOW):
     """Order-dependent partial sums of sum_n <f, member_n> member_n."""
-    coeffs = analysis_matrix(family, level).matrix @ np.asarray(f, dtype=complex)
+    coeffs = analysis_matrix(family, level) @ np.asarray(f, dtype=complex)
     return synthesis(family, coeffs, level, ordering=ordering, window=window)
 
 
@@ -384,11 +374,11 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
 
     The pseudo-inverse of the analysis matrix restricted to the admissible
     subspace extends the inverse by zero on the orthogonal complement of its
-    range; its columns reproduce the restricted-inverse dual exactly.
+    range; its columns reproduce the restricted-inverse dual exactly. A
+    projector built at another dimension is carried to the level.
     """
-    d, n = level
-    proj = projector if projector is not None else projector_for(family, d)
-    c = analysis_matrix(family, level).matrix @ proj.matrix
+    proj = _projector_at(family, projector, level[0])
+    c = analysis_matrix(family, level) @ proj.matrix
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     cutoff = cutoff_ratio * float(s[0])
     keep = s > cutoff
@@ -410,16 +400,16 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     outside the modelled domain closure is invisible to the expansion and
     exactly the projection of f is recovered. The headline relative error is
     measured against the original f: for f orthogonal to the admissible
-    subspace it equals 1. A probe shorter than d continues by zero. When a
+    subspace it equals 1. A probe shorter than d continues by zero, and a
+    projector built at another dimension is carried to d. When a
     ladder is supplied, the raw coefficient energy of the unprojected f is
     tracked as a domain diagnostic.
     """
     d, n = level
     f = np.asarray(f, dtype=complex)
     f_d = _fit_dim(f, d)
-    proj = projector if projector is not None else projector_for(family, d)
-    pf = proj.matrix @ f_d
-    coeffs = analysis_matrix(family, level).matrix @ pf
+    pf = _projector_at(family, projector, d).matrix @ f_d
+    coeffs = analysis_matrix(family, level) @ pf
     f_tilde = dual.vectors.T @ coeffs
     norm_f = np.linalg.norm(f_d)
     rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0
@@ -449,44 +439,7 @@ def parseval_canonical(family: VectorFamily, level: tuple,
 
 
 # ---------------------------------------------------------------------------
-# range and weak-domain diagnostics
-
-
-@dataclass
-class SurjectivityReport:
-    per_level: list                       # ((d, N), sigma_min)
-    expansion_residuals: list | None      # per-level max relative residual
-    verdict: ConvergenceVerdict
-
-
-def surjectivity_check(family: VectorFamily, ladder: TruncationLadder,
-                       duals: dict | None = None, probes: int = 8,
-                       seed: int = 1) -> SurjectivityReport:
-    """Smallest singular value of the synthesis matrix per level.
-
-    A stable positive limit is evidence that synthesis ranges over the whole
-    truncated space; decay to zero is evidence against. When duals are
-    supplied (level -> DualFamily), the expansion f = sum <f, dual_n> member_n
-    is additionally verified on seeded probes.
-    """
-    rng = np.random.default_rng(seed)
-    per_level, residuals = [], []
-    for d, n in ladder.levels:
-        syn = synthesis_matrix(family, (d, n))
-        smin = float(np.linalg.svd(syn, compute_uv=False)[-1])
-        per_level.append(((d, n), smin))
-        if duals and (d, n) in duals:
-            dual = duals[(d, n)]
-            worst = 0.0
-            for _ in range(probes):
-                f = rng.normal(size=d) + 1j * rng.normal(size=d)
-                f /= np.linalg.norm(f)
-                a = np.conj(dual.vectors) @ f
-                worst = max(worst, float(np.linalg.norm(syn @ a - f)))
-            residuals.append(worst)
-    values = [s for _, s in per_level]
-    verdict = tail_diagnostic(values, ladder.counts(), rel_tol=1e-6)
-    return SurjectivityReport(per_level, residuals or None, verdict)
+# domain diagnostics
 
 
 @dataclass
@@ -516,7 +469,7 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     pairings = {k: [] for k in range(len(test_set))}
     bound = 0.0
     for d, n in ladder.levels:
-        mat = analysis_matrix(family, (d, n)).matrix
+        mat = analysis_matrix(family, (d, n))
         c_f = mat @ _fit_dim(f, d)
         for k, g in enumerate(test_set):
             c_g = mat @ _fit_dim(np.asarray(g, dtype=complex), d)

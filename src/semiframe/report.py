@@ -156,25 +156,3 @@ def write_registry_csv(reports, path) -> None:
         w.writerow(["scenario", "check", "status", "value"])
         for report in reports:
             w.writerows(_csv_rows(report))
-
-
-def classification_to_report(classification, scenario: str,
-                             expectations: dict | None = None) -> RunReport:
-    """Turn a classification's properties into named checks.
-
-    With expectations (property -> verdict) each property becomes pass/fail;
-    without, verdicts are recorded as undecided-or-pass informational rows.
-    """
-    checks = []
-    for prop, (verdict, evidence) in sorted(classification.properties.items()):
-        if expectations and prop in expectations:
-            checks.append(CheckResult(
-                f"classify-{prop}", verdict == expectations[prop],
-                verdict, dict(evidence, expected=expectations[prop])))
-        else:
-            checks.append(CheckResult(
-                f"classify-{prop}", None if verdict == "Undecided" else True,
-                verdict, dict(evidence)))
-    return RunReport(scenario, checks,
-                     parameters={"system": classification.name,
-                                 "scope": classification.scope})

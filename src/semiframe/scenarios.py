@@ -117,7 +117,7 @@ def _run_diana(seed=DEFAULT_SEED):
     checks.append(_check("restricted-frame-matrix-is-identity",
                          rid <= 1e-10, rid))
 
-    x = analysis_matrix(fam, level).matrix
+    x = analysis_matrix(fam, level)
     gram = np.conj(x) @ x.T
     eigs = np.linalg.eigvalsh(gram)
     top_gap = abs(float(eigs[-1]) - (level[1] + 1))
@@ -471,7 +471,7 @@ def _run_s_not_closed(seed=DEFAULT_SEED):
     f = np.zeros(d, dtype=complex)
     ns = np.arange(2, d + 1)
     f[1:] = ((-1.0) ** ns) * ns ** -0.8
-    coeffs = analysis_matrix(fam, level).matrix @ f
+    coeffs = analysis_matrix(fam, level) @ f
 
     _, nat = s_apply(fam, f, level, window=TRACE_WINDOW)
     order = _defer_by_sign(coeffs)
@@ -501,7 +501,7 @@ def _run_s_not_closed(seed=DEFAULT_SEED):
     tops = []
     sizes = (64, 128, 256, 512)
     for n in sizes:
-        x = analysis_matrix(fam, (n + 1, n)).matrix
+        x = analysis_matrix(fam, (n + 1, n))
         gram = np.conj(x) @ x.T
         tops.append(float(np.linalg.eigvalsh(gram)[-1]))
     growth = tail_diagnostic(tops, sizes)

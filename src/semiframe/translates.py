@@ -84,7 +84,7 @@ class TranslateSystem:
     ess_inf_hint: float | None = None
 
     def __post_init__(self):
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("shift step must be positive")
         if not self.name:
             self.name = f"translates-{self.profile.name}-a{self.step:g}"
@@ -187,7 +187,7 @@ def _closed_tail_ok(profile: FourierProfile, a: float) -> bool:
 
 
 def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
-                  extrapolate: bool, f_fn=None):
+                  f_fn=None):
     """Aliased series with either exact finite range or a tail correction.
 
     Pairs f against the generator profile; with f_fn None (or the profile's
@@ -216,7 +216,7 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         return vals / a, 0.0, False
     k = int(tail_terms)
     s_k = _alias_blocks(term, a, gamma, -k, k)
-    if extrapolate and self_paired and _closed_tail_ok(profile, a):
+    if self_paired and _closed_tail_ok(profile, a):
         s, envelope = profile.tail
         tail = envelope(gamma / a) * a ** s * (
             hurwitz_zeta(s, k + 1 + gamma) + hurwitz_zeta(s, k + 1 - gamma))
@@ -226,7 +226,7 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     s_2k = s_k + extra
     gap = float(np.max(np.abs(extra)))
     scale = float(np.max(np.abs(s_2k))) + np.finfo(float).tiny
-    if extrapolate and gap > 1e-14 * scale:
+    if gap > 1e-14 * scale:
         return (2.0 * s_2k - s_k) / a, gap / a, True
     return s_2k / a, gap / a, False
 
@@ -242,14 +242,14 @@ class PphiReport:
 
 
 def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
-         tail_terms: int = DEFAULT_TAIL, extrapolate: bool = True):
+         tail_terms: int = DEFAULT_TAIL):
     """Sample the aliased energy p on the grid i/m, i = 0..m-1.
 
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
     """
     gamma = np.arange(m) / m
-    vals, gap, extr = _alias_series(system, gamma, tail_terms, extrapolate)
+    vals, gap, extr = _alias_series(system, gamma, tail_terms)
     p = np.real(vals)
     sup = float(p.max())
     tau = ZERO_MASK_RATIO * sup
@@ -261,15 +261,14 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
 
 
 def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
-            tail_terms: int = DEFAULT_TAIL, extrapolate: bool = True) -> GridFunction:
+            tail_terms: int = DEFAULT_TAIL) -> GridFunction:
     """Aliased cross-energy of f against the generator on the grid i/m.
 
     Shares the alias kernel and tail handling with pphi, so feeding the
     generator's own profile reproduces the pphi values exactly.
     """
     gamma = np.arange(m) / m
-    vals, _, _ = _alias_series(system, gamma, tail_terms, extrapolate,
-                               f_fn=f_hat)
+    vals, _, _ = _alias_series(system, gamma, tail_terms, f_fn=f_hat)
     return GridFunction(vals, 1.0 / m, "periodic")
 
 

@@ -38,7 +38,7 @@ from semiframe.operators import (
     lower_bound, parseval_canonical, permutation_gap, projector_for,
     reconstruct, s_apply, w_membership,
 )
-from semiframe.scenarios import registry_vector_families
+from semiframe.scenarios import _trig_poly, registry_vector_families
 from semiframe.translates import (
     TranslateSystem, brute_apply, canonical_dual_translates,
     classify_translates, line_window, plateau_band_system, pphi,
@@ -51,23 +51,6 @@ TRACE_WINDOW = 1e-2
 def _emit(capsys, ok, label, detail):
     with capsys.disabled():
         print(f"[{'PASS' if ok else 'FAIL'}] {label} {detail}")
-
-
-def _trig_poly(seed, degree):
-    rng = np.random.default_rng([seed, degree])
-    coeffs = (rng.normal(size=2 * degree + 1)
-              + 1j * rng.normal(size=2 * degree + 1))
-    coeffs /= 1.0 + np.abs(np.arange(-degree, degree + 1))
-
-    def q(gamma):
-        g = np.asarray(gamma, dtype=float)
-        z = np.exp(2j * np.pi * g)
-        acc = np.zeros(g.shape, dtype=complex)
-        for c in coeffs[::-1]:
-            acc = acc * z + c
-        return acc * np.exp(-2j * np.pi * degree * g)
-
-    return q
 
 
 def test_criterion_1_shared_direction_dual_bound_reconstruction(capsys):

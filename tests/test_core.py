@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 
@@ -5,43 +6,18 @@ import numpy as np
 import pytest
 
 from semiframe.core import (
-    BasisMismatchError, CoefficientVector, GridFunction, TruncationLadder,
-    covering_shifts, grid_from_csv, inner_product, line_grid, pairwise_sum,
+    GridFunction, TruncationLadder, covering_shifts, line_grid, pairwise_sum,
     periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import ExponentialSystem, t_general
-from semiframe.muckenhoupt import ConstantWeight
+from semiframe.muckenhoupt import (
+    ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
+)
 from semiframe.translates import (
     TranslateSystem, brute_apply, raised_cosine_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
-
-
-def test_inner_product_hand_value():
-    u = np.array([1 + 2j, 3.0])
-    v = np.array([2 - 1j, 1j])
-    # sum u_k conj(v_k) = (1+2j)(2+1j) + 3(-1j)
-    assert inner_product(u, v) == (1 + 2j) * (2 + 1j) + 3 * (-1j)
-
-
-def test_inner_product_conjugate_symmetry():
-    u = RNG.normal(size=6) + 1j * RNG.normal(size=6)
-    v = RNG.normal(size=6) + 1j * RNG.normal(size=6)
-    assert abs(inner_product(u, v) - np.conj(inner_product(v, u))) < 1e-14
-
-
-def test_inner_product_rejects_mixed_bases():
-    a = CoefficientVector(np.ones(3), basis_tag="fourier")
-    b = CoefficientVector(np.ones(3), basis_tag="std")
-    with pytest.raises(BasisMismatchError):
-        inner_product(a, b)
-    assert inner_product(a, CoefficientVector(np.ones(3), "fourier")) == 3
-
-
-def test_inner_product_length_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(np.ones(3), np.ones(4))
 
 
 def test_pairwise_sum_accuracy():
@@ -205,6 +181,30 @@ def test_grid_csv_roundtrip(tmp_path):
     g = periodic_grid(RNG.normal(size=16) + 1j * RNG.normal(size=16))
     path = tmp_path / "grid.csv"
     g.to_csv(path)
-    back = grid_from_csv(path, "periodic", g.step)
-    assert np.max(np.abs(back.values - g.values)) == 0.0
-    assert back.step == g.step
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    nodes = np.array([float(r["node"]) for r in rows])
+    values = np.array([float(r["re"]) + 1j * float(r["im"]) for r in rows])
+    assert np.max(np.abs(values - g.values)) == 0.0
+    assert np.array_equal(nodes, g.nodes())
+
+
+@pytest.mark.parametrize("call, precondition", [
+    (lambda: SampledWeight([1.0, np.nan]), "positive samples"),
+    (lambda: PowerWeight(np.nan), "power exponent must be finite"),
+    (lambda: PowerWeight(np.inf), "power exponent must be finite"),
+    (lambda: ConstantWeight(np.nan), "weight values must be positive"),
+    (lambda: ScaledWeight(ConstantWeight(1), np.nan), "scale must be positive"),
+    (lambda: TranslateSystem(raised_cosine_profile(), np.nan),
+     "shift step must be positive"),
+    (lambda: ExponentialSystem(ConstantWeight(1), np.nan, 8),
+     "density must be positive"),
+    (lambda: periodic_grid([]), "grid needs at least two nodes"),
+    (lambda: a2_estimate(ConstantWeight(1), depth=0),
+     "dyadic depth must be at least 1"),
+], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
+        "translate-step-nan", "density-nan", "empty-periodic-grid",
+        "a2-depth-0"])
+def test_malformed_input_is_refused(call, precondition):
+    with pytest.raises(ValueError, match=re.escape(precondition)):
+        call()

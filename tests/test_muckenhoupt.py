@@ -49,7 +49,6 @@ def test_power_weight_average_against_quadrature():
 def test_power_weight_anchored_ratio():
     w = PowerWeight(0.6)
     expect = 1.0 / ((1.0 + 0.6) * (1.0 - 0.6))
-    assert abs(w.a2_ratio_anchored() - expect) < 1e-15
     # the anchored ratio is the same on every (0, h)
     for h in (1.0, 0.37, 1e-6):
         assert abs(a2_ratio(w, 0.0, h) - expect) < 1e-12 * expect
@@ -66,8 +65,6 @@ def test_piecewise_weight_exact_average():
     assert w.average_power(1, 0, 1) == 2
     assert w.average_power(-1, 0, 1) == Fraction(2, 3)
     assert a2_ratio(w, 0, 1) == Fraction(4, 3)
-    assert w.essential_sup() == 3
-    assert w.essential_sup(0, Fraction(1, 2)) == 1
 
 
 def test_piecewise_weight_validation():

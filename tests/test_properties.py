@@ -5,37 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiframe.core import TruncationLadder, inner_product, periodize, \
-    line_grid
+from semiframe.core import TruncationLadder, line_grid, periodize
 from semiframe.exponentials import frequency_of, member_of
 from semiframe.families import seeded_dense_family
 from semiframe.muckenhoupt import PiecewiseWeight, ScaledWeight, a2_ratio
 from semiframe.operators import frame_matrix, permutation_gap
-
-DIM = 6
-
-
-def _vec(seed):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=DIM) + 1j * rng.normal(size=DIM)
-
-
-@given(st.integers(0, 10_000), st.integers(0, 10_000))
-def test_inner_product_conjugate_symmetry(a, b):
-    u, v = _vec(a), _vec(b)
-    assert inner_product(u, v) == pytest.approx(np.conj(inner_product(v, u)))
-
-
-@given(st.integers(0, 10_000), st.integers(0, 10_000),
-       st.complex_numbers(max_magnitude=10, allow_nan=False,
-                          allow_infinity=False))
-def test_inner_product_linear_in_first_slot(a, b, scale):
-    u, v = _vec(a), _vec(b)
-    w = _vec(a + 17)
-    lhs = inner_product(scale * u + w, v)
-    rhs = scale * inner_product(u, v) + inner_product(w, v)
-    assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
-
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 1000))

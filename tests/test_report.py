@@ -4,12 +4,9 @@ from fractions import Fraction
 import numpy as np
 
 from semiframe.report import (
-    CheckResult, RunReport, _sanitize, classification_to_report,
-    report_to_json, write_registry_csv, write_registry_json,
-    write_report_csv, write_report_json,
+    CheckResult, RunReport, _sanitize, report_to_json, write_registry_csv,
+    write_registry_json, write_report_csv, write_report_json,
 )
-from semiframe.translates import TranslateSystem, classify_translates, \
-    raised_cosine_profile
 
 
 def test_check_status_coerces_numpy_bool():
@@ -92,17 +89,3 @@ def test_registry_writers(tmp_path):
     assert len(rows) == 3
     assert rows[1].startswith("one,") and rows[2].startswith("two,")
 
-
-def test_classification_to_report():
-    system = TranslateSystem(raised_cosine_profile(), 1.0, ess_inf_hint=0.5)
-    cls = classify_translates(system, m=128)
-    rep = classification_to_report(cls, "cosine",
-                                   expectations={"bessel": "Yes",
-                                                 "orthonormal_for_span": "Yes"})
-    by_name = {c.name: c for c in rep.checks}
-    assert by_name["classify-bessel"].passed is True
-    # the cosine system is not orthonormal, so that expectation fails
-    assert by_name["classify-orthonormal_for_span"].passed is False
-    assert rep.outcome == "fail"
-    info = classification_to_report(cls, "cosine")
-    assert info.outcome in ("pass", "undecided")

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import pytest
 
@@ -65,7 +66,11 @@ def test_cli_json_output_is_deterministic(tmp_path, capsys):
 def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
     path = tmp_path / "all.json"
     assert cli.main(["scenario", "all", "--out", str(path)]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    # stdout holds report lines only; notices go to stderr
+    for line in out.splitlines():
+        assert re.fullmatch(r"== \S+ ==|\[[A-Z ]{9}\] .*|outcome: \S+",
+                            line), line
     payload = json.loads(path.read_text())
     assert [p["scenario"] for p in payload] == list(scenario_names())
     assert all(p["outcome"] == "pass" for p in payload)
