@@ -52,11 +52,9 @@ def _translate_system(args) -> TranslateSystem:
         return TranslateSystem(unit_indicator_profile(), args.step)
     if args.profile == "raised-cosine":
         return TranslateSystem(raised_cosine_profile(), args.step)
-    if args.profile == "plateau-band":
-        if args.step != 1.0:
-            raise SystemExit("plateau-band is defined at step 1")
-        return plateau_band_system(args.k_max)
-    raise SystemExit(f"unknown profile {args.profile!r}")
+    if args.step != 1.0:
+        raise ValueError("plateau-band is defined at step 1")
+    return plateau_band_system(args.k_max)
 
 
 def _weight(args):
@@ -64,9 +62,7 @@ def _weight(args):
         return plateau_weight(args.k_max, power=args.power)
     if args.weight == "power":
         return PowerWeight(args.alpha)
-    if args.weight == "constant":
-        return ConstantWeight(1)
-    raise SystemExit(f"unknown weight {args.weight!r}")
+    return ConstantWeight(1)
 
 
 def _emit_report(report, args) -> int:

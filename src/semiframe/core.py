@@ -100,10 +100,11 @@ class VectorFamily:
     order (for integer-frequency systems the canonical order is
     0, 1, -1, 2, -2, ...).
 
-    Side knowledge travels with the family: `perp_directions` spans the known
-    orthogonal complement of the analysis domain at dimension d (empty or
-    None when the domain is dense), and `prefix_norm_rule` evaluates
-    closed-form prefix norms for the canonical ordering.
+    Side knowledge travels with the family: `perp_directions` holds the
+    0-based coordinates that span the known orthogonal complement of the
+    analysis domain at every dimension (empty when the domain is dense, None
+    when undeclared), and `prefix_norm_rule` evaluates closed-form prefix
+    norms for the canonical ordering.
     """
 
     name: str
@@ -111,7 +112,7 @@ class VectorFamily:
     start_index: int = 1
     min_dim: Callable[[int], int] = None
     sparse: Callable[[int], tuple] | None = None
-    perp_directions: Callable[[int], np.ndarray] | None = None
+    perp_directions: tuple | None = None
     prefix_norm_rule: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -139,6 +140,8 @@ class VectorFamily:
 def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
     """Materialize the first N members at dimension d as rows of an array."""
     d, n_count = level
+    if n_count < 1:
+        raise ValueError(f"a level needs at least one member, got N={n_count}")
     if d < family.min_dim(n_count):
         raise ValueError(
             f"dimension {d} below admissible bound {family.min_dim(n_count)} "
@@ -251,33 +254,37 @@ LINE = "line"
 class GridFunction:
     """Samples of a function on a uniform grid.
 
-    Periodic grids cover [0, period) with M nodes at (i + offset) * step,
+    Periodic grids cover [0, period) with M nodes at i * step,
     step * M = period. Line grids cover a closed symmetric window with
     M = 2J + 1 nodes at j * step for j = -J..J, so step * (M - 1) spans the
-    window. Node positions are integer multiples of step (plus the fixed
-    offset), which keeps lattice shifts exact.
+    window. Node positions are integer multiples of a finite positive step,
+    which keeps lattice shifts exact.
     """
 
     values: np.ndarray
     step: float
     kind: str
-    offset: float = 0.0
-    index0: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(
+                f"grid step must be finite and positive, got {self.step}")
         if self.kind not in (PERIODIC, LINE):
             raise ValueError(f"unknown grid kind {self.kind!r}")
-        if self.kind == PERIODIC and self.index0 != 0:
-            raise ValueError("periodic grids start at index 0")
-        if self.kind == LINE and self.index0 != -(self.values.size - 1) // 2:
-            raise ValueError("line grids are symmetric about 0")
+        if self.kind == LINE and self.values.size % 2 == 0:
+            raise ValueError("line grids have odd node count (symmetric window)")
 
     @property
     def size(self) -> int:
         return self.values.size
+
+    @property
+    def index0(self) -> int:
+        """Grid index of the first node: 0 on a period, -J on the line."""
+        return 0 if self.kind == PERIODIC else -(self.size - 1) // 2
 
     @property
     def period(self) -> float:
@@ -292,7 +299,7 @@ class GridFunction:
         return self.step * (self.size - 1) / 2.0
 
     def nodes(self) -> np.ndarray:
-        return (self.index0 + np.arange(self.size) + self.offset) * self.step
+        return (self.index0 + np.arange(self.size)) * self.step
 
     def quadrature(self) -> complex:
         """Uniform-weight Riemann sum; exact for periodic trigonometric data."""
@@ -307,18 +314,15 @@ class GridFunction:
                             repr(float(np.imag(v)))])
 
 
-def periodic_grid(values, period: float = 1.0, offset: float = 0.0) -> GridFunction:
+def periodic_grid(values, period: float = 1.0) -> GridFunction:
     values = np.asarray(values)
     if values.size < 2:
         raise ValueError("grid needs at least two nodes")
-    return GridFunction(values, period / values.size, PERIODIC, offset=offset)
+    return GridFunction(values, period / values.size, PERIODIC)
 
 
 def line_grid(values, step: float) -> GridFunction:
-    values = np.asarray(values)
-    if values.size % 2 == 0:
-        raise ValueError("line grids have odd node count (symmetric window)")
-    return GridFunction(values, step, LINE, index0=-(values.size - 1) // 2)
+    return GridFunction(values, step, LINE)
 
 
 def whole_count(ratio: float, precondition: str) -> int:
@@ -355,7 +359,7 @@ def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
             out[lo:hi] += f.values[base + lo:base + hi]
     if np.isrealobj(f.values):
         out = out.real
-    return GridFunction(out, f.step, PERIODIC, offset=f.offset)
+    return GridFunction(out, f.step, PERIODIC)
 
 
 def periodization_gap(f: GridFunction, folded: GridFunction) -> float:

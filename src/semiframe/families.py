@@ -41,15 +41,10 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
         w = float(idx) ** power
         return np.array([0, idx - 1]), np.array([w, w], dtype=complex)
 
-    def perp(d):
-        u = np.zeros((1, d), dtype=complex)
-        u[0, 0] = 1.0
-        return u
-
     return VectorFamily(
         name=name or f"shared-direction-p{power:g}",
         start_index=2, min_dim=lambda n: n + 1, sparse=sparse,
-        perp_directions=perp)
+        perp_directions=(0,))
 
 
 def scaled_basis_family(power: float) -> VectorFamily:

@@ -54,22 +54,23 @@ class FrameMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Projector:
-    """Orthogonal projector onto the modelled closure of the analysis domain."""
+    """Orthogonal projector onto the modelled closure of the analysis domain.
 
-    matrix: np.ndarray
+    Held as the sorted 0-based coordinates it removes. Coordinates do not
+    depend on the dimension, so at dimension d the projector removes those
+    below d and keeps every other coordinate.
+    """
+
+    flagged: tuple
     kind: str                    # "analytic" or "estimated"
-    range_basis: np.ndarray      # d x r, orthonormal columns
-    flagged: tuple = ()
 
-    @property
-    def rank(self) -> int:
-        return self.range_basis.shape[1]
-
-    def idempotency_gap(self) -> float:
-        p = self.matrix
-        return float(max(np.abs(p @ p - p).max(), np.abs(p - p.conj().T).max()))
+    def kept(self, d: int) -> np.ndarray:
+        """Mask of the coordinates below d that the projector keeps."""
+        keep = np.ones(d, dtype=bool)
+        keep[[j for j in self.flagged if j < d]] = False
+        return keep
 
 
 @dataclass
@@ -228,26 +229,6 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
 # projectors
 
 
-def _axis_positions(dirs: np.ndarray) -> np.ndarray | None:
-    """Indices hit when every direction is a standard basis vector, else None."""
-    pos = []
-    for row in np.atleast_2d(dirs):
-        nz = np.flatnonzero(np.abs(row) > 0)
-        if nz.size != 1 or not np.isclose(abs(row[nz[0]]), 1.0):
-            return None
-        pos.append(nz[0])
-    return np.array(sorted(set(pos)))
-
-
-def _coordinate_projector(d: int, flagged, kind: str) -> Projector:
-    """Projector that removes the flagged coordinate directions."""
-    flagged = tuple(int(j) for j in flagged)
-    p = np.eye(d, dtype=complex)
-    p[flagged, flagged] = 0.0
-    keep = np.setdiff1d(np.arange(d), np.array(flagged, dtype=int))
-    return Projector(p, kind, np.eye(d, dtype=complex)[:, keep], flagged=flagged)
-
-
 def projector_for(family: VectorFamily, d: int,
                   ladder: TruncationLadder | None = None) -> Projector:
     """Projector onto the modelled analysis-domain closure.
@@ -258,19 +239,9 @@ def projector_for(family: VectorFamily, d: int,
     dense analysis domain come out as the identity.
     """
     if family.perp_directions is not None:
-        dirs = np.atleast_2d(np.asarray(family.perp_directions(d), dtype=complex))
-        axis = _axis_positions(dirs)
-        if axis is not None:
-            return _coordinate_projector(d, axis, "analytic")
-        u, _ = np.linalg.qr(dirs.T)
-        p = np.eye(d, dtype=complex) - u @ u.conj().T
-        w, v = np.linalg.eigh(p)
-        q = v[:, w > 0.5]
-        return Projector(p, "analytic", q)
-
+        return Projector(tuple(sorted(set(family.perp_directions))), "analytic")
     if ladder is None:
-        return Projector(np.eye(d, dtype=complex), "analytic",
-                         np.eye(d, dtype=complex))
+        return Projector((), "analytic")
 
     diags = []
     for d_l, n_l in ladder.levels:
@@ -286,23 +257,16 @@ def projector_for(family: VectorFamily, d: int,
             slope = np.polyfit(np.log(counts), np.log(q), 1)[0]
             if slope > PROJECTOR_GROWTH_EXPONENT:
                 flagged.append(j)
-    return _coordinate_projector(d, flagged, "estimated")
+    return Projector(tuple(flagged), "estimated")
 
 
-def _projector_at(family: VectorFamily, projector: Projector | None,
-                  d: int) -> Projector:
-    """The given projector carried to dimension d.
-
-    An analytic projector is rebuilt from the family's declared complement;
-    an estimated one keeps its flagged coordinates below d. Without a
-    projector the family's own analytic one is used.
-    """
-    if projector is not None and projector.matrix.shape[0] == d:
-        return projector
-    if projector is None or projector.kind == "analytic":
-        return projector_for(family, d)
-    return _coordinate_projector(
-        d, [j for j in projector.flagged if j < d], projector.kind)
+def _kept(family: VectorFamily, projector: Projector | None,
+          d: int) -> np.ndarray:
+    """Coordinates below d kept by the projector, or by the family's own
+    analytic one when none is given."""
+    if projector is None:
+        projector = projector_for(family, d)
+    return projector.kept(d)
 
 
 def _restricted_spectrum(family: VectorFamily, level: tuple,
@@ -310,19 +274,19 @@ def _restricted_spectrum(family: VectorFamily, level: tuple,
                          floor_ratio: float | None = None):
     """Spectrum of the frame matrix restricted to the projector's range.
 
-    Returns (Q, Y, w, V): the range basis Q, the projected members
-    Y = Q^H X^T (r x N, column n holds the coordinates of P member_n), and
-    the ascending eigenpairs of B = Y Y^H = Q^H T Q. With a floor ratio,
-    refuses a numerically singular B.
+    Returns (keep, Y, w, V): the mask of kept coordinates, the projected
+    members Y = X^T[keep] (r x N, column n holds the kept coordinates of
+    member n), and the ascending eigenpairs of B = Y Y^H, the kept block of
+    T. With a floor ratio, refuses a numerically singular B.
     """
-    q = _projector_at(family, projector, level[0]).range_basis
-    y = q.conj().T @ instantiate(family, level).T
+    keep = _kept(family, projector, level[0])
+    y = instantiate(family, level).T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     if floor_ratio is not None:
         floor = floor_ratio * float(w[-1])
         if w[0] <= floor:
             raise SingularRestrictionError(float(w[0]), floor)
-    return q, y, w, v
+    return keep, y, w, v
 
 
 def lower_bound(family: VectorFamily, ladder: TruncationLadder,
@@ -358,9 +322,13 @@ def canonical_dual(family: VectorFamily, level: tuple,
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound.
     """
-    q, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
-    inv = (v / w) @ v.conj().T                    # B^{-1} on the range basis
-    duals = (q @ (inv @ y)).T                     # N x d
+    keep, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
+    inv = (v / w) @ v.conj().T                    # B^{-1} on the kept coordinates
+    # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
+    # is row-contiguous; zero off the kept coordinates
+    duals = np.zeros(level, dtype=complex)
+    duals[keep] = inv @ y
+    duals = duals.T                               # N x d
     dual_frame = duals.T @ np.conj(duals)
     bessel_est = float(np.linalg.eigvalsh(dual_frame)[-1])
     return DualFamily(duals, "inverse", level, bessel_est,
@@ -377,8 +345,8 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     range; its columns reproduce the restricted-inverse dual exactly. A
     projector built at another dimension is carried to the level.
     """
-    proj = _projector_at(family, projector, level[0])
-    c = analysis_matrix(family, level) @ proj.matrix
+    c = analysis_matrix(family, level)
+    c[:, ~_kept(family, projector, level[0])] = 0.0
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     cutoff = cutoff_ratio * float(s[0])
     keep = s > cutoff
@@ -408,7 +376,8 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     d, n = level
     f = np.asarray(f, dtype=complex)
     f_d = _fit_dim(f, d)
-    pf = _projector_at(family, projector, d).matrix @ f_d
+    pf = f_d.copy()
+    pf[~_kept(family, projector, d)] = 0.0
     coeffs = analysis_matrix(family, level) @ pf
     f_tilde = dual.vectors.T @ coeffs
     norm_f = np.linalg.norm(f_d)
@@ -430,10 +399,12 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
-    q, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
+    keep, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    vectors = (q @ (inv_sqrt @ y)).T
-    y2 = q.conj().T @ vectors.T                   # normalized members, projected
+    y2 = inv_sqrt @ y                             # normalized members, projected
+    vectors = np.zeros(level, dtype=complex)
+    vectors[keep] = y2
+    vectors = vectors.T
     gap = float(np.abs(np.linalg.eigvalsh(y2 @ y2.conj().T) - 1.0).max())
     return vectors, gap
 

@@ -84,8 +84,8 @@ class TranslateSystem:
     ess_inf_hint: float | None = None
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError("shift step must be positive")
+        if not (np.isfinite(self.step) and self.step > 0):
+            raise ValueError("shift step must be positive and finite")
         if not self.name:
             self.name = f"translates-{self.profile.name}-a{self.step:g}"
 
@@ -248,6 +248,8 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
     """
+    if m < 2:
+        raise ValueError("grid needs at least two nodes")
     gamma = np.arange(m) / m
     vals, gap, extr = _alias_series(system, gamma, tail_terms)
     p = np.real(vals)

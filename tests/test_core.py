@@ -10,11 +10,14 @@ from semiframe.core import (
     periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import ExponentialSystem, t_general
+from semiframe.families import shared_direction_family
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
 )
+from semiframe.operators import canonical_dual, dual_via_pseudoinverse
 from semiframe.translates import (
-    TranslateSystem, brute_apply, raised_cosine_profile, walnut_apply,
+    TranslateSystem, brute_apply, pphi, raised_cosine_profile,
+    unit_indicator_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -113,7 +116,7 @@ def test_grid_kind_validation():
     with pytest.raises(ValueError):
         GridFunction(np.ones(4), 0.25, "weird")
     with pytest.raises(ValueError):
-        GridFunction(np.ones(4), 0.25, "line", index0=0)
+        GridFunction(np.ones(4), 0.25, "line")   # no symmetric window
 
 
 def test_periodize_matches_direct_fold():
@@ -202,9 +205,23 @@ def test_grid_csv_roundtrip(tmp_path):
     (lambda: periodic_grid([]), "grid needs at least two nodes"),
     (lambda: a2_estimate(ConstantWeight(1), depth=0),
      "dyadic depth must be at least 1"),
+    (lambda: TranslateSystem(unit_indicator_profile(), np.inf),
+     "shift step must be positive and finite"),
+    (lambda: periodic_grid([1.0, 2.0], period=np.nan),
+     "grid step must be finite and positive"),
+    (lambda: line_grid(np.ones(5), step=-1.0),
+     "grid step must be finite and positive"),
+    (lambda: pphi(TranslateSystem(unit_indicator_profile(), 1.0), m=0),
+     "grid needs at least two nodes"),
+    (lambda: canonical_dual(shared_direction_family(0.0), (1, 0)),
+     "a level needs at least one member"),
+    (lambda: dual_via_pseudoinverse(shared_direction_family(0.0), (1, 0)),
+     "a level needs at least one member"),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
-        "a2-depth-0"])
+        "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
+        "line-grid-negative-step", "pphi-grid-0", "canonical-dual-no-members",
+        "pseudoinverse-no-members"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -7,7 +7,7 @@ from semiframe.families import (
     scaled_basis_family, seeded_dense_family, shared_direction_family,
 )
 from semiframe.operators import (
-    SingularRestrictionError, adjoint_gap, analysis, canonical_dual,
+    Projector, SingularRestrictionError, adjoint_gap, analysis, canonical_dual,
     dual_via_pseudoinverse, frame_action, frame_matrix, lower_bound,
     parseval_canonical, permutation_gap, projector_for, reconstruct, s_apply,
     synthesis, w_membership,
@@ -87,25 +87,12 @@ def test_analysis_domain_verdicts():
 
 
 def test_projector_analytic_axis():
-    p = projector_for(shared_direction_family(0.0), 9)
-    assert p.kind == "analytic"
-    assert p.flagged == (0,)
-    assert p.rank == 8
-    assert p.idempotency_gap() < 1e-14
-    assert np.abs(p.matrix @ p.range_basis - p.range_basis).max() < 1e-14
-
-
-def test_projector_analytic_general_direction():
-    def perp(d):
-        u = np.ones((1, d), dtype=complex)
-        return u
-
-    fam = VectorFamily(name="tilted", generator=lambda i, d: np.eye(d)[i - 1],
-                       perp_directions=perp)
-    p = projector_for(fam, 5)
-    v = np.ones(5) / np.sqrt(5)
-    assert np.abs(p.matrix @ v).max() < 1e-12
-    assert p.rank == 4
+    # the declared complement is held as the coordinates it removes, the
+    # same at every dimension
+    fam = shared_direction_family(0.0)
+    assert projector_for(fam, 9) == Projector((0,), "analytic")
+    assert projector_for(fam, 257) == projector_for(fam, 9)
+    assert projector_for(fam, 9).kept(4).tolist() == [False, True, True, True]
 
 
 def test_projector_estimated_from_ladder():
@@ -117,8 +104,7 @@ def test_projector_estimated_from_ladder():
 
 
 def test_projector_defaults_to_identity():
-    p = projector_for(orthonormal_family(), 6)
-    assert np.array_equal(p.matrix, np.eye(6))
+    assert projector_for(orthonormal_family(), 6) == Projector((), "analytic")
 
 
 def test_lower_bound_ladder():

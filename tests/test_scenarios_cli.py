@@ -123,6 +123,17 @@ def test_cli_precondition_violations_exit_as_usage(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, precondition", [
+    (["dual", "--count", "0"], "a level needs at least one member"),
+    (["classify", "translates", "--profile", "plateau-band", "--step", "2"],
+     "plateau-band is defined at step 1"),
+    (["pphi", "--grid", "0"], "grid needs at least two nodes"),
+], ids=["dual-count-0", "plateau-band-step-2", "pphi-grid-0"])
+def test_cli_usage_errors_name_the_precondition(argv, precondition, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"error: {precondition}" in capsys.readouterr().err
+
+
 def test_cli_pphi_writes_samples(tmp_path, capsys):
     path = tmp_path / "p.csv"
     assert cli.main(["pphi", "--profile", "raised-cosine", "--grid", "64",
