@@ -6,6 +6,9 @@ product is uniformly bounded over subintervals. Piecewise-constant weights
 with rational breakpoints are handled in exact Fraction arithmetic, because
 the interesting plateaus here are far narrower than any floating-point
 sampling grid can see.
+
+The dyadic scan asks each weight class for one level at a time through its
+dyadic_level kernel, so it visits only the intervals that can exceed 1.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ GROWTH_FACTOR = 10.0            # candidate-ladder ratio growth for a NotInA2 ca
 IN_A2 = "InA2"
 NOT_IN_A2 = "NotInA2"
 UNDECIDED_A2 = "Inconclusive"
+LEVEL_BLOCK = 2 ** 16           # dyadic intervals evaluated per numpy call
 
 
 class ConstantWeight:
@@ -37,6 +41,11 @@ class ConstantWeight:
     def average_power(self, q: int, a, b):
         return self.c ** q
 
+    def dyadic_level(self, level: int, q: int):
+        """Every interval has the ratio of (0, 1); the first one attains it."""
+        r = float(a2_ratio(self, 0, 1, q))
+        return (r, 0) if r > 1.0 else (1.0, None)
+
     def sample(self, x):
         return np.full(np.shape(np.asarray(x)), float(self.c))
 
@@ -44,7 +53,27 @@ class ConstantWeight:
         return float(self.c), float(self.c)
 
 
-class PowerWeight:
+class _LevelArrays:
+    """Weights whose average_power takes array endpoints scan a whole dyadic
+    level in numpy, block by block."""
+
+    def dyadic_level(self, level: int, q: int):
+        n, best = 2 ** level, (1.0, None)
+        for start in range(0, n, LEVEL_BLOCK):
+            j = np.arange(start, min(n, start + LEVEL_BLOCK))
+            a, b = j / n, (j + 1) / n
+            mean = self.average_power(q, a, b)
+            mean_rec = self.average_power(-q, a, b)
+            with np.errstate(invalid="ignore"):
+                r = np.where((mean == math.inf) | (mean_rec == math.inf),
+                             math.inf, mean * mean_rec)
+            i = int(np.argmax(r))
+            if r[i] > best[0]:
+                best = (float(r[i]), start + i)
+        return best
+
+
+class PowerWeight(_LevelArrays):
     """omega(x) = x^alpha on (0, 1); closed-form interval averages.
 
     Averages of omega^q over (a, b) with a = 0 are finite only for
@@ -60,15 +89,20 @@ class PowerWeight:
         self.descriptor = {"kind": "power", "alpha": self.alpha}
 
     def average_power(self, q: int, a, b):
+        """Closed-form average over (a, b); a and b may be arrays."""
         p = q * self.alpha
-        a, b = float(a), float(b)
-        if a == 0.0:
-            if p <= -1.0:
-                return math.inf
-            return b ** p / (p + 1.0)
-        if p == -1.0:
-            return math.log(b / a) / (b - a)
-        return (b ** (p + 1) - a ** (p + 1)) / ((p + 1) * (b - a))
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        # float_power calls the C library's pow for every element, as Python's
+        # float ** does; numpy's ** on arrays may differ from it in the last bit
+        with np.errstate(divide="ignore"):
+            if p == -1.0:
+                out = np.log(b / a) / (b - a)
+            else:
+                out = (np.float_power(b, p + 1) - np.float_power(a, p + 1)) \
+                    / ((p + 1) * (b - a))
+            at0 = math.inf if p <= -1.0 else np.float_power(b, p) / (p + 1.0)
+        out = np.where(a == 0.0, at0, out)
+        return out if out.ndim else float(out)
 
     def sample(self, x):
         return np.asarray(x, dtype=float) ** self.alpha
@@ -111,6 +145,18 @@ class PiecewiseWeight:
                 total += (v ** q) * (right - left)
         return total / (b - a)
 
+    def dyadic_level(self, level: int, q: int):
+        """Exact ratios on the intervals that hold an interior breakpoint;
+        every other interval lies inside one piece, where the ratio is 1."""
+        n, best = 2 ** level, (1.0, None)
+        inner = {math.floor(b * n) for _, b, _ in self.pieces[:-1]
+                 if (b * n).denominator != 1}
+        for j in sorted(inner):
+            r = float(a2_ratio(self, Fraction(j, n), Fraction(j + 1, n), q))
+            if r > best[0]:
+                best = (r, j)
+        return best
+
     def sample(self, x):
         """Float evaluation with half-open pieces [left, right).
 
@@ -133,7 +179,7 @@ class PiecewiseWeight:
         return [(i, float(v)) for i, (_, _, v) in enumerate(self.pieces, start=1)]
 
 
-class SampledWeight:
+class SampledWeight(_LevelArrays):
     """Positive samples on the uniform cell partition of (0, 1).
 
     Cell i covers (i/M, (i+1)/M) with the sampled value held constant, so
@@ -154,18 +200,20 @@ class SampledWeight:
             self._prefix[q] = np.concatenate([[0.0], np.cumsum(self.values ** q)])
         return self._prefix[q]
 
-    def average_power(self, q: int, a, b) -> float:
-        a, b = float(a), float(b)
-        if not (0.0 <= a < b <= 1.0):
+    def average_power(self, q: int, a, b):
+        """Average over (a, b) from prefix sums; a and b may be arrays."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
             raise ValueError("need 0 <= a < b <= 1")
         pre = self._prefix_for(q)
         xa, xb = a * self.m, b * self.m
-        ia, ib = int(math.floor(xa)), int(math.ceil(xb))
+        ia, ib = np.floor(xa).astype(int), np.ceil(xb).astype(int)
+        # the fractional end cells; a whole end cell has a zero weight
         total = pre[ib] - pre[ia]
-        total -= (xa - ia) * self.values[ia] ** q
-        if ib > xb:
-            total -= (ib - xb) * self.values[ib - 1] ** q
-        return total / (xb - xa)
+        total -= (xa - ia) * np.float_power(self.values[ia], q)
+        total -= (ib - xb) * np.float_power(self.values[ib - 1], q)
+        out = total / (xb - xa)
+        return out if out.ndim else float(out)
 
     def sample(self, x):
         x = np.asarray(x, dtype=float)
@@ -290,15 +338,20 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
                 q: int = 1, bound: float = 1e6) -> A2Report:
     """Estimate the A2 constant of omega^q and classify the weight.
 
-    Scans all dyadic subintervals of (0, 1) down to the given depth, plus
-    any caller-supplied candidate intervals (k, a, b). A candidate ladder
-    whose ratios keep growing forces NotInA2 with the witnesses recorded;
-    otherwise the verdict reads whether the supremum has stopped moving
-    between the two deepest dyadic generations, and the constant is the
-    supremum over every generation scanned.
+    Visits only the dyadic subintervals of (0, 1) that can exceed 1, down to
+    the given depth, through the weight's dyadic_level(level, q) kernel: the
+    largest ratio of a level and the first j attaining it. Any
+    caller-supplied candidate intervals (k, a, b) come first. A candidate
+    ladder whose ratios keep growing forces NotInA2 with the witnesses
+    recorded; otherwise the verdict reads whether the supremum has stopped
+    moving between the two deepest dyadic generations, and the constant is
+    the supremum over every generation scanned.
     """
     if depth < 1:
         raise ValueError("dyadic depth must be at least 1")
+    if not callable(getattr(weight, "dyadic_level", None)):
+        raise ValueError(f"{type(weight).__name__} has no dyadic-level kernel "
+                         "(dyadic_level); the A2 scan reads each level from it")
     witnesses = []
     if candidates:
         ladder = []
@@ -316,22 +369,16 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     sup_by_level = []
     best = (1.0, None)
     for level in range(depth + 1):
-        step = Fraction(1, 2 ** level)
-        sup = 1.0
-        for j in range(2 ** level):
-            a, b = j * step, (j + 1) * step
-            r = float(a2_ratio(weight, a, b, q=q))
-            if r > sup:
-                sup = r
-                if r > best[0]:
-                    best = (r, (a, b))
+        sup, j = weight.dyadic_level(level, q)
         sup_by_level.append(sup)
+        if sup > best[0]:
+            best = (sup, _interval_label(j / 2 ** level, (j + 1) / 2 ** level))
         if sup > bound:
-            witnesses.append((f"dyadic-L{level}", _interval_label(*best[1]), sup))
+            witnesses.append((f"dyadic-L{level}", best[1], sup))
             return A2Report(NOT_IN_A2, math.inf, witnesses,
                             "dyadic ratio exceeded the declared bound")
     if best[1] is not None:
-        witnesses.append(("dyadic-sup", _interval_label(*best[1]), best[0]))
+        witnesses.append(("dyadic-sup", best[1], best[0]))
     constant = max(sup_by_level)
     tail_move = abs(sup_by_level[-1] - sup_by_level[-2]) / sup_by_level[-1]
     if tail_move < 0.05:

@@ -242,6 +242,9 @@ def projector_for(family: VectorFamily, d: int,
         return Projector(tuple(sorted(set(family.perp_directions))), "analytic")
     if ladder is None:
         return Projector((), "analytic")
+    if d < ladder.top[0]:
+        raise ValueError("projector dimension d must be at least the "
+                         "ladder's top dimension")
 
     diags = []
     for d_l, n_l in ladder.levels:

@@ -45,13 +45,17 @@ class FourierProfile:
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple | None = None
-    descriptor: dict = None
     energy: Callable[[np.ndarray], np.ndarray] | None = None
     tail: tuple | None = None
 
     def __post_init__(self):
-        if self.descriptor is None:
-            self.descriptor = {"profile": self.name}
+        # hurwitz_zeta divides by s - 1
+        if self.tail is not None and not (np.isfinite(self.tail[0])
+                                          and self.tail[0] > 1):
+            raise ValueError("a declared tail exponent must be finite and "
+                             "above 1")
+        if self.support is not None and not self.support[0] < self.support[1]:
+            raise ValueError("a support window (lo, hi) needs lo < hi")
 
     def __call__(self, gamma):
         return self.fn(np.asarray(gamma, dtype=float))
@@ -101,7 +105,6 @@ def unit_indicator_profile() -> FourierProfile:
         return np.sin(np.pi * g) ** 2 / np.pi ** 2
 
     return FourierProfile("unit-indicator", fn, support=None,
-                          descriptor={"profile": "unit-indicator"},
                           energy=energy, tail=(2, envelope))
 
 
@@ -111,8 +114,7 @@ def raised_cosine_profile() -> FourierProfile:
         inside = np.abs(g) <= 1.0
         out[inside] = np.cos(np.pi * g[inside] / 2.0) ** 2
         return out
-    return FourierProfile("raised-cosine", fn, support=(-1.0, 1.0),
-                          descriptor={"profile": "raised-cosine"})
+    return FourierProfile("raised-cosine", fn, support=(-1.0, 1.0))
 
 
 def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
@@ -127,9 +129,7 @@ def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
         out[inside] = np.sqrt(w.sample(g[inside]))
         return out
 
-    profile = FourierProfile(f"plateau-band-k{k_max}", fn, support=(0.0, 1.0),
-                             descriptor={"profile": "plateau-band",
-                                         "k_max": k_max, "power": power})
+    profile = FourierProfile(f"plateau-band-k{k_max}", fn, support=(0.0, 1.0))
     ladder = [(k, float(k ** (power * k))) for k in range(2, k_max + 1)]
     return TranslateSystem(
         profile, 1.0, name=f"plateau-band-k{k_max}",
@@ -398,8 +398,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
         return out
 
     prof = FourierProfile(system.profile.name + "-dual", dual_fn,
-                          support=system.profile.support,
-                          descriptor={"profile": system.profile.name + "-dual"})
+                          support=system.profile.support)
     return TranslateSystem(prof, a, name=system.name + "-dual")
 
 

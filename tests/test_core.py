@@ -14,9 +14,11 @@ from semiframe.families import shared_direction_family
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
 )
-from semiframe.operators import canonical_dual, dual_via_pseudoinverse
+from semiframe.operators import (
+    canonical_dual, dual_via_pseudoinverse, projector_for,
+)
 from semiframe.translates import (
-    TranslateSystem, brute_apply, pphi, raised_cosine_profile,
+    FourierProfile, TranslateSystem, brute_apply, pphi, raised_cosine_profile,
     unit_indicator_profile, walnut_apply,
 )
 
@@ -192,6 +194,13 @@ def test_grid_csv_roundtrip(tmp_path):
     assert np.array_equal(nodes, g.nodes())
 
 
+def _projector_below_ladder_top():
+    fam = shared_direction_family(1.0)
+    fam.perp_directions = None
+    ladder = TruncationLadder(((17, 16), (33, 32), (65, 64)))
+    projector_for(fam, 17, ladder)
+
+
 @pytest.mark.parametrize("call, precondition", [
     (lambda: SampledWeight([1.0, np.nan]), "positive samples"),
     (lambda: PowerWeight(np.nan), "power exponent must be finite"),
@@ -217,11 +226,23 @@ def test_grid_csv_roundtrip(tmp_path):
      "a level needs at least one member"),
     (lambda: dual_via_pseudoinverse(shared_direction_family(0.0), (1, 0)),
      "a level needs at least one member"),
+    (_projector_below_ladder_top,
+     "projector dimension d must be at least the ladder's top dimension"),
+    (lambda: a2_estimate(ScaledWeight(ConstantWeight(1), 2)),
+     "ScaledWeight has no dyadic-level kernel"),
+    (lambda: FourierProfile("tail-1", np.sinc, tail=(1, np.ones_like)),
+     "a declared tail exponent must be finite and above 1"),
+    (lambda: FourierProfile("tail-nan", np.sinc, tail=(np.nan, np.ones_like)),
+     "a declared tail exponent must be finite and above 1"),
+    (lambda: FourierProfile("empty-support", np.sinc, support=(1.0, -1.0)),
+     "a support window (lo, hi) needs lo < hi"),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
         "line-grid-negative-step", "pphi-grid-0", "canonical-dual-no-members",
-        "pseudoinverse-no-members"])
+        "pseudoinverse-no-members", "projector-d-below-ladder-top",
+        "a2-weight-without-level-kernel", "profile-tail-exponent-1",
+        "profile-tail-exponent-nan", "profile-support-reversed"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

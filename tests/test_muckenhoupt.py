@@ -5,12 +5,79 @@ import numpy as np
 import pytest
 
 from semiframe.muckenhoupt import (
-    ConstantWeight, PiecewiseWeight, PowerWeight, SampledWeight, ScaledWeight,
-    a2_estimate, a2_ratio, plateau_breakpoints, plateau_candidates,
-    plateau_ratio_closed_form, plateau_weight,
+    DYADIC_DEPTH, A2Report, ConstantWeight, PiecewiseWeight, PowerWeight,
+    SampledWeight, ScaledWeight, a2_estimate, a2_ratio, plateau_breakpoints,
+    plateau_candidates, plateau_ratio_closed_form, plateau_weight,
 )
 
 QUAD_CELLS = 200_000
+
+
+def all_interval_reports(weight, depth, q=1, bound=1e6):
+    """Reports of the all-intervals dyadic scan at depths 1..depth.
+
+    The oracle for a2_estimate's level kernels: a2_ratio on every one of
+    the dyadic intervals, with the strict > test in increasing j. The report
+    at depth d reads levels 0..d only, so one pass gives every depth.
+    """
+    def label(a, b):
+        return f"({float(a):.6e}, {float(b):.6e})"
+
+    reports, sup_by_level, best = [], [], (1.0, None)
+    for level in range(depth + 1):
+        step = Fraction(1, 2 ** level)
+        sup = 1.0
+        for j in range(2 ** level):
+            a, b = j * step, (j + 1) * step
+            r = float(a2_ratio(weight, a, b, q=q))
+            if r > sup:
+                sup = r
+                if r > best[0]:
+                    best = (r, (a, b))
+        sup_by_level.append(sup)
+        if sup > bound:
+            stop = A2Report("NotInA2", math.inf,
+                            [(f"dyadic-L{level}", label(*best[1]), sup)],
+                            "dyadic ratio exceeded the declared bound")
+            return reports + [stop] * (depth - len(reports))
+        if level == 0:
+            continue
+        witnesses = [] if best[1] is None else [
+            ("dyadic-sup", label(*best[1]), best[0])]
+        tail_move = abs(sup_by_level[-1] - sup_by_level[-2]) / sup_by_level[-1]
+        if tail_move < 0.05:
+            reports.append(A2Report("InA2", max(sup_by_level), witnesses,
+                                    f"dyadic suprema settled at depth {level}"))
+        else:
+            reports.append(A2Report(
+                "Inconclusive", max(sup_by_level), witnesses,
+                "dyadic suprema still moving at the deepest level"))
+    return reports
+
+
+ORACLE_WEIGHTS = {
+    "plateau-k6p2": plateau_weight(6, power=2),
+    "constant-1": ConstantWeight(1),
+    # c^2 * c^-2 rounds above 1, so every interval is a witness
+    "constant-17.648": ConstantWeight(17.648),
+    "power-m1.5": PowerWeight(-1.5),
+    "power-m1": PowerWeight(-1.0),
+    "power-m0.3": PowerWeight(-0.3),
+    "power-0.6": PowerWeight(0.6),
+    "power-1.2": PowerWeight(1.2),
+    "sampled-64": SampledWeight(np.exp(np.random.default_rng(5).normal(size=64))),
+    "sampled-37": SampledWeight(np.exp(np.random.default_rng(6).normal(size=37))),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("name", list(ORACLE_WEIGHTS))
+def test_level_kernels_match_the_all_intervals_scan(name, q):
+    weight = ORACLE_WEIGHTS[name]
+    want = all_interval_reports(weight, DYADIC_DEPTH, q=q)
+    got = [a2_estimate(weight, depth=d, q=q)
+           for d in range(1, DYADIC_DEPTH + 1)]
+    assert got == want
 
 
 def _quad_average(weight, q, a, b):
@@ -27,6 +94,22 @@ def _shell_average(weight, q, b, shells=60, cells=4000):
         x = lo + (np.arange(cells) + 0.5) * (hi - lo) / cells
         total += np.sum(weight.sample(x) ** q) * (hi - lo) / cells
     return total / b
+
+
+def test_level_ties_go_to_the_first_interval():
+    # mirror-image breakpoints and repeated cells tie exactly within a level
+    third = Fraction(1, 3)
+    weights = [
+        PiecewiseWeight([(0, third, 1), (third, 2 * third, 4), (2 * third, 1, 1)]),
+        SampledWeight(np.array([1.0, 4.0, 1.0, 4.0])),
+    ]
+    for weight in weights:
+        for q in (1, 2):
+            got = [a2_estimate(weight, depth=d, q=q) for d in range(1, 7)]
+            assert got == all_interval_reports(weight, 6, q=q)
+            half = Fraction(1, 2)
+            assert a2_ratio(weight, 0, half, q) == a2_ratio(weight, half, 1, q)
+            assert weight.dyadic_level(1, q)[1] == 0
 
 
 def test_constant_weight_ratio_is_one():

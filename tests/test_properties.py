@@ -2,14 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiframe.core import TruncationLadder, line_grid, periodize
 from semiframe.exponentials import frequency_of, member_of
 from semiframe.families import seeded_dense_family
-from semiframe.muckenhoupt import PiecewiseWeight, ScaledWeight, a2_ratio
+from semiframe.muckenhoupt import (
+    PiecewiseWeight, ScaledWeight, a2_estimate, a2_ratio,
+)
 from semiframe.operators import frame_matrix, permutation_gap
+from test_muckenhoupt import all_interval_reports
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 1000))
@@ -22,14 +25,20 @@ def test_frame_matrix_hermitian_psd_permutation_free(seed):
 
 
 @st.composite
-def exact_weights(draw):
+def exact_weights(draw, dyadic=False):
     n_pieces = draw(st.integers(1, 5))
-    vals = draw(st.lists(st.fractions(min_value=Fraction(1, 50),
-                                      max_value=Fraction(50)),
-                         min_size=n_pieces, max_size=n_pieces))
-    cuts = sorted(draw(st.lists(
-        st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10)),
-        min_size=n_pieces - 1, max_size=n_pieces - 1, unique=True)))
+    value = st.fractions(min_value=Fraction(1, 50), max_value=Fraction(50))
+    cut = st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10))
+    if dyadic:
+        # cuts on dyadic endpoints and equal neighbours give ratio exactly 1
+        value = st.sampled_from([Fraction(1, 3), Fraction(2)]) | value
+        cut = cut | st.sampled_from([Fraction(1, 2), Fraction(1, 4),
+                                     Fraction(3, 8), Fraction(1, 3)]) \
+            | st.integers(1, 12).flatmap(lambda k: st.integers(1, 2 ** k - 1)
+                                         .map(lambda j: Fraction(j, 2 ** k)))
+    vals = draw(st.lists(value, min_size=n_pieces, max_size=n_pieces))
+    cuts = sorted(draw(st.lists(cut, min_size=n_pieces - 1,
+                                max_size=n_pieces - 1, unique=True)))
     edges = [Fraction(0)] + cuts + [Fraction(1)]
     return PiecewiseWeight(tuple(
         (edges[i], edges[i + 1], vals[i]) for i in range(n_pieces)))
@@ -42,6 +51,17 @@ def exact_weights(draw):
 def test_a2_ratio_at_least_one(weight, left, width):
     ratio = a2_ratio(weight, left, left + width)
     assert ratio >= 1 - Fraction(1, 10**12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_weights(dyadic=True), st.integers(1, 10), st.sampled_from([1, 2]))
+@example(PiecewiseWeight([(0, Fraction(1, 2), 1), (Fraction(1, 2), 1, 4)]), 3, 1)
+@example(PiecewiseWeight([(0, Fraction(1, 3), 2),
+                          (Fraction(1, 3), Fraction(3, 8), 2),
+                          (Fraction(3, 8), 1, 5)]), 10, 2)
+def test_breakpoint_scan_matches_all_intervals(weight, depth, q):
+    assert a2_estimate(weight, depth=depth, q=q) \
+        == all_interval_reports(weight, depth, q=q)[-1]
 
 
 @settings(max_examples=25, deadline=None)
