@@ -26,7 +26,6 @@ GROWTH_FACTOR = 10.0            # candidate-ladder ratio growth for a NotInA2 ca
 IN_A2 = "InA2"
 NOT_IN_A2 = "NotInA2"
 UNDECIDED_A2 = "Inconclusive"
-LEVEL_BLOCK = 2 ** 16           # dyadic intervals evaluated per numpy call
 
 
 class ConstantWeight:
@@ -54,23 +53,20 @@ class ConstantWeight:
 
 
 class _LevelArrays:
-    """Weights whose average_power takes array endpoints scan a whole dyadic
-    level in numpy, block by block."""
+    """Weights whose average_power takes array endpoints evaluate a whole
+    dyadic level in one numpy call."""
 
     def dyadic_level(self, level: int, q: int):
-        n, best = 2 ** level, (1.0, None)
-        for start in range(0, n, LEVEL_BLOCK):
-            j = np.arange(start, min(n, start + LEVEL_BLOCK))
-            a, b = j / n, (j + 1) / n
-            mean = self.average_power(q, a, b)
-            mean_rec = self.average_power(-q, a, b)
-            with np.errstate(invalid="ignore"):
-                r = np.where((mean == math.inf) | (mean_rec == math.inf),
-                             math.inf, mean * mean_rec)
-            i = int(np.argmax(r))
-            if r[i] > best[0]:
-                best = (float(r[i]), start + i)
-        return best
+        n = 2 ** level
+        j = np.arange(n)
+        a, b = j / n, (j + 1) / n
+        mean = self.average_power(q, a, b)
+        mean_rec = self.average_power(-q, a, b)
+        with np.errstate(invalid="ignore"):
+            r = np.where((mean == math.inf) | (mean_rec == math.inf),
+                         math.inf, mean * mean_rec)
+        i = int(np.argmax(r))
+        return (float(r[i]), i) if r[i] > 1.0 else (1.0, None)
 
 
 class PowerWeight(_LevelArrays):

@@ -13,10 +13,28 @@ from semiframe.muckenhoupt import (
 QUAD_CELLS = 200_000
 
 
+def level_ratios(weight, level, q):
+    """a2_ratio's value on every dyadic interval of a level, in increasing j.
+
+    Power and sampled averages come from one array call per level, since
+    their scalar path pays numpy's 0-d overhead on each of the 2^level
+    intervals; test_scalar_and_array_averages_agree ties the two paths.
+    """
+    n = 2 ** level
+    if isinstance(weight, (PowerWeight, SampledWeight)):
+        j = np.arange(n)
+        means = zip(weight.average_power(q, j / n, (j + 1) / n).tolist(),
+                    weight.average_power(-q, j / n, (j + 1) / n).tolist())
+        return [math.inf if math.inf in (m, m_rec) else m * m_rec
+                for m, m_rec in means]
+    return [float(a2_ratio(weight, Fraction(j, n), Fraction(j + 1, n), q=q))
+            for j in range(n)]
+
+
 def all_interval_reports(weight, depth, q=1, bound=1e6):
     """Reports of the all-intervals dyadic scan at depths 1..depth.
 
-    The oracle for a2_estimate's level kernels: a2_ratio on every one of
+    The oracle for a2_estimate's level kernels: the ratio of every one of
     the dyadic intervals, with the strict > test in increasing j. The report
     at depth d reads levels 0..d only, so one pass gives every depth.
     """
@@ -27,13 +45,11 @@ def all_interval_reports(weight, depth, q=1, bound=1e6):
     for level in range(depth + 1):
         step = Fraction(1, 2 ** level)
         sup = 1.0
-        for j in range(2 ** level):
-            a, b = j * step, (j + 1) * step
-            r = float(a2_ratio(weight, a, b, q=q))
+        for j, r in enumerate(level_ratios(weight, level, q)):
             if r > sup:
                 sup = r
                 if r > best[0]:
-                    best = (r, (a, b))
+                    best = (r, (j * step, (j + 1) * step))
         sup_by_level.append(sup)
         if sup > bound:
             stop = A2Report("NotInA2", math.inf,
@@ -78,6 +94,76 @@ def test_level_kernels_match_the_all_intervals_scan(name, q):
     got = [a2_estimate(weight, depth=d, q=q)
            for d in range(1, DYADIC_DEPTH + 1)]
     assert got == want
+
+
+@pytest.mark.parametrize("name", [name for name, w in ORACLE_WEIGHTS.items()
+                                  if isinstance(w, (PowerWeight, SampledWeight))])
+def test_scalar_and_array_averages_agree(name):
+    weight, n = ORACLE_WEIGHTS[name], 64
+    j = np.arange(n)
+    for q in (1, -1, 2, -2):
+        whole = weight.average_power(q, j / n, (j + 1) / n)
+        assert [weight.average_power(q, i / n, (i + 1) / n) for i in j] \
+            == whole.tolist()
+    for q in (1, 2):
+        assert [a2_ratio(weight, i / n, (i + 1) / n, q) for i in j] \
+            == level_ratios(weight, 6, q)
+
+
+REFERENCE_INTERVALS = [(0.0, 0.125), (0.25, 0.375), (Fraction(3, 7), Fraction(5, 6))]
+# average_power(1), average_power(-2), a2_ratio q=1 and q=2 on each interval
+# above, from the scalar float formulas of commit 864c72f
+REFERENCE_VALUES = {
+    "power-0.6": [
+        (0.17948411796828673, math.inf, 1.5625, math.inf),
+        (0.4968323205600412, 4.111169079459308, 1.004901415854001, 1.0197217879686324),
+        (0.7553961624163347, 1.8223943690103024, 1.0130461577618297, 1.0530170702176094)],
+    "power-m1": [
+        (math.inf, 0.005208333333333333, math.inf, math.inf),
+        (3.243720864865315, 0.09895833333333333, 1.013662770270411, 1.0555555555555556),
+        (1.6428826324068504, 0.41175359032501896, 1.0365807085424175, 1.152910052910053)],
+    "power-m1.5": [
+        (math.inf, 0.00048828125, math.inf, math.inf),
+        (5.872109410312767, 0.03173828125, 1.0309521329881643, 1.1284722222222223),
+        (2.134984105758566, 0.27702529424468203, 1.083829284876615, 1.370351788863694)],
+    "sampled-64": [
+        (1.0348973022256682, 3.7391873151515203, 1.6914428760211826, 6.862852379797412),
+        (0.762706185778006, 3.3098027472228555, 1.2657780869940738, 2.5063983380314374),
+        (0.9192466147898043, 8.006662602759073, 1.968354081361, 11.56025017002709)],
+    "sampled-37": [
+        (2.475028057461121, 36.03366981537577, 7.889126182537787, 379.0046900349598),
+        (0.983093604281474, 3.321180680273523, 1.5146105750013903, 4.207065896885193),
+        (1.7765299219267348, 5.163454537090279, 2.7779088462585455, 30.678358334900082)],
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_VALUES))
+def test_averages_keep_their_reference_values(name):
+    weight, want = ORACLE_WEIGHTS[name], REFERENCE_VALUES[name]
+    got = [(weight.average_power(1, a, b), weight.average_power(-2, a, b),
+            a2_ratio(weight, a, b, 1), a2_ratio(weight, a, b, 2))
+           for a, b in REFERENCE_INTERVALS]
+    assert got == want
+    a = np.array([float(a) for a, _ in REFERENCE_INTERVALS])
+    b = np.array([float(b) for _, b in REFERENCE_INTERVALS])
+    assert weight.average_power(1, a, b).tolist() == [v[0] for v in want]
+    assert weight.average_power(-2, a, b).tolist() == [v[1] for v in want]
+
+
+def test_reference_reports_are_unchanged():
+    # full reports from the all-intervals scan of commit 864c72f
+    assert a2_estimate(ORACLE_WEIGHTS["power-0.6"]) == A2Report(
+        "InA2", 1.5625000000000002,
+        [("dyadic-sup", "(0.000000e+00, 2.441406e-04)", 1.5625000000000002)],
+        "dyadic suprema settled at depth 14")
+    assert a2_estimate(ORACLE_WEIGHTS["sampled-64"], depth=9) == A2Report(
+        "InA2", 3.907560130031869,
+        [("dyadic-sup", "(1.875000e-01, 2.500000e-01)", 3.907560130031869)],
+        "dyadic suprema settled at depth 9")
+    assert a2_estimate(ORACLE_WEIGHTS["sampled-37"], q=2) == A2Report(
+        "Inconclusive", 1432.28672696194,
+        [("dyadic-sup", "(4.687500e-02, 6.250000e-02)", 1432.28672696194)],
+        "dyadic suprema still moving at the deepest level")
 
 
 def _quad_average(weight, q, a, b):
