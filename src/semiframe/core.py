@@ -137,8 +137,7 @@ class VectorFamily:
         return range(self.start_index, self.start_index + count)
 
 
-def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
-    """Materialize the first N members at dimension d as rows of an array."""
+def _checked_level(family: VectorFamily, level: tuple) -> tuple:
     d, n_count = level
     if n_count < 1:
         raise ValueError(f"a level needs at least one member, got N={n_count}")
@@ -146,15 +145,55 @@ def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
         raise ValueError(
             f"dimension {d} below admissible bound {family.min_dim(n_count)} "
             f"for {n_count} members of {family.name}")
+    return d, n_count
+
+
+def _finite(values: np.ndarray, family: VectorFamily) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"family members must be finite: {family.name} "
+                         "has a non-finite entry")
+    return values
+
+
+def _sparse_members(family: VectorFamily, n_count: int) -> tuple:
+    """(rows, positions, values) of the first N members by the sparse rule."""
+    rows, pos, vals = [], [], []
+    for row, idx in enumerate(family.indices(n_count)):
+        p, v = family.sparse(idx)
+        p = np.asarray(p)
+        rows.append(np.full(p.size, row))
+        pos.append(p)
+        vals.append(np.asarray(v, dtype=complex))
+    return (np.concatenate(rows), np.concatenate(pos),
+            _finite(np.concatenate(vals), family))
+
+
+def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
+    """Materialize the first N members at dimension d as rows of an array."""
+    d, n_count = _checked_level(family, level)
     if family.sparse is not None:
+        rows, pos, vals = _sparse_members(family, n_count)
         out = np.zeros((n_count, d), dtype=complex)
-        for row, idx in enumerate(family.indices(n_count)):
-            pos, vals = family.sparse(idx)
-            out[row, pos] = vals
+        out[rows, pos] = vals
         return out
     rows = [np.asarray(family.generator(idx, d), dtype=complex)
             for idx in family.indices(n_count)]
-    return np.vstack(rows)
+    return _finite(np.vstack(rows), family)
+
+
+def instantiate_sparse(family: VectorFamily, level: tuple):
+    """The first N members at dimension d as rows of a CSR array.
+
+    Only for families that declare `sparse(index)`; scipy is imported here
+    so that importing the package does not load it.
+    """
+    from scipy import sparse
+
+    if family.sparse is None:
+        raise ValueError(f"family {family.name!r} declares no sparse rule")
+    d, n_count = _checked_level(family, level)
+    rows, pos, vals = _sparse_members(family, n_count)
+    return sparse.csr_array((vals, (rows, pos)), shape=(n_count, d))
 
 
 # ---------------------------------------------------------------------------

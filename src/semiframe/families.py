@@ -121,10 +121,11 @@ def interleaved_prefix_norms(m_max: int) -> np.ndarray:
         head = INTERLEAVED_HEAD ** 2
         # settled[j] = sum of alpha_n^2 for n = 2..(j+1); settled[-1] -> empty
         settled = np.concatenate([[0.0], np.cumsum(alpha ** 2)])
-        for m in range(3, m_max + 1):
-            k = (m + 1) // 2
-            live = gamma[k - 2] if m % 2 == 1 else beta[k - 2]
-            norms_sq[m - 1] = head + settled[k - 2] + live ** 2
+        m = np.arange(3, m_max + 1)
+        k = (m + 1) // 2
+        live = np.where(m % 2 == 1, gamma[k - 2], beta[k - 2])
+        # float_power squares exactly as the scalar live ** 2 does
+        norms_sq[2:] = head + settled[k - 2] + np.float_power(live, 2)
     return np.sqrt(norms_sq)
 
 

@@ -5,7 +5,9 @@ conjugated members as rows, the frame matrix accumulates rank-one terms, and
 the two canonical-dual routes (restricted inverse of the projected frame
 matrix, pseudo-inverse of the analysis matrix) are kept independent so they
 can cross-check each other. Lower bounds, the restricted-inverse dual and
-the Parseval normalization all read one restricted spectrum. Partial-sum
+the Parseval normalization all read one kept block of the frame matrix,
+held banded when its measured bandwidth is narrow and dense otherwise;
+scipy is imported only there. Partial-sum
 traces record order-dependent behavior; the frame matrix itself is
 permutation-invariant.
 """
@@ -19,13 +21,14 @@ import numpy as np
 from .core import (
     CONVERGENT, DIVERGENT, INCONCLUSIVE,
     ConvergenceVerdict, TruncationLadder, VectorFamily,
-    instantiate, tail_diagnostic,
+    instantiate, instantiate_sparse, tail_diagnostic,
 )
 
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
 PINV_CUTOFF_RATIO = 1e-10      # singular-value cutoff relative to the largest
 STABILIZATION_WINDOW = 1e-8    # last-quarter relative variation of prefix norms
 PROJECTOR_GROWTH_EXPONENT = 0.5
+BAND_CUTOFF = 1                # widest kept block read through banded LAPACK
 
 
 class SingularRestrictionError(ValueError):
@@ -65,6 +68,12 @@ class Projector:
 
     flagged: tuple
     kind: str                    # "analytic" or "estimated"
+
+    def __post_init__(self):
+        if any(not isinstance(j, (int, np.integer)) or j < 0
+               for j in self.flagged):
+            raise ValueError("projector coordinates must be non-negative "
+                             f"integers, got {self.flagged}")
 
     def kept(self, d: int) -> np.ndarray:
         """Mask of the coordinates below d that the projector keeps."""
@@ -186,9 +195,10 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
 
 
 def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarray:
-    """Apply the truncated frame operator without materializing it."""
+    """Apply the truncated frame operator without materializing it; a probe
+    of another length is truncated or continues by zero."""
     x = instantiate(family, level)
-    return x.T @ (np.conj(x) @ np.asarray(f, dtype=complex))
+    return x.T @ (np.conj(x) @ _fit_dim(f, level[0]))
 
 
 def _trace_from_weighted_rows(weighted: np.ndarray, ordering: np.ndarray,
@@ -209,10 +219,14 @@ def _trace_from_weighted_rows(weighted: np.ndarray, ordering: np.ndarray,
 def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
               ordering: np.ndarray | None = None,
               window: float = STABILIZATION_WINDOW):
-    """Partial sums sum_n c_n member_n in the given order, with trace."""
+    """Partial sums sum_n c_n member_n in the given order, with trace; the
+    ordering must be a permutation of range(N)."""
     x = instantiate(family, level)
     coeffs = np.asarray(coeffs, dtype=complex)
-    order = np.arange(x.shape[0]) if ordering is None else np.asarray(ordering)
+    n = x.shape[0]
+    order = np.arange(n) if ordering is None else np.asarray(ordering)
+    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
+        raise ValueError(f"ordering must be a permutation of range(N), N={n}")
     weighted = coeffs[order, None] * x[order]
     return _trace_from_weighted_rows(weighted, order, window)
 
@@ -220,8 +234,9 @@ def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
 def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
             ordering: np.ndarray | None = None,
             window: float = STABILIZATION_WINDOW):
-    """Order-dependent partial sums of sum_n <f, member_n> member_n."""
-    coeffs = analysis_matrix(family, level) @ np.asarray(f, dtype=complex)
+    """Order-dependent partial sums of sum_n <f, member_n> member_n; a probe
+    of another length is truncated or continues by zero."""
+    coeffs = analysis_matrix(family, level) @ _fit_dim(f, level[0])
     return synthesis(family, coeffs, level, ordering=ordering, window=window)
 
 
@@ -269,27 +284,124 @@ def _kept(family: VectorFamily, projector: Projector | None,
     analytic one when none is given."""
     if projector is None:
         projector = projector_for(family, d)
-    return projector.kept(d)
+    keep = projector.kept(d)
+    if not keep.any():
+        raise ValueError(f"the projector keeps no coordinate below d={d}")
+    return keep
+
+
+class _KeptBlock:
+    """The Hermitian block G = M M^H of r x N members M (CSR or dense).
+
+    G is held in LAPACK's lower banded storage when its measured bandwidth
+    is at most BAND_CUTOFF, and read through the banded routines; otherwise
+    M and G are dense and read through numpy's eigh. A diagonal G scales
+    each row of M, so G^{-1} M, G^{-1/2} M and G's eigenvectors keep one
+    entry per nonzero of M and stay CSR; under a wider band they fill in,
+    and so do the blocks built from them.
+    """
+
+    def __init__(self, members):
+        from scipy import sparse
+
+        g = members @ members.conj().T
+        if sparse.issparse(g):
+            g = g.tocoo()
+            self.bandwidth = int(np.max(g.row - g.col, initial=0))
+        else:       # the farthest subdiagonal holding a nonzero
+            self.bandwidth = next((k for k in range(len(g) - 1, 0, -1)
+                                   if np.any(np.diagonal(g, -k))), 0)
+        if self.bandwidth > BAND_CUTOFF:
+            self.band = None
+            if sparse.issparse(members):
+                # the dense route forms the product as for dense families
+                members = members.toarray()
+                g = members @ members.conj().T
+            self.dense = g
+        else:
+            self.dense = None
+            g = sparse.coo_array(g)
+            lower = g.row >= g.col
+            self.band = np.zeros((self.bandwidth + 1, members.shape[0]),
+                                 dtype=complex)
+            self.band[g.row[lower] - g.col[lower], g.col[lower]] = g.data[lower]
+        self.members = members
+
+    def dense_members(self) -> np.ndarray:
+        m = self.members
+        return m if isinstance(m, np.ndarray) else m.toarray()
+
+    def _held(self, a):
+        """a as CSR when G is diagonal and M sparse, else as it is."""
+        from scipy import sparse
+
+        if self.bandwidth == 0 and sparse.issparse(self.members):
+            return sparse.csr_array(a)
+        return a
+
+    def lowest(self) -> float:
+        if self.band is None:
+            return float(np.linalg.eigh(self.dense)[0][0])
+        from scipy.linalg import eigvals_banded
+        return float(eigvals_banded(self.band, lower=True, select="i",
+                                    select_range=(0, 0))[0])
+
+    def extremes(self) -> tuple:
+        """Smallest and largest eigenvalue of G, from one eigenvalue call."""
+        if self.band is None:
+            w = np.linalg.eigvalsh(self.dense)
+        else:
+            from scipy.linalg import eigvals_banded
+            w = eigvals_banded(self.band, lower=True)
+        return float(w[0]), float(w[-1])
+
+    def inverse(self, floor_ratio: float) -> tuple:
+        """(block of G^{-1} M, smallest eigenvalue of G); refuses a
+        numerically singular G."""
+        if self.band is None:
+            w, v = np.linalg.eigh(self.dense)
+            lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
+            return _KeptBlock((v / w) @ v.conj().T @ self.members), lo
+        from scipy.linalg import solveh_banded
+        lo = _above_floor(*self.extremes(), floor_ratio)
+        z = solveh_banded(self.band, self.dense_members(), lower=True)
+        return _KeptBlock(self._held(z)), lo
+
+    def normalized(self, floor_ratio: float) -> "_KeptBlock":
+        """Block of G^{-1/2} M; refuses a numerically singular G."""
+        if self.band is None:
+            w, v = np.linalg.eigh(self.dense)
+        else:
+            from scipy.linalg import eig_banded
+            w, v = eig_banded(self.band, lower=True)
+            v = self._held(v)
+        _above_floor(float(w[0]), float(w[-1]), floor_ratio)
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        return _KeptBlock(inv_sqrt @ self.members)
+
+
+def _above_floor(lo: float, hi: float, floor_ratio: float) -> float:
+    floor = floor_ratio * hi
+    if lo <= floor:
+        raise SingularRestrictionError(lo, floor)
+    return lo
 
 
 def _restricted_spectrum(family: VectorFamily, level: tuple,
-                         projector: Projector | None,
-                         floor_ratio: float | None = None):
-    """Spectrum of the frame matrix restricted to the projector's range.
+                         projector: Projector | None) -> tuple:
+    """The frame matrix restricted to the projector's range.
 
-    Returns (keep, Y, w, V): the mask of kept coordinates, the projected
-    members Y = X^T[keep] (r x N, column n holds the kept coordinates of
-    member n), and the ascending eigenpairs of B = Y Y^H, the kept block of
-    T. With a floor ratio, refuses a numerically singular B.
+    Returns (keep, block): the mask of kept coordinates and the kept block
+    B = Y Y^H of T, where Y = X^T[keep] holds the projected members as
+    columns (r x N). Y is CSR for families with a sparse rule and dense
+    otherwise; the block picks its storage from B's measured bandwidth.
     """
+    if family.sparse is not None:
+        xt = instantiate_sparse(family, level).T.tocsr()
+    else:
+        xt = instantiate(family, level).T
     keep = _kept(family, projector, level[0])
-    y = instantiate(family, level).T[keep]
-    w, v = np.linalg.eigh(y @ y.conj().T)
-    if floor_ratio is not None:
-        floor = floor_ratio * float(w[-1])
-        if w[0] <= floor:
-            raise SingularRestrictionError(float(w[0]), floor)
-    return keep, y, w, v
+    return keep, _KeptBlock(xt[keep])
 
 
 def lower_bound(family: VectorFamily, ladder: TruncationLadder,
@@ -303,8 +415,8 @@ def lower_bound(family: VectorFamily, ladder: TruncationLadder,
     """
     per_level = []
     for level in ladder.levels:
-        _, _, w, _ = _restricted_spectrum(family, level, projector)
-        per_level.append((level, float(w[0])))
+        _, block = _restricted_spectrum(family, level, projector)
+        per_level.append((level, block.lowest()))
     values = [lam for _, lam in per_level]
     verdict = tail_diagnostic(values, ladder.counts(), rel_tol=1e-10)
     return per_level, verdict
@@ -325,17 +437,14 @@ def canonical_dual(family: VectorFamily, level: tuple,
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound.
     """
-    keep, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
-    inv = (v / w) @ v.conj().T                    # B^{-1} on the kept coordinates
+    keep, block = _restricted_spectrum(family, level, projector)
+    dual_block, lam = block.inverse(floor_ratio)
     # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
     # is row-contiguous; zero off the kept coordinates
     duals = np.zeros(level, dtype=complex)
-    duals[keep] = inv @ y
-    duals = duals.T                               # N x d
-    dual_frame = duals.T @ np.conj(duals)
-    bessel_est = float(np.linalg.eigvalsh(dual_frame)[-1])
-    return DualFamily(duals, "inverse", level, bessel_est,
-                      float(1.0 / w[0]), float(w[0]))
+    duals[keep] = dual_block.dense_members()
+    bessel_est = dual_block.extremes()[1]
+    return DualFamily(duals.T, "inverse", level, bessel_est, 1.0 / lam, lam)
 
 
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
@@ -402,14 +511,12 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
-    keep, y, w, v = _restricted_spectrum(family, level, projector, floor_ratio)
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    y2 = inv_sqrt @ y                             # normalized members, projected
+    keep, block = _restricted_spectrum(family, level, projector)
+    tight = block.normalized(floor_ratio)
     vectors = np.zeros(level, dtype=complex)
-    vectors[keep] = y2
-    vectors = vectors.T
-    gap = float(np.abs(np.linalg.eigvalsh(y2 @ y2.conj().T) - 1.0).max())
-    return vectors, gap
+    vectors[keep] = tight.dense_members()
+    lo, hi = tight.extremes()
+    return vectors.T, max(abs(lo - 1.0), abs(hi - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from semiframe.core import (
-    GridFunction, TruncationLadder, covering_shifts, line_grid, pairwise_sum,
-    periodic_grid, periodization_gap, periodize, tail_diagnostic,
+    GridFunction, TruncationLadder, VectorFamily, covering_shifts, line_grid,
+    pairwise_sum, periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import ExponentialSystem, t_general
-from semiframe.families import shared_direction_family
+from semiframe.families import scaled_basis_family, shared_direction_family
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
 )
 from semiframe.operators import (
-    canonical_dual, dual_via_pseudoinverse, projector_for,
+    Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
+    parseval_canonical, projector_for,
 )
 from semiframe.translates import (
     FourierProfile, TranslateSystem, brute_apply, pphi, raised_cosine_profile,
@@ -165,6 +170,12 @@ def _t_general_off_lattice():
     t_general(system, np.ones(64))
 
 
+# removes every coordinate of the diana level (9, 8)
+KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
+DIANA = shared_direction_family(0.0)
+DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
+
+
 @pytest.mark.parametrize("call, precondition", [
     (_periodize_off_lattice, "period must be an integer number of grid steps"),
     (_walnut_off_lattice, "grid step must subdivide the dual period 1/a"),
@@ -199,6 +210,12 @@ def _projector_below_ladder_top():
     fam.perp_directions = None
     ladder = TruncationLadder(((17, 16), (33, 32), (65, 64)))
     projector_for(fam, 17, ladder)
+
+
+# removes every coordinate of the diana level (9, 8)
+KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
+DIANA = shared_direction_family(0.0)
+DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -236,13 +253,50 @@ def _projector_below_ladder_top():
      "a declared tail exponent must be finite and above 1"),
     (lambda: FourierProfile("empty-support", np.sinc, support=(1.0, -1.0)),
      "a support window (lo, hi) needs lo < hi"),
+    (lambda: lower_bound(DIANA, DIANA_LADDER, KEEPS_NOTHING),
+     "the projector keeps no coordinate below d"),
+    (lambda: canonical_dual(DIANA, (9, 8), KEEPS_NOTHING),
+     "the projector keeps no coordinate below d"),
+    (lambda: parseval_canonical(DIANA, (9, 8), KEEPS_NOTHING),
+     "the projector keeps no coordinate below d"),
+    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), KEEPS_NOTHING),
+     "the projector keeps no coordinate below d"),
+    (lambda: Projector((-1,), "analytic"),
+     "projector coordinates must be non-negative integers"),
+    (lambda: canonical_dual(scaled_basis_family(np.nan), (4, 4)),
+     "family members must be finite"),
+    (lambda: lower_bound(scaled_basis_family(np.inf),
+                         TruncationLadder(((2, 2), (3, 3), (4, 4)))),
+     "family members must be finite"),
+    (lambda: parseval_canonical(
+        VectorFamily(name="dense-nan",
+                     generator=lambda i, d: np.full(d, np.nan)), (4, 4)),
+     "family members must be finite"),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
         "line-grid-negative-step", "pphi-grid-0", "canonical-dual-no-members",
         "pseudoinverse-no-members", "projector-d-below-ladder-top",
         "a2-weight-without-level-kernel", "profile-tail-exponent-1",
-        "profile-tail-exponent-nan", "profile-support-reversed"])
+        "profile-tail-exponent-nan", "profile-support-reversed",
+        "lower-bound-projector-keeps-nothing",
+        "canonical-dual-projector-keeps-nothing",
+        "parseval-projector-keeps-nothing",
+        "pseudoinverse-projector-keeps-nothing",
+        "projector-negative-coordinate", "sparse-family-nan-member",
+        "sparse-family-inf-member", "dense-family-nan-member"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported inside the banded helpers, so the package's import
+    # time does not pay for it
+    code = ("import sys, semiframe; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -115,6 +115,29 @@ def test_prefix_norms_match_dense_partial_sums():
     assert np.max(np.abs(closed - dense_norms) / dense_norms) < 1e-10
 
 
+def _prefix_norms_loop(m_max):
+    """The member-by-member closed form, one prefix per step: the oracle
+    for the vectorized interleaved_prefix_norms."""
+    norms_sq = np.empty(m_max)
+    norms_sq[0] = 1.0
+    if m_max >= 2:
+        norms_sq[1] = 4.0
+    if m_max >= 3:
+        alpha, beta, gamma = interleaved_coefficients(2, (m_max + 1) // 2 + 1)
+        settled = np.concatenate([[0.0], np.cumsum(alpha ** 2)])
+        for m in range(3, m_max + 1):
+            k = (m + 1) // 2
+            live = gamma[k - 2] if m % 2 == 1 else beta[k - 2]
+            norms_sq[m - 1] = INTERLEAVED_HEAD ** 2 + settled[k - 2] + live ** 2
+    return np.sqrt(norms_sq)
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 3, 4, 1025, 10 ** 5])
+def test_prefix_norms_match_the_loop_exactly(m_max):
+    assert np.array_equal(interleaved_prefix_norms(m_max),
+                          _prefix_norms_loop(m_max))
+
+
 def test_prefix_norm_rule_indexing():
     fam = interleaved_difference_family()
     ms = np.array([1, 2, 7, 50])

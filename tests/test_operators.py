@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from semiframe.core import TruncationLadder, VectorFamily, default_ladder
+from semiframe.core import (
+    TruncationLadder, VectorFamily, default_ladder, instantiate,
+)
 from semiframe.families import (
     decaying_probe, interleaved_difference_family, orthonormal_family,
     scaled_basis_family, seeded_dense_family, shared_direction_family,
@@ -222,3 +224,174 @@ def test_w_membership_split_domains():
     assert rep.in_W_domain.kind == "Divergent"
     assert 0.15 <= rep.prefix_exponent <= 0.25
     assert rep.prefix_sups[-1][1] > rep.prefix_sups[0][1]
+
+
+# ---------------------------------------------------------------------------
+# the banded kept block against the dense oracle
+
+
+def _dense_oracle(fam, level, projector=None):
+    """The kept block B = Y Y^H built densely from `instantiate`, read by
+    numpy's eigh, and the restricted-inverse dual, Parseval vectors and
+    their frame-matrix spectra computed from it."""
+    keep = (projector or projector_for(fam, level[0])).kept(level[0])
+    y = instantiate(fam, level).T[keep]
+    w, v = np.linalg.eigh(y @ y.conj().T)
+    duals = np.zeros(level, dtype=complex)
+    duals[keep] = (v / w) @ v.conj().T @ y
+    duals = duals.T
+    bessel = float(np.linalg.eigvalsh(duals.T @ np.conj(duals))[-1])
+    y2 = (v / np.sqrt(w)) @ v.conj().T @ y
+    tight = np.zeros(level, dtype=complex)
+    tight[keep] = y2
+    gap = float(np.abs(np.linalg.eigvalsh(y2 @ y2.conj().T) - 1.0).max())
+    return w, duals, bessel, tight.T, gap
+
+
+def _forbid_dense_eigensolves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigensolve on a narrow kept block")
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def _growing_without_complement():
+    fam = shared_direction_family(1.0)
+    fam.perp_directions = None
+    return fam
+
+
+NARROW_CASES = [
+    pytest.param(shared_direction_family(1.0), (257, 256), None, id="growing-256"),
+    pytest.param(shared_direction_family(1.0), (513, 512), None, id="growing-512"),
+    pytest.param(shared_direction_family(1.0), (1025, 1024), None,
+                 id="growing-1024"),
+    pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
+    pytest.param(_growing_without_complement(), (257, 256),
+                 projector_for(_growing_without_complement(), 257,
+                               TruncationLadder(((65, 64), (129, 128),
+                                                 (257, 256)))),
+                 id="estimated-projector"),
+]
+
+
+@pytest.mark.parametrize("fam, level, proj", NARROW_CASES)
+def test_banded_block_matches_dense_oracle(fam, level, proj, monkeypatch):
+    w, duals, bessel, tight, gap = _dense_oracle(fam, level, proj)
+    _forbid_dense_eigensolves(monkeypatch)
+    dual = canonical_dual(fam, level, proj)
+    assert np.abs(dual.vectors - duals).max() <= 1e-12
+    assert abs(dual.lower_bound - w[0]) <= 1e-12 * w[0]
+    assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
+    assert dual.bessel_bound_estimate <= dual.bessel_bound_theoretical + 1e-9
+    vectors, tight_gap = parseval_canonical(fam, level, proj)
+    assert np.abs(vectors - tight).max() <= 1e-12
+    assert tight_gap < 1e-9 and gap < 1e-9
+    d, n = level
+    ladder = TruncationLadder(((d // 2 + 1, n // 2), (d, n), (2 * d - 1, 2 * n)))
+    per_level, _ = lower_bound(fam, ladder, proj)
+    lam = per_level[1][1]
+    assert abs(lam - w[0]) <= 1e-12 * w[0]
+
+
+def test_interleaved_tridiagonal_lower_bound(monkeypatch):
+    fam = interleaved_difference_family()
+    ladder = TruncationLadder(((130, 257), (258, 513), (514, 1025)))
+    oracle = []
+    for level in ladder.levels:
+        y = instantiate(fam, level).T
+        oracle.append(np.linalg.eigvalsh(y @ y.conj().T)[0])
+    _forbid_dense_eigensolves(monkeypatch)
+    per_level, _ = lower_bound(fam, ladder)
+    for (_, lam), ref in zip(per_level, oracle):
+        assert abs(lam - ref) <= 1e-12 * ref
+
+
+def _shared_with_identity_family():
+    """Members e_1 and e_1 + 2 e_n: a sparse rule whose kept block under
+    the identity projector has a full first row (bandwidth r - 1)."""
+    def sparse(idx):
+        if idx == 1:
+            return np.array([0]), np.array([1.0 + 0j])
+        return np.array([0, idx - 1]), np.array([1.0, 2.0], dtype=complex)
+    return VectorFamily(name="shared-with-identity", sparse=sparse)
+
+
+def test_wide_band_sparse_family_takes_dense_path():
+    fam = _shared_with_identity_family()
+    level = (128, 128)
+    w, duals, bessel, tight, gap = _dense_oracle(fam, level)
+    dual = canonical_dual(fam, level)
+    assert np.abs(dual.vectors - duals).max() <= 1e-12
+    assert abs(dual.lower_bound - w[0]) <= 1e-12 * w[0]
+    assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
+    vectors, tight_gap = parseval_canonical(fam, level)
+    assert np.abs(vectors - tight).max() <= 1e-12
+    assert tight_gap < 1e-9 and gap < 1e-9
+    per_level, _ = lower_bound(fam, TruncationLadder(
+        ((32, 32), (64, 64), level)))
+    assert abs(per_level[-1][1] - w[0]) <= 1e-12 * w[0]
+
+
+def test_seeded_dense_keeps_the_dense_route_bit_for_bit():
+    fam = seeded_dense_family(7)
+    level = (256, 512)
+    w, duals, bessel, tight, gap = _dense_oracle(fam, level)
+    dual = canonical_dual(fam, level)
+    assert np.array_equal(dual.vectors, duals)
+    assert dual.bessel_bound_estimate == bessel
+    assert dual.lower_bound == w[0] and dual.bessel_bound_theoretical == 1 / w[0]
+    vectors, tight_gap = parseval_canonical(fam, level)
+    assert np.array_equal(vectors, tight)
+    assert tight_gap == gap
+
+
+def test_sparse_deficient_family_is_singular():
+    fam = VectorFamily(name="deficient-sparse",
+                       sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
+    for call in (canonical_dual, parseval_canonical):
+        with pytest.raises(SingularRestrictionError) as err:
+            call(fam, (6, 4))
+        assert err.value.lambda_min <= err.value.floor
+
+
+def test_lower_bound_far_beyond_the_dense_limit(monkeypatch):
+    # a dense kept block at N = 2^14 would take 4.3 GB
+    _forbid_dense_eigensolves(monkeypatch)
+    ladder = TruncationLadder(tuple((n + 1, n) for n in (2 ** 12, 2 ** 13, 2 ** 14)))
+    per_level, verdict = lower_bound(shared_direction_family(1.0), ladder)
+    assert [lam for _, lam in per_level] == [4.0, 4.0, 4.0]
+    assert verdict.kind == "Convergent"
+
+
+# ---------------------------------------------------------------------------
+# probes and orderings
+
+
+def test_frame_action_and_s_apply_fit_the_probe_to_d():
+    fam = shared_direction_family(0.0)
+    level = (17, 16)
+    short = np.arange(1.0, 11.0) + 0j
+    padded = np.zeros(17, dtype=complex)
+    padded[:10] = short
+    long = np.concatenate([padded, np.ones(5)])
+    for probe in (short, long):
+        assert np.array_equal(frame_action(fam, probe, level),
+                              frame_action(fam, padded, level))
+        vec, trace = s_apply(fam, probe, level)
+        ref_vec, ref = s_apply(fam, padded, level)
+        assert np.array_equal(vec, ref_vec)
+        assert np.array_equal(trace.prefix_norms, ref.prefix_norms)
+
+
+@pytest.mark.parametrize("ordering", [
+    np.arange(3), np.zeros(16, dtype=int), np.arange(1, 17),
+    np.arange(16).reshape(4, 4)],
+    ids=["too-short", "repeats", "out-of-range", "not-flat"])
+def test_ordering_must_be_a_permutation(ordering):
+    fam = orthonormal_family()
+    f = decaying_probe(16, -0.6)
+    with pytest.raises(ValueError, match=r"ordering must be a permutation"):
+        s_apply(fam, f, (16, 16), ordering=ordering)
+    with pytest.raises(ValueError, match=r"ordering must be a permutation"):
+        synthesis(fam, f, (16, 16), ordering=ordering)
