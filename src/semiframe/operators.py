@@ -6,8 +6,9 @@ the two canonical-dual routes (restricted inverse of the projected frame
 matrix, pseudo-inverse of the analysis matrix) are kept independent so they
 can cross-check each other. Lower bounds, the restricted-inverse dual and
 the Parseval normalization all read one kept block of the frame matrix,
-held banded when its measured bandwidth is narrow and dense otherwise;
-scipy is imported only there. Partial-sum
+held banded when its measured bandwidth is narrow and dense otherwise; the
+pseudo-inverse of a sparse family's analysis matrix is taken per connected
+block. scipy is imported only in those two places. Partial-sum
 traces record order-dependent behavior; the frame matrix itself is
 permutation-invariant.
 """
@@ -369,6 +370,14 @@ class _KeptBlock:
 
     def normalized(self, floor_ratio: float) -> "_KeptBlock":
         """Block of G^{-1/2} M; refuses a numerically singular G."""
+        if self.bandwidth == 0:
+            # G's eigenpairs are its diagonal and the unit vectors, so
+            # G^{-1/2} M is M with row i scaled by 1/sqrt(g_i)
+            from scipy import sparse
+            g = self.band[0].real
+            _above_floor(float(g.min()), float(g.max()), floor_ratio)
+            return _KeptBlock(sparse.diags_array(1.0 / np.sqrt(g))
+                              @ self.members)
         if self.band is None:
             w, v = np.linalg.eigh(self.dense)
         else:
@@ -378,6 +387,13 @@ class _KeptBlock:
         _above_floor(float(w[0]), float(w[-1]), floor_ratio)
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         return _KeptBlock(inv_sqrt @ self.members)
+
+
+def _checked_ratio(name: str, ratio: float) -> None:
+    """Refuse a floor or cutoff ratio (relative to the largest value) that
+    is not finite and in [0, 1)."""
+    if not (np.isfinite(ratio) and 0.0 <= ratio < 1.0):
+        raise ValueError(f"{name} must be finite and in [0, 1), got {ratio}")
 
 
 def _above_floor(lo: float, hi: float, floor_ratio: float) -> float:
@@ -437,6 +453,7 @@ def canonical_dual(family: VectorFamily, level: tuple,
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound.
     """
+    _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
     dual_block, lam = block.inverse(floor_ratio)
     # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
@@ -445,6 +462,61 @@ def canonical_dual(family: VectorFamily, level: tuple,
     duals[keep] = dual_block.dense_members()
     bessel_est = dual_block.extremes()[1]
     return DualFamily(duals.T, "inverse", level, bessel_est, 1.0 / lam, lam)
+
+
+def _connected_blocks(c) -> list:
+    """Split a sparse N x r matrix into its connected blocks.
+
+    A row and a column are linked when c holds an entry there. Blocks of
+    one shape m x n (both nonzero) come as one group (rows, cols, stack):
+    rows is K x m and cols K x n, the indices of each block's rows and
+    columns, and stack is K x m x n, the blocks' entries. Rows or columns
+    with no entry form no group.
+    """
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    n_rows, n_cols = c.shape
+    c = c.tocoo()
+    graph = sparse.coo_array((np.ones(c.nnz), (c.row, n_rows + c.col)),
+                             shape=(n_rows + n_cols,) * 2)
+    n_blocks, labels = connected_components(graph, directed=False)
+    row_of, col_of = labels[:n_rows], labels[n_rows:]
+
+    def members(label):
+        """Indices sorted by block, block sizes, first slot of each block,
+        and each index's place within its block."""
+        order = np.argsort(label, kind="stable")
+        sizes = np.bincount(label, minlength=n_blocks)
+        starts = np.cumsum(sizes) - sizes
+        place = np.empty_like(label)
+        place[order] = np.arange(label.size) - starts[label[order]]
+        return order, sizes, starts, place
+
+    row_order, m_of, row_start, row_place = members(row_of)
+    col_order, n_of, col_start, col_place = members(col_of)
+    entry_block = row_of[c.row]
+    groups = []
+    full = (m_of > 0) & (n_of > 0)
+    for m, n in np.unique(np.stack([m_of[full], n_of[full]], axis=1), axis=0):
+        blocks = np.flatnonzero((m_of == m) & (n_of == n))
+        slot = np.full(n_blocks, -1)
+        slot[blocks] = np.arange(blocks.size)
+        mine = slot[entry_block] >= 0
+        stack = np.zeros((blocks.size, m, n), dtype=complex)
+        stack[slot[entry_block[mine]], row_place[c.row[mine]],
+              col_place[c.col[mine]]] = c.data[mine]
+        rows = row_order[row_start[blocks][:, None] + np.arange(m)]
+        cols = col_order[col_start[blocks][:, None] + np.arange(n)]
+        groups.append((rows, cols, stack))
+    return groups
+
+
+def _top_frame_eigenvalue(duals: np.ndarray) -> float:
+    """Largest eigenvalue of the frame matrix of the rows of duals (N x d),
+    or the largest over a stack of such blocks."""
+    frame = np.swapaxes(duals, -1, -2) @ np.conj(duals)
+    return float(np.linalg.eigvalsh(frame)[..., -1].max())
 
 
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
@@ -456,17 +528,51 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     subspace extends the inverse by zero on the orthogonal complement of its
     range; its columns reproduce the restricted-inverse dual exactly. A
     projector built at another dimension is carried to the level.
+
+    For a family with a sparse rule the restricted analysis matrix C is
+    split into its connected blocks; after permuting rows and columns C is
+    block-diagonal, so its pseudo-inverse is the block-diagonal of the
+    blocks' pseudo-inverses. Blocks of one shape share one batched SVD.
+    Singular values at or below cutoff_ratio times the largest one over all
+    blocks are cut, and the Bessel estimate is the largest eigenvalue of the
+    duals' frame matrix, block-diagonal by the same split. Other families
+    take one dense SVD of C. Refuses when no singular value clears the
+    cutoff.
     """
-    c = analysis_matrix(family, level)
-    c[:, ~_kept(family, projector, level[0])] = 0.0
-    u, s, vh = np.linalg.svd(c, full_matrices=False)
-    cutoff = cutoff_ratio * float(s[0])
-    keep = s > cutoff
-    pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T   # d x N
-    duals = pinv.T
-    dual_frame = duals.T @ np.conj(duals)
-    bessel_est = float(np.linalg.eigvalsh(dual_frame)[-1])
-    smin = float(s[keep][-1])
+    _checked_ratio("cutoff_ratio", cutoff_ratio)
+    if family.sparse is None:
+        c = analysis_matrix(family, level)
+        c[:, ~_kept(family, projector, level[0])] = 0.0
+        u, s, vh = np.linalg.svd(c, full_matrices=False)
+        cutoff = cutoff_ratio * float(s[0])
+        cut = s > cutoff
+        if not cut.any():
+            raise SingularRestrictionError(float(s[0]) ** 2, cutoff ** 2)
+        pinv = (vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T   # d x N
+        duals = pinv.T
+        bessel_est = _top_frame_eigenvalue(duals)
+        smin = float(s[cut][-1])
+    else:
+        members = instantiate_sparse(family, level)
+        coords = np.flatnonzero(_kept(family, projector, level[0]))
+        c = members[:, coords].conj()
+        groups = [(rows, cols, np.linalg.svd(stack, full_matrices=False))
+                  for rows, cols, stack in _connected_blocks(c)]
+        top = max((float(s.max()) for _, _, (_, s, _) in groups), default=0.0)
+        cutoff = cutoff_ratio * top
+        if not top > cutoff:
+            raise SingularRestrictionError(top ** 2, cutoff ** 2)
+        duals = np.zeros(level[::-1], dtype=complex)
+        bessel_est, smin = 0.0, top
+        for rows, cols, (u, s, vh) in groups:
+            cut = s > cutoff
+            inv = np.divide(1.0, s, out=np.zeros_like(s), where=cut)
+            # the block's pseudo-inverse V S^+ U^H, transposed: members by rows
+            block = np.conj((u * inv[:, None, :]) @ vh)
+            duals[rows[:, :, None], coords[cols][:, None, :]] = block
+            bessel_est = max(bessel_est, _top_frame_eigenvalue(block))
+            if cut.any():
+                smin = min(smin, float(s[cut].min()))
     return DualFamily(duals, "pseudoinverse", level, bessel_est,
                       float(1.0 / smin ** 2), smin ** 2)
 
@@ -511,6 +617,7 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
+    _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
     tight = block.normalized(floor_ratio)
     vectors = np.zeros(level, dtype=complex)

@@ -14,7 +14,9 @@ from semiframe.core import (
     pairwise_sum, periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import ExponentialSystem, t_general
-from semiframe.families import scaled_basis_family, shared_direction_family
+from semiframe.families import (
+    orthonormal_family, scaled_basis_family, shared_direction_family,
+)
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
 )
@@ -174,6 +176,16 @@ def _t_general_off_lattice():
 KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
 DIANA = shared_direction_family(0.0)
 DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
+# members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
+# every member vanishes, so no singular value clears any cutoff
+KEEPS_ONLY_E5 = Projector((0, 1, 2, 3), "analytic")
+DENSE_BASIS = VectorFamily(name="dense-basis",
+                           generator=lambda i, d: np.eye(d)[i - 1])
+# members e_1..e_4 at d = 6: the kept block is singular
+SPARSE_DEFICIENT = VectorFamily(
+    name="deficient-sparse",
+    sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
+RATIO = "must be finite and in [0, 1)"
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -216,6 +228,16 @@ def _projector_below_ladder_top():
 KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
 DIANA = shared_direction_family(0.0)
 DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
+# members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
+# every member vanishes, so no singular value clears any cutoff
+KEEPS_ONLY_E5 = Projector((0, 1, 2, 3), "analytic")
+DENSE_BASIS = VectorFamily(name="dense-basis",
+                           generator=lambda i, d: np.eye(d)[i - 1])
+# members e_1..e_4 at d = 6: the kept block is singular
+SPARSE_DEFICIENT = VectorFamily(
+    name="deficient-sparse",
+    sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
+RATIO = "must be finite and in [0, 1)"
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -272,6 +294,28 @@ DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
         VectorFamily(name="dense-nan",
                      generator=lambda i, d: np.full(d, np.nan)), (4, 4)),
      "family members must be finite"),
+    (lambda: dual_via_pseudoinverse(orthonormal_family(), (5, 4), KEEPS_ONLY_E5),
+     "restricted frame matrix singular"),
+    (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), KEEPS_ONLY_E5),
+     "restricted frame matrix singular"),
+    (lambda: canonical_dual(SPARSE_DEFICIENT, (6, 4), floor_ratio=np.nan),
+     "floor_ratio " + RATIO),
+    (lambda: parseval_canonical(SPARSE_DEFICIENT, (6, 4), floor_ratio=np.nan),
+     "floor_ratio " + RATIO),
+    (lambda: parseval_canonical(DIANA, (9, 8), floor_ratio=-1.0),
+     "floor_ratio " + RATIO),
+    (lambda: canonical_dual(DIANA, (9, 8), floor_ratio=1.0),
+     "floor_ratio " + RATIO),
+    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), cutoff_ratio=2.0),
+     "cutoff_ratio " + RATIO),
+    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), cutoff_ratio=np.nan),
+     "cutoff_ratio " + RATIO),
+    (lambda: dual_via_pseudoinverse(orthonormal_family(), (5, 4),
+                                    Projector((0,), "analytic"),
+                                    cutoff_ratio=-1e-3),
+     "cutoff_ratio " + RATIO),
+    (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), cutoff_ratio=np.inf),
+     "cutoff_ratio " + RATIO),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -284,15 +328,21 @@ DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
         "parseval-projector-keeps-nothing",
         "pseudoinverse-projector-keeps-nothing",
         "projector-negative-coordinate", "sparse-family-nan-member",
-        "sparse-family-inf-member", "dense-family-nan-member"])
+        "sparse-family-inf-member", "dense-family-nan-member",
+        "pseudoinverse-nothing-above-cutoff",
+        "pseudoinverse-dense-nothing-above-cutoff",
+        "canonical-dual-floor-nan", "parseval-floor-nan",
+        "parseval-floor-negative", "canonical-dual-floor-1",
+        "pseudoinverse-cutoff-2", "pseudoinverse-cutoff-nan",
+        "pseudoinverse-cutoff-negative", "pseudoinverse-dense-cutoff-inf"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported inside the banded helpers, so the package's import
-    # time does not pay for it
+    # scipy is imported inside the banded helpers and the block-wise
+    # pseudo-inverse, so the package's import time does not pay for it
     code = ("import sys, semiframe; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")

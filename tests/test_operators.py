@@ -9,10 +9,10 @@ from semiframe.families import (
     scaled_basis_family, seeded_dense_family, shared_direction_family,
 )
 from semiframe.operators import (
-    Projector, SingularRestrictionError, adjoint_gap, analysis, canonical_dual,
-    dual_via_pseudoinverse, frame_action, frame_matrix, lower_bound,
-    parseval_canonical, permutation_gap, projector_for, reconstruct, s_apply,
-    synthesis, w_membership,
+    PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
+    analysis, canonical_dual, dual_via_pseudoinverse, frame_action,
+    frame_matrix, lower_bound, parseval_canonical, permutation_gap,
+    projector_for, reconstruct, s_apply, synthesis, w_membership,
 )
 
 LINK_LEVEL = (65, 64)
@@ -362,6 +362,144 @@ def test_lower_bound_far_beyond_the_dense_limit(monkeypatch):
     per_level, verdict = lower_bound(shared_direction_family(1.0), ladder)
     assert [lam for _, lam in per_level] == [4.0, 4.0, 4.0]
     assert verdict.kind == "Convergent"
+
+
+# ---------------------------------------------------------------------------
+# the block-wise pseudo-inverse against the whole-matrix SVD
+
+
+def _pinv_oracle(fam, level, projector=None, cutoff_ratio=PINV_CUTOFF_RATIO):
+    """One dense SVD of the whole restricted analysis matrix: duals, their
+    frame matrix's top eigenvalue and s_min^2."""
+    c = np.conj(instantiate(fam, level))
+    c[:, ~(projector or projector_for(fam, level[0])).kept(level[0])] = 0.0
+    u, s, vh = np.linalg.svd(c, full_matrices=False)
+    keep = s > cutoff_ratio * float(s[0])
+    pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
+    duals = pinv.T
+    bessel = float(np.linalg.eigvalsh(duals.T @ np.conj(duals))[-1])
+    return duals, bessel, float(s[keep][-1]) ** 2
+
+
+def _sparse_family(name, table):
+    """A sparse family whose member i is table[i - 1] = {coordinate: value}."""
+    def sparse(idx):
+        row = table[idx - 1]
+        return (np.array(list(row), dtype=int),
+                np.array(list(row.values()), dtype=complex))
+    return VectorFamily(name=name, sparse=sparse)
+
+
+# blocks (members x kept coordinates): 3x2 on e_5, e_6 (members 1, 3, 8);
+# 1x1 on e_1 (member 2); 2x1 on e_4 (members 4, 7); 1x2 on e_2, e_9
+# (member 6). Member 5 lives on the removed e_7 only, and no member
+# touches the kept e_3 and e_8.
+MIXED_BLOCKS = _sparse_family("mixed-blocks", [
+    {4: 1.0, 5: 2.0}, {0: 2.0}, {4: 0.5j, 5: -1.0}, {3: 1.0}, {6: 1.5},
+    {8: 1.0, 1: 3.0 - 1j}, {3: 2.0j}, {4: 3.0, 5: 1.0 + 1.0j}])
+MIXED_PROJECTOR = Projector((6,), "analytic")
+
+
+def _record_svd_shapes(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+PINV_CASES = [
+    pytest.param(shared_direction_family(1.0), (n + 1, n), None,
+                 id=f"growing-{n}") for n in (256, 512, 1024)] + [
+    pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
+    pytest.param(shared_direction_family(1.0),
+                 default_ladder(shared_direction_family(1.0), base=64,
+                                depth=4).top, None, id="stoeva-top"),
+    pytest.param(interleaved_difference_family(), (129, 257), None,
+                 id="interleaved-one-block"),
+    pytest.param(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR, id="mixed-blocks"),
+]
+
+
+@pytest.mark.parametrize("fam, level, proj", PINV_CASES)
+def test_blockwise_pseudoinverse_matches_whole_svd(fam, level, proj):
+    duals, bessel, lower = _pinv_oracle(fam, level, proj)
+    pinv = dual_via_pseudoinverse(fam, level, proj)
+    assert np.abs(pinv.vectors - duals).max() <= 1e-12
+    assert abs(pinv.bessel_bound_estimate - bessel) <= 1e-12 * bessel
+    assert abs(pinv.lower_bound - lower) <= 1e-12 * lower
+    assert pinv.bessel_bound_theoretical == 1.0 / pinv.lower_bound
+
+
+def test_mixed_blocks_shapes_and_zeros(monkeypatch):
+    shapes = _record_svd_shapes(monkeypatch)
+    pinv = dual_via_pseudoinverse(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR)
+    assert sorted(shapes) == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 2)]
+    # the member off the kept coordinates has a zero dual, and no dual
+    # reaches the removed or untouched coordinates
+    assert not pinv.vectors[4].any()
+    assert not pinv.vectors[:, [2, 6, 7]].any()
+
+
+def test_interleaved_family_is_one_block(monkeypatch):
+    shapes = _record_svd_shapes(monkeypatch)
+    dual_via_pseudoinverse(interleaved_difference_family(), (129, 257))
+    assert shapes == [(1, 257, 129)]
+
+
+def test_growing_family_sends_only_unit_blocks_to_svd(monkeypatch):
+    shapes = _record_svd_shapes(monkeypatch)
+    dual_via_pseudoinverse(shared_direction_family(1.0), (1025, 1024))
+    assert shapes == [(1024, 1, 1)]
+
+
+def test_cutoff_is_global_over_blocks():
+    # two 1x1 blocks: 1e-11 is below 1e-10 times the largest singular
+    # value (1), though not below that fraction of its own block's
+    fam = _sparse_family("two-scales", [{0: 1.0}, {1: 1e-11}])
+    duals, bessel, lower = _pinv_oracle(fam, (2, 2))
+    pinv = dual_via_pseudoinverse(fam, (2, 2))
+    assert np.array_equal(pinv.vectors, duals)
+    assert np.array_equal(pinv.vectors, np.diag([1.0, 0.0]).astype(complex))
+    assert pinv.lower_bound == lower == 1.0
+    assert pinv.bessel_bound_estimate == bessel == 1.0
+    # kept under a cutoff that clears it
+    kept = dual_via_pseudoinverse(fam, (2, 2), cutoff_ratio=1e-12)
+    assert kept.vectors[1, 1] == pytest.approx(1e11, rel=1e-15)
+
+
+def test_bessel_estimate_reads_the_returned_duals(monkeypatch):
+    # an SVD whose left factor comes back doubled doubles every dual; the
+    # estimate is measured on the duals, so it sees the fault where
+    # 1 / s_min^2 would not
+    svd = np.linalg.svd
+
+    def doubled(a, *args, **kwargs):
+        u, s, vh = svd(a, *args, **kwargs)
+        return 2 * u, s, vh
+    monkeypatch.setattr(np.linalg, "svd", doubled)
+    for fam, level, proj in ((shared_direction_family(1.0), (257, 256), None),
+                             (MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR),
+                             (seeded_dense_family(3), (16, 32), None)):
+        pinv = dual_via_pseudoinverse(fam, level, proj)
+        v = pinv.vectors
+        top = np.linalg.eigvalsh(v.T @ np.conj(v))[-1]
+        assert pinv.bessel_bound_estimate == pytest.approx(top, rel=1e-12)
+        assert pinv.bessel_bound_estimate == pytest.approx(
+            4 * pinv.bessel_bound_theoretical, rel=1e-12)
+
+
+def test_seeded_dense_keeps_the_dense_svd_bit_for_bit():
+    fam = seeded_dense_family(7)
+    level = (256, 512)
+    duals, bessel, lower = _pinv_oracle(fam, level)
+    pinv = dual_via_pseudoinverse(fam, level)
+    assert np.array_equal(pinv.vectors, duals)
+    assert pinv.bessel_bound_estimate == bessel
+    assert pinv.lower_bound == lower
 
 
 # ---------------------------------------------------------------------------
