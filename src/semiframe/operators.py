@@ -217,12 +217,8 @@ def _trace_from_weighted_rows(weighted: np.ndarray, ordering: np.ndarray,
     return running, trace
 
 
-def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
-              ordering: np.ndarray | None = None,
-              window: float = STABILIZATION_WINDOW):
-    """Partial sums sum_n c_n member_n in the given order, with trace; the
-    ordering must be a permutation of range(N)."""
-    x = instantiate(family, level)
+def _partial_sums(x: np.ndarray, coeffs: np.ndarray, ordering, window: float):
+    """Partial sums of coeffs_n x_n in the given order, with trace."""
     coeffs = np.asarray(coeffs, dtype=complex)
     n = x.shape[0]
     order = np.arange(n) if ordering is None else np.asarray(ordering)
@@ -232,13 +228,22 @@ def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
     return _trace_from_weighted_rows(weighted, order, window)
 
 
+def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
+              ordering: np.ndarray | None = None,
+              window: float = STABILIZATION_WINDOW):
+    """Partial sums sum_n c_n member_n in the given order, with trace; the
+    ordering must be a permutation of range(N)."""
+    return _partial_sums(instantiate(family, level), coeffs, ordering, window)
+
+
 def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
             ordering: np.ndarray | None = None,
             window: float = STABILIZATION_WINDOW):
     """Order-dependent partial sums of sum_n <f, member_n> member_n; a probe
     of another length is truncated or continues by zero."""
-    coeffs = analysis_matrix(family, level) @ _fit_dim(f, level[0])
-    return synthesis(family, coeffs, level, ordering=ordering, window=window)
+    x = instantiate(family, level)
+    coeffs = np.conj(x) @ _fit_dim(f, level[0])
+    return _partial_sums(x, coeffs, ordering, window)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +302,9 @@ class _KeptBlock:
     G is held in LAPACK's lower banded storage when its measured bandwidth
     is at most BAND_CUTOFF, and read through the banded routines; otherwise
     M and G are dense and read through numpy's eigh. A diagonal G scales
-    each row of M, so G^{-1} M, G^{-1/2} M and G's eigenvectors keep one
-    entry per nonzero of M and stay CSR; under a wider band they fill in,
-    and so do the blocks built from them.
+    each row of M, so G^{-1} M and G^{-1/2} M are read off the diagonal, keep
+    one entry per nonzero of M and stay CSR; under a wider band they fill
+    in, and so do the blocks built from them.
     """
 
     def __init__(self, members):
@@ -332,13 +337,15 @@ class _KeptBlock:
         m = self.members
         return m if isinstance(m, np.ndarray) else m.toarray()
 
-    def _held(self, a):
-        """a as CSR when G is diagonal and M sparse, else as it is."""
-        from scipy import sparse
+    def _diagonal(self, floor_ratio: float) -> np.ndarray:
+        """The diagonal of a diagonal G; refuses a numerically singular G."""
+        g = self.band[0].real
+        _above_floor(float(g.min()), float(g.max()), floor_ratio)
+        return g
 
-        if self.bandwidth == 0 and sparse.issparse(self.members):
-            return sparse.csr_array(a)
-        return a
+    def _rows_scaled(self, scale: np.ndarray) -> "_KeptBlock":
+        from scipy import sparse
+        return _KeptBlock(sparse.diags_array(scale) @ self.members)
 
     def lowest(self) -> float:
         if self.band is None:
@@ -363,27 +370,26 @@ class _KeptBlock:
             w, v = np.linalg.eigh(self.dense)
             lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
             return _KeptBlock((v / w) @ v.conj().T @ self.members), lo
+        if self.bandwidth == 0:
+            # G^{-1} M is M with row i scaled by 1/g_i
+            g = self._diagonal(floor_ratio)
+            return self._rows_scaled(1.0 / g), float(g.min())
         from scipy.linalg import solveh_banded
         lo = _above_floor(*self.extremes(), floor_ratio)
         z = solveh_banded(self.band, self.dense_members(), lower=True)
-        return _KeptBlock(self._held(z)), lo
+        return _KeptBlock(z), lo
 
     def normalized(self, floor_ratio: float) -> "_KeptBlock":
         """Block of G^{-1/2} M; refuses a numerically singular G."""
         if self.bandwidth == 0:
             # G's eigenpairs are its diagonal and the unit vectors, so
             # G^{-1/2} M is M with row i scaled by 1/sqrt(g_i)
-            from scipy import sparse
-            g = self.band[0].real
-            _above_floor(float(g.min()), float(g.max()), floor_ratio)
-            return _KeptBlock(sparse.diags_array(1.0 / np.sqrt(g))
-                              @ self.members)
+            return self._rows_scaled(1.0 / np.sqrt(self._diagonal(floor_ratio)))
         if self.band is None:
             w, v = np.linalg.eigh(self.dense)
         else:
             from scipy.linalg import eig_banded
             w, v = eig_banded(self.band, lower=True)
-            v = self._held(v)
         _above_floor(float(w[0]), float(w[-1]), floor_ratio)
         inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
         return _KeptBlock(inv_sqrt @ self.members)

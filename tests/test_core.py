@@ -186,6 +186,9 @@ SPARSE_DEFICIENT = VectorFamily(
     name="deficient-sparse",
     sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
 RATIO = "must be finite and in [0, 1)"
+INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
+HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
+TAIL_TERMS = "tail_terms must be a whole number >= 1"
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -238,6 +241,9 @@ SPARSE_DEFICIENT = VectorFamily(
     name="deficient-sparse",
     sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
 RATIO = "must be finite and in [0, 1)"
+INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
+HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
+TAIL_TERMS = "tail_terms must be a whole number >= 1"
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -261,6 +267,11 @@ RATIO = "must be finite and in [0, 1)"
      "grid step must be finite and positive"),
     (lambda: pphi(TranslateSystem(unit_indicator_profile(), 1.0), m=0),
      "grid needs at least two nodes"),
+    (lambda: pphi(INDICATOR, tail_terms=np.inf), TAIL_TERMS),
+    (lambda: pphi(INDICATOR, tail_terms=np.nan), TAIL_TERMS),
+    (lambda: pphi(INDICATOR, tail_terms=-5), TAIL_TERMS),
+    (lambda: pphi(HAT, m=64, tail_terms=0), TAIL_TERMS),
+    (lambda: pphi(INDICATOR, m=64, tail_terms=2.5), TAIL_TERMS),
     (lambda: canonical_dual(shared_direction_family(0.0), (1, 0)),
      "a level needs at least one member"),
     (lambda: dual_via_pseudoinverse(shared_direction_family(0.0), (1, 0)),
@@ -319,7 +330,9 @@ RATIO = "must be finite and in [0, 1)"
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
-        "line-grid-negative-step", "pphi-grid-0", "canonical-dual-no-members",
+        "line-grid-negative-step", "pphi-grid-0", "pphi-tail-inf",
+        "pphi-tail-nan", "pphi-tail-negative", "pphi-hat-tail-0",
+        "pphi-tail-fractional", "canonical-dual-no-members",
         "pseudoinverse-no-members", "projector-d-below-ladder-top",
         "a2-weight-without-level-kernel", "profile-tail-exponent-1",
         "profile-tail-exponent-nan", "profile-support-reversed",

@@ -8,9 +8,10 @@ from semiframe.families import (
     decaying_probe, interleaved_difference_family, orthonormal_family,
     scaled_basis_family, seeded_dense_family, shared_direction_family,
 )
+from semiframe import operators
 from semiframe.operators import (
     PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
-    analysis, canonical_dual, dual_via_pseudoinverse, frame_action,
+    analysis, analysis_matrix, canonical_dual, dual_via_pseudoinverse, frame_action,
     frame_matrix, lower_bound, parseval_canonical, permutation_gap,
     projector_for, reconstruct, s_apply, synthesis, w_membership,
 )
@@ -214,6 +215,29 @@ def test_s_apply_ordering_dependence():
     assert np.abs(natural.prefix_norms - flipped.prefix_norms).max() > 0.1
 
 
+@pytest.mark.parametrize("fam, level", [
+    (interleaved_difference_family(), (130, 257)),
+    (seeded_dense_family(3), (48, 96)),
+    (shared_direction_family(1.0), (65, 64)),
+], ids=["interleaved", "seeded-dense", "growing"])
+def test_s_apply_is_analysis_then_synthesis(fam, level, monkeypatch):
+    f = decaying_probe(level[0], -0.6)
+    order = np.random.default_rng(11).permutation(level[1])
+    for ordering in (None, order):
+        coeffs = analysis_matrix(fam, level) @ f
+        ref_vec, ref = synthesis(fam, coeffs, level, ordering=ordering)
+        calls = []
+        real_instantiate = operators.instantiate
+        with monkeypatch.context() as mp:
+            mp.setattr(operators, "instantiate",
+                       lambda *a: calls.append(a) or real_instantiate(*a))
+            vec, trace = s_apply(fam, f, level, ordering=ordering)
+        assert len(calls) == 1
+        assert np.array_equal(vec, ref_vec)
+        assert np.array_equal(trace.prefix_norms, ref.prefix_norms)
+        assert trace.variation == ref.variation
+
+
 def test_w_membership_split_domains():
     fam = interleaved_difference_family()
     ladder = TruncationLadder(((66, 131), (130, 259), (258, 515), (514, 1027)))
@@ -292,6 +316,26 @@ def test_banded_block_matches_dense_oracle(fam, level, proj, monkeypatch):
     per_level, _ = lower_bound(fam, ladder, proj)
     lam = per_level[1][1]
     assert abs(lam - w[0]) <= 1e-12 * w[0]
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_diagonal_block_inverse_scales_rows(n, monkeypatch):
+    # on a diagonal kept block G^{-1} M is M with row i scaled by 1/g_i
+    from scipy import linalg, sparse
+
+    fam, level = shared_direction_family(1.0), (n + 1, n)
+    w, duals, bessel, _, _ = _dense_oracle(fam, level)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solveh_banded on a diagonal kept block")
+    monkeypatch.setattr(linalg, "solveh_banded", refuse)
+    _, block = operators._restricted_spectrum(fam, level, None)
+    dual_block, lam = block.inverse(operators.EIG_FLOOR_RATIO)
+    assert block.bandwidth == 0 and isinstance(dual_block.members, sparse.csr_array)
+    assert lam == w[0]
+    dual = canonical_dual(fam, level)
+    assert np.abs(dual.vectors - duals).max() <= 1e-12
+    assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
 
 
 def test_interleaved_tridiagonal_lower_bound(monkeypatch):

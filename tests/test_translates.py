@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
+from semiframe import translates
 from semiframe.core import line_grid
 from semiframe.translates import (
-    FourierProfile, TranslateSystem, analysis_translates, bracket,
+    CLOSED_TAIL_TERMS, FourierProfile, TranslateSystem, analysis_translates, bracket,
     brute_apply, canonical_dual_translates, classify_translates,
     hurwitz_zeta, line_window, modulation_sum, pphi, plateau_band_system,
     raised_cosine_profile, reconstruct_translates, unit_indicator_profile,
@@ -47,8 +50,26 @@ def test_pphi_indicator_closed_tail_flat_over_sweep():
         grid, rep = pphi(INDICATOR, m=64, tail_terms=k)
         assert np.abs(grid.values - 1.0).max() <= 1e-14
         assert rep.extrapolated
-        # the correction at gamma = 1/2 is (1/pi^2) 2 zeta(2, K + 1/2) ~ 2/(pi^2 K)
-        assert abs(rep.tail_gap * np.pi ** 2 * k / 2.0 - 1.0) < 1.0 / k
+        # the closed tail starts after |n| <= min(K, CLOSED_TAIL_TERMS); its
+        # correction at gamma = 1/2 is (1/pi^2) 2 zeta(2, K + 1/2) ~ 2/(pi^2 K)
+        kc = min(k, CLOSED_TAIL_TERMS)
+        assert abs(rep.tail_gap * np.pi ** 2 * kc / 2.0 - 1.0) < 1.0 / kc
+
+
+def test_closed_tail_caps_the_explicit_terms():
+    prof = unit_indicator_profile()
+    points = []
+
+    def counted(x):
+        points.append(x.size)
+        return prof.energy(x)
+
+    m = 256
+    system = TranslateSystem(
+        FourierProfile(prof.name, prof.fn, energy=counted, tail=prof.tail), 1.0)
+    grid, _ = pphi(system, m=m, tail_terms=10 ** 4)
+    assert sum(points) == (2 * CLOSED_TAIL_TERMS + 1) * m
+    assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5])
@@ -237,3 +258,77 @@ def test_plateau_band_known_p_matches_weight_ladder():
 def test_system_validation():
     with pytest.raises(ValueError):
         TranslateSystem(raised_cosine_profile(), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the alias blocks on several threads against one thread
+
+
+def _hat_profile():
+    return FourierProfile("hat", lambda g: np.sinc(g) ** 2)
+
+
+def _indicator_probe(xi):
+    xi = np.asarray(xi, dtype=float)
+    return (1.0 + 0.5 * np.exp(2j * np.pi * xi)) * INDICATOR.profile(xi)
+
+
+def _on_workers(workers, monkeypatch, call):
+    with monkeypatch.context() as mp:
+        mp.setattr(translates, "_WORKERS", workers)
+        return call()
+
+
+PARALLEL_CASES = {
+    "pphi-hat": lambda: pphi(TranslateSystem(_hat_profile(), 1.0),
+                             m=128, tail_terms=1000)[0].values,
+    "pphi-indicator-a1": lambda: pphi(INDICATOR, m=128,
+                                      tail_terms=1000)[0].values,
+    "pphi-indicator-a0.5": lambda: pphi(
+        TranslateSystem(unit_indicator_profile(), 0.5), m=128,
+        tail_terms=1000)[0].values,
+    "pphi-indicator-off-lattice": lambda: pphi(
+        TranslateSystem(unit_indicator_profile(), 2.0 / 3.0), m=128,
+        tail_terms=1000)[0].values,
+    "pphi-raised-cosine": lambda: pphi(COSINE, m=128)[0].values,
+    "bracket-indicator": lambda: bracket(INDICATOR, _indicator_probe, m=128,
+                                         tail_terms=500).values,
+    "reconstruct-indicator": lambda: reconstruct_translates(
+        INDICATOR, _indicator_probe, m=128, cover=4.0,
+        tail_terms=500).coeffs.values,
+}
+
+
+@pytest.mark.parametrize("case", PARALLEL_CASES)
+def test_alias_blocks_on_threads_are_bit_identical(case, monkeypatch):
+    one = _on_workers(1, monkeypatch, PARALLEL_CASES[case])
+    # four workers take the pool even on a single-CPU host
+    many = _on_workers(4, monkeypatch, PARALLEL_CASES[case])
+    assert np.array_equal(one, many)
+
+
+def test_blocks_reduce_in_block_order_not_completion_order(monkeypatch):
+    # the first block finishes last; its sum must still come first
+    def fn(g):
+        if g.min() == -200.0:
+            time.sleep(0.05)
+        return np.sinc(g) ** 2
+    system = TranslateSystem(FourierProfile("slow-first", fn), 1.0)
+
+    def run():
+        return pphi(system, m=64, tail_terms=200)[0].values
+    assert np.array_equal(_on_workers(1, monkeypatch, run),
+                          _on_workers(4, monkeypatch, run))
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_error_in_a_block_surfaces(workers, monkeypatch):
+    # with K = 200 the blocks start at n = -200, -136, -72, ...
+    def fn(g):
+        if g.min() == -72.0:
+            raise ValueError("profile refuses the third block")
+        return np.sinc(g) ** 2
+    system = TranslateSystem(FourierProfile("third-block", fn), 1.0)
+    with pytest.raises(ValueError, match="refuses the third block"):
+        _on_workers(workers, monkeypatch,
+                    lambda: pphi(system, m=64, tail_terms=200))
