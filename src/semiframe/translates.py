@@ -174,18 +174,23 @@ def hurwitz_zeta(s: float, q) -> np.ndarray:
     return total
 
 
-# one alias-block worker per CPU this process may run on
+# one alias-block worker per CPU this process may run on, at most
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# bytes of block arguments held by all workers at once; each worker keeps a
+# few arrays of its argument's size alive (37.5 MB for the hat profile at
+# m = 2^14), so this caps the extra peak memory of one alias sum whatever
+# the CPU count: two workers at m = 2^14, one from m = 2^15 on
+ALIAS_MEMORY = 2 ** 24
 
 
 def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
     """sum over n in [n_lo, n_hi] of term((gamma+n)/a), accumulated in blocks
     with a deterministic pairwise reduction.
 
-    Blocks are independent, so they run on one thread per CPU; their sums
-    are reduced in block order, which keeps every value bit-identical to a
-    serial run.
+    Blocks are independent, so they run on one thread per CPU, as far as
+    ALIAS_MEMORY allows; their sums are reduced in block order, which keeps
+    every value bit-identical to a serial run.
     """
     ns = np.arange(n_lo, n_hi + 1)
 
@@ -194,11 +199,13 @@ def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
         return term(arg).sum(axis=0)
 
     starts = range(0, ns.size, ALIAS_BLOCK)
-    if _WORKERS == 1 or len(starts) == 1:
+    workers = min(_WORKERS, len(starts),
+                  max(1, ALIAS_MEMORY // (ALIAS_BLOCK * gamma.nbytes)))
+    if workers == 1:
         return pairwise_sum([block_sum(start) for start in starts])
     # imported on first use: it would add about 9 ms to `import semiframe`
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(min(_WORKERS, len(starts))) as pool:
+    with ThreadPoolExecutor(workers) as pool:
         return pairwise_sum(list(pool.map(block_sum, starts)))
 
 

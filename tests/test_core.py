@@ -172,25 +172,6 @@ def _t_general_off_lattice():
     t_general(system, np.ones(64))
 
 
-# removes every coordinate of the diana level (9, 8)
-KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
-DIANA = shared_direction_family(0.0)
-DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
-# members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
-# every member vanishes, so no singular value clears any cutoff
-KEEPS_ONLY_E5 = Projector((0, 1, 2, 3), "analytic")
-DENSE_BASIS = VectorFamily(name="dense-basis",
-                           generator=lambda i, d: np.eye(d)[i - 1])
-# members e_1..e_4 at d = 6: the kept block is singular
-SPARSE_DEFICIENT = VectorFamily(
-    name="deficient-sparse",
-    sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
-RATIO = "must be finite and in [0, 1)"
-INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
-HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
-TAIL_TERMS = "tail_terms must be a whole number >= 1"
-
-
 @pytest.mark.parametrize("call, precondition", [
     (_periodize_off_lattice, "period must be an integer number of grid steps"),
     (_walnut_off_lattice, "grid step must subdivide the dual period 1/a"),

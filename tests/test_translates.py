@@ -1,4 +1,6 @@
+import concurrent.futures
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -273,24 +275,29 @@ def _indicator_probe(xi):
     return (1.0 + 0.5 * np.exp(2j * np.pi * xi)) * INDICATOR.profile(xi)
 
 
-def _on_workers(workers, monkeypatch, call):
+def _on_workers(workers, monkeypatch, call, pools=None):
+    """call() with the worker count patched; the size of every thread pool
+    the alias sums open is appended to pools."""
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            if pools is not None:
+                pools.append(max_workers)
+            super().__init__(max_workers)
     with monkeypatch.context() as mp:
         mp.setattr(translates, "_WORKERS", workers)
+        mp.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
         return call()
 
 
 PARALLEL_CASES = {
     "pphi-hat": lambda: pphi(TranslateSystem(_hat_profile(), 1.0),
                              m=128, tail_terms=1000)[0].values,
-    "pphi-indicator-a1": lambda: pphi(INDICATOR, m=128,
-                                      tail_terms=1000)[0].values,
-    "pphi-indicator-a0.5": lambda: pphi(
-        TranslateSystem(unit_indicator_profile(), 0.5), m=128,
-        tail_terms=1000)[0].values,
     "pphi-indicator-off-lattice": lambda: pphi(
         TranslateSystem(unit_indicator_profile(), 2.0 / 3.0), m=128,
         tail_terms=1000)[0].values,
-    "pphi-raised-cosine": lambda: pphi(COSINE, m=128)[0].values,
+    # step 40 overlaps 83 shifts of the support (-1, 1): two blocks
+    "pphi-raised-cosine": lambda: pphi(
+        TranslateSystem(raised_cosine_profile(), 40.0), m=128)[0].values,
     "bracket-indicator": lambda: bracket(INDICATOR, _indicator_probe, m=128,
                                          tail_terms=500).values,
     "reconstruct-indicator": lambda: reconstruct_translates(
@@ -301,10 +308,24 @@ PARALLEL_CASES = {
 
 @pytest.mark.parametrize("case", PARALLEL_CASES)
 def test_alias_blocks_on_threads_are_bit_identical(case, monkeypatch):
-    one = _on_workers(1, monkeypatch, PARALLEL_CASES[case])
+    serial, pooled = [], []
+    one = _on_workers(1, monkeypatch, PARALLEL_CASES[case], serial)
     # four workers take the pool even on a single-CPU host
-    many = _on_workers(4, monkeypatch, PARALLEL_CASES[case])
+    many = _on_workers(4, monkeypatch, PARALLEL_CASES[case], pooled)
+    assert serial == [] and pooled
     assert np.array_equal(one, many)
+
+
+def test_pool_size_is_capped_by_the_memory_budget(monkeypatch):
+    # at m = 2^14 a 64-row block argument is 8 MiB; a 64-CPU host still
+    # gets only the workers whose arguments fit ALIAS_MEMORY
+    m = 2 ** 14
+    cap = translates.ALIAS_MEMORY // (translates.ALIAS_BLOCK * 8 * m)
+    pools = []
+    _on_workers(64, monkeypatch,
+                lambda: pphi(TranslateSystem(_hat_profile(), 1.0), m=m,
+                             tail_terms=100), pools)
+    assert pools and max(pools) == cap == 2
 
 
 def test_blocks_reduce_in_block_order_not_completion_order(monkeypatch):
