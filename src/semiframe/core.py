@@ -23,6 +23,7 @@ CONVERGENCE_REL_TOL = 1e-9      # successive-difference stabilization window
 DIVERGENCE_EXPONENT = 0.1      # fitted log-log slope above this means growth
 DIVERGENCE_R2 = 0.99           # fit quality required to declare divergence
 CONTRACTION_RATIO = 0.95       # difference ratios below this allow extrapolation
+PHASE_BLOCK = 2 ** 16          # phase entries one block of an explicit sum holds
 
 
 def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
@@ -41,6 +42,17 @@ def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
         if len(block) == 64:
             block = [np.sum(np.stack(block), axis=0)]
     return np.sum(np.stack(block), axis=0) if len(block) > 1 else block[0]
+
+
+def phase_blocks(rows: np.ndarray, cols: np.ndarray, order: int):
+    """exp(2 pi i r c / order) over integer rows r and columns c, in blocks
+    (rows_slice, block) of at most PHASE_BLOCK entries (or one row), read off
+    the order-th roots of unity at (r c) mod order so no argument grows."""
+    roots = np.exp(2j * np.pi * np.arange(order) / order)
+    step = max(1, PHASE_BLOCK // max(cols.size, 1))
+    for lo in range(0, rows.size, step):
+        idx = np.multiply.outer(rows[lo:lo + step], cols) % order
+        yield slice(lo, lo + step), roots[idx]
 
 
 # ---------------------------------------------------------------------------

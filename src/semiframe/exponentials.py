@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, VectorFamily, frame_verdict, tail_diagnostic,
-    whole_count,
+    NO, UNDECIDED, YES, VectorFamily, frame_verdict, phase_blocks,
+    tail_diagnostic, whole_count,
 )
 from .muckenhoupt import (
     IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
@@ -198,15 +198,20 @@ def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
     """
     if system.b != 1.0:
         raise ValueError("biorthogonality holds at critical density b = 1 only")
-    x = system.grid()
-    g = system.g_values()
-    dual = canonical_dual_values(system)
+    gram = _dual_gram(system, n_max)
+    return float(np.abs(gram - np.eye(len(gram))).max())
+
+
+def _dual_gram(system: ExponentialSystem, n_max: int) -> np.ndarray:
+    """<dual_j, member_k> over |j|, |k| <= n_max, summed over blocks of nodes
+    x_i = (2i + 1) / 2M (rows) by frequencies (columns), where
+    exp(2 pi i n x_i) is the 2M-th root of unity at n (2i + 1) mod 2M."""
+    g, dual = system.g_values(), canonical_dual_values(system)
     ns = np.arange(-n_max, n_max + 1)
-    exps = np.exp(2j * np.pi * np.outer(ns, x))        # rows: freq j
-    dual_rows = dual * exps
-    member_rows = g * exps
-    gram = (dual_rows @ member_rows.conj().T) / system.m
-    return float(np.abs(gram - np.eye(ns.size)).max())
+    gram = np.zeros((ns.size, ns.size), dtype=complex)
+    for at, exps in phase_blocks(2 * np.arange(system.m) + 1, ns, 2 * system.m):
+        gram += (dual[at, None] * exps).T @ (g[at, None] * exps).conj()
+    return gram / system.m
 
 
 # ---------------------------------------------------------------------------

@@ -300,11 +300,11 @@ class _KeptBlock:
     """The Hermitian block G = M M^H of r x N members M (CSR or dense).
 
     G is held in LAPACK's lower banded storage when its measured bandwidth
-    is at most BAND_CUTOFF, and read through the banded routines; otherwise
-    M and G are dense and read through numpy's eigh. A diagonal G scales
-    each row of M, so G^{-1} M and G^{-1/2} M are read off the diagonal, keep
-    one entry per nonzero of M and stay CSR; under a wider band they fill
-    in, and so do the blocks built from them.
+    is at most BAND_CUTOFF, and its eigenvalues are read through the banded
+    routines; otherwise M and G are dense and read through numpy's eigh. A
+    diagonal G scales each row of M, so G^{-1} M and G^{-1/2} M are read off
+    the diagonal, keep one entry per nonzero of M and stay CSR; under any
+    wider band they come from dense eigh of G, formed on demand, and fill in.
     """
 
     def __init__(self, members):
@@ -363,36 +363,17 @@ class _KeptBlock:
             w = eigvals_banded(self.band, lower=True)
         return float(w[0]), float(w[-1])
 
-    def inverse(self, floor_ratio: float) -> tuple:
-        """(block of G^{-1} M, smallest eigenvalue of G); refuses a
+    def inverse(self, floor_ratio: float, power: float = 1.0) -> tuple:
+        """(block of G^{-power} M, smallest eigenvalue of G); refuses a
         numerically singular G."""
-        if self.band is None:
-            w, v = np.linalg.eigh(self.dense)
-            lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
-            return _KeptBlock((v / w) @ v.conj().T @ self.members), lo
         if self.bandwidth == 0:
-            # G^{-1} M is M with row i scaled by 1/g_i
+            # G^{-power} M is M with row i scaled by g_i^{-power}
             g = self._diagonal(floor_ratio)
-            return self._rows_scaled(1.0 / g), float(g.min())
-        from scipy.linalg import solveh_banded
-        lo = _above_floor(*self.extremes(), floor_ratio)
-        z = solveh_banded(self.band, self.dense_members(), lower=True)
-        return _KeptBlock(z), lo
-
-    def normalized(self, floor_ratio: float) -> "_KeptBlock":
-        """Block of G^{-1/2} M; refuses a numerically singular G."""
-        if self.bandwidth == 0:
-            # G's eigenpairs are its diagonal and the unit vectors, so
-            # G^{-1/2} M is M with row i scaled by 1/sqrt(g_i)
-            return self._rows_scaled(1.0 / np.sqrt(self._diagonal(floor_ratio)))
-        if self.band is None:
-            w, v = np.linalg.eigh(self.dense)
-        else:
-            from scipy.linalg import eig_banded
-            w, v = eig_banded(self.band, lower=True)
-        _above_floor(float(w[0]), float(w[-1]), floor_ratio)
-        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-        return _KeptBlock(inv_sqrt @ self.members)
+            return self._rows_scaled(1.0 / g ** power), float(g.min())
+        m = self.dense_members()
+        w, v = np.linalg.eigh(m @ m.conj().T if self.dense is None else self.dense)
+        lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
+        return _KeptBlock((v / w ** power) @ v.conj().T @ m), lo
 
 
 def _checked_ratio(name: str, ratio: float) -> None:
@@ -625,7 +606,7 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     """
     _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
-    tight = block.normalized(floor_ratio)
+    tight, _ = block.inverse(floor_ratio, power=0.5)
     vectors = np.zeros(level, dtype=complex)
     vectors[keep] = tight.dense_members()
     lo, hi = tight.extremes()

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TruncationLadder, default_ladder, tail_diagnostic
+from .core import (
+    TruncationLadder, covering_shifts, default_ladder, line_grid,
+    periodization_gap, periodize, phase_blocks, tail_diagnostic,
+)
 from .families import (
     INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
@@ -36,7 +39,6 @@ from .exponentials import (
     defer_negatives_ordering, family_on_grid, reconstruct_exponentials,
     t_general, t_mult,
 )
-from .core import line_grid, periodize, periodization_gap, covering_shifts
 from .report import CheckResult, RunReport
 
 DEFAULT_SEED = 42
@@ -391,15 +393,16 @@ def _run_plateau_exp(seed=DEFAULT_SEED):
 
 
 def _even_frequency_direct(system, f_values):
-    """Member-by-member frame sum at density 2 over one full residue band."""
+    """Member-by-member frame sum at density 2 over one full residue band;
+    at x_i = (2i + 1) / 2M, exp(2 pi i 2n x_i) = exp(2 pi i n (2i + 1) / M)."""
     m = system.m
-    x = system.grid()
     g = system.g_values()
     h = np.conj(g) * np.asarray(f_values, dtype=complex)
-    ns = np.arange(-m // 4, m // 4)
-    phases = np.exp(2j * np.pi * 2.0 * np.outer(ns, x))
-    coeffs = (phases.conj() @ h) / m
-    return g * (phases.T @ coeffs)
+    out = np.zeros(m, dtype=complex)
+    for _, phases in phase_blocks(np.arange(-m // 4, m // 4),
+                                  2 * np.arange(m) + 1, m):
+        out += phases.T @ ((phases.conj() @ h) / m)
+    return g * out
 
 
 # ---------------------------------------------------------------------------

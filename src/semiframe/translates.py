@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, GridFunction, covering_shifts, frame_verdict,
-    line_grid, pairwise_sum, periodize, tail_diagnostic, whole_count,
+    line_grid, pairwise_sum, periodize, phase_blocks, tail_diagnostic,
+    whole_count,
 )
 from .muckenhoupt import plateau_weight
 
@@ -382,7 +383,8 @@ def walnut_apply(system: TranslateSystem, f_hat_grid: GridFunction) -> GridFunct
 def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
                 n_max: int) -> GridFunction:
     """Same operator by explicit coefficient quadrature and modulation sum,
-    truncated at shifts |n| <= n_max. Slow by design (cross-check route)."""
+    truncated at shifts |n| <= n_max. Slow by design (cross-check route):
+    each block of shifts meets every line node, with no fold by residue."""
     a = system.step
     h = f_hat_grid.step
     m = whole_count(1.0 / (a * h), LATTICE_STEP)
@@ -390,13 +392,10 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     phi_vals = system.profile(nodes)
     w = f_hat_grid.values * np.conj(phi_vals)
     j = f_hat_grid.index0 + np.arange(f_hat_grid.size)
-    ns = np.arange(-n_max, n_max + 1)
-    # exp(2 pi i n j / m) read off the m-th roots of unity at (n j) mod m
-    idx = np.multiply.outer(ns, j)
-    np.mod(idx, m, out=idx)
-    phases = np.exp(2j * np.pi * np.arange(m) / m)[idx]
-    coeffs = h * (phases @ w)
-    synth = np.conj(np.conj(coeffs) @ phases)
+    synth = np.zeros(f_hat_grid.size, dtype=complex)
+    for _, phases in phase_blocks(np.arange(-n_max, n_max + 1), j, m):
+        coeffs = h * (phases @ w)
+        synth += np.conj(np.conj(coeffs) @ phases)
     return line_grid(phi_vals * synth, h)
 
 

@@ -4,29 +4,34 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from semiframe import core
 from semiframe.core import (
     GridFunction, TruncationLadder, VectorFamily, covering_shifts, line_grid,
     pairwise_sum, periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
-from semiframe.exponentials import ExponentialSystem, t_general
+from semiframe.exponentials import (
+    ExponentialSystem, biorthogonality_gap, t_general,
+)
 from semiframe.families import (
     orthonormal_family, scaled_basis_family, shared_direction_family,
 )
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
+    plateau_weight,
 )
 from semiframe.operators import (
     Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
     parseval_canonical, projector_for,
 )
 from semiframe.translates import (
-    FourierProfile, TranslateSystem, brute_apply, pphi, raised_cosine_profile,
-    unit_indicator_profile, walnut_apply,
+    FourierProfile, TranslateSystem, brute_apply, line_window, pphi,
+    raised_cosine_profile, unit_indicator_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -151,6 +156,51 @@ def test_periodize_requires_lattice_period():
         periodize(f, 0.3, 4)
     with pytest.raises(ValueError):
         periodize(periodic_grid(np.ones(8)), 1.0, 4)
+
+
+@pytest.mark.parametrize("rows, cols, order", [
+    (np.arange(-300, 301), np.arange(-700, 701), 1024),     # many row blocks
+    (np.arange(-24, 25), 2 * np.arange(300) + 1, 600),      # one block
+    (np.arange(3), np.arange(-2 ** 17, 2 ** 17), 97),       # rows longer than a block
+], ids=["many", "one", "long-rows"])
+def test_phase_blocks_are_roots_of_unity_in_capped_blocks(rows, cols, order):
+    seen = []
+    for at, block in core.phase_blocks(rows, cols, order):
+        assert block.shape == (rows[at].size, cols.size)
+        assert block.size <= core.PHASE_BLOCK or block.shape[0] == 1
+        expect = np.exp(2j * np.pi * (np.multiply.outer(rows[at], cols) % order)
+                        / order)
+        assert np.array_equal(block, expect)
+        seen.extend(rows[at])
+    assert np.array_equal(seen, rows)
+
+
+def _explicit_brute_apply():
+    system = TranslateSystem(raised_cosine_profile(), 1.0)
+    nodes = line_window(system, 4096, 1.0)
+    fg = line_grid(RNG.normal(size=nodes.size) * system.profile(nodes),
+                   1.0 / 4096)
+    return lambda: brute_apply(system, fg, 256)
+
+
+def _explicit_gram():
+    system = ExponentialSystem(plateau_weight(6, power=2), 1.0, 2 ** 16)
+    return lambda: biorthogonality_gap(system, 24)
+
+
+@pytest.mark.parametrize("make", [_explicit_brute_apply, _explicit_gram],
+                         ids=["brute_apply", "biorthogonality_gap"])
+def test_explicit_phase_sums_hold_a_bounded_block(make):
+    # the whole phase table would take 67 MB (513 shifts x 8193 nodes) and
+    # 51 MB per array (49 frequencies x 65536 nodes)
+    call = make()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def _periodize_off_lattice():

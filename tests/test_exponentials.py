@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from semiframe import core, exponentials
 from semiframe.exponentials import (
     ExponentialSystem, analysis_exponentials, biorthogonality_gap,
     canonical_dual_values, classify_exponentials, defer_negatives_ordering,
@@ -97,6 +98,21 @@ def test_biorthogonality_at_critical_density():
     assert gap < 1e-12
     with pytest.raises(ValueError):
         biorthogonality_gap(ExponentialSystem(w, 0.5, 128), n_max=4)
+
+
+def test_biorthogonality_gram_matches_dense_exponentials():
+    # 81 frequencies on 4096 nodes span several blocks of nodes; the dense
+    # route takes every phase exp(2 pi i n x_i) from np.exp at once
+    m, n_max = 4096, 40
+    assert m * (2 * n_max + 1) >= 4 * core.PHASE_BLOCK
+    system = ExponentialSystem(plateau_weight(4, power=2), 1.0, m)
+    exps = np.exp(2j * np.pi * np.outer(np.arange(-n_max, n_max + 1),
+                                        system.grid()))
+    expect = ((canonical_dual_values(system) * exps)
+              @ (system.g_values() * exps).conj().T) / m
+    got = exponentials._dual_gram(system, n_max)
+    assert np.abs(got - expect).max() <= 1e-13
+    assert biorthogonality_gap(system, n_max) <= 1e-15
 
 
 def test_t_mult_equals_t_general_when_undersampled():

@@ -351,6 +351,29 @@ def test_interleaved_tridiagonal_lower_bound(monkeypatch):
         assert abs(lam - ref) <= 1e-12 * ref
 
 
+def test_interleaved_duals_read_dense_eigh_off_the_band(monkeypatch):
+    # a kept block of bandwidth 1 is held banded for its eigenvalues, but
+    # G^{-1} M and G^{-1/2} M come from dense eigh of G
+    from scipy import linalg
+
+    fam, level = interleaved_difference_family(), (129, 257)
+    w, duals, bessel, tight, gap = _dense_oracle(fam, level)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("banded solver on the kept block")
+    for name in ("solveh_banded", "eig_banded"):
+        monkeypatch.setattr(linalg, name, refuse)
+    _, block = operators._restricted_spectrum(fam, level, None)
+    assert block.bandwidth == 1 and block.band is not None
+    dual = canonical_dual(fam, level)
+    assert np.abs(dual.vectors - duals).max() <= 1e-12
+    assert abs(dual.lower_bound - w[0]) <= 1e-12 * w[0]
+    assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
+    vectors, tight_gap = parseval_canonical(fam, level)
+    assert np.abs(vectors - tight).max() <= 1e-12
+    assert tight_gap < 1e-9 and gap < 1e-9
+
+
 def _shared_with_identity_family():
     """Members e_1 and e_1 + 2 e_n: a sparse rule whose kept block under
     the identity projector has a full first row (bandwidth r - 1)."""

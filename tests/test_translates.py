@@ -5,7 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from semiframe import translates
+from semiframe import core, translates
 from semiframe.core import line_grid
 from semiframe.translates import (
     CLOSED_TAIL_TERMS, FourierProfile, TranslateSystem, analysis_translates, bracket,
@@ -166,20 +166,23 @@ def test_walnut_matches_brute_on_trig_probe():
 
 
 def test_brute_apply_matches_complex_exp_formula():
-    m, n_max = 256, 64
-    nodes = line_window(COSINE, m=m, cover=1.0)
-    rng = np.random.default_rng(7)
-    f_vals = (rng.normal(size=nodes.size) + 1j * rng.normal(size=nodes.size)) \
-        * COSINE.profile(nodes)
-    fg = line_grid(f_vals, 1.0 / m)
-    phi = COSINE.profile(nodes)
-    j = fg.index0 + np.arange(fg.size)
-    ns = np.arange(-n_max, n_max + 1)
-    phases = np.exp(2j * np.pi * np.outer(ns, j) / m)
-    coeffs = fg.step * (phases @ (f_vals * np.conj(phi)))
-    expect = phi * (np.conj(phases).T @ coeffs)
-    got = brute_apply(COSINE, fg, n_max).values
-    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+    # the second case's 401 shifts meet 2049 nodes: several row blocks
+    for m, n_max, cover, blocks in ((256, 64, 1.0, 1), (512, 200, 2.0, 4)):
+        nodes = line_window(COSINE, m=m, cover=cover)
+        assert (2 * n_max + 1) * nodes.size >= blocks * core.PHASE_BLOCK
+        rng = np.random.default_rng(7)
+        f_vals = (rng.normal(size=nodes.size)
+                  + 1j * rng.normal(size=nodes.size)) * COSINE.profile(nodes)
+        fg = line_grid(f_vals, 1.0 / m)
+        assert fg.index0 < 0
+        phi = COSINE.profile(nodes)
+        j = fg.index0 + np.arange(fg.size)
+        ns = np.arange(-n_max, n_max + 1)
+        phases = np.exp(2j * np.pi * np.outer(ns, j) / m)
+        coeffs = fg.step * (phases @ (f_vals * np.conj(phi)))
+        expect = phi * (np.conj(phases).T @ coeffs)
+        got = brute_apply(COSINE, fg, n_max).values
+        assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def test_walnut_validates_lattice():
