@@ -1,9 +1,10 @@
 """Finite-dimensional scaffolding shared by every module.
 
-Sequence systems are modelled by vector families: a generator producing the
-n-th member at a chosen truncation level, plus whatever analytic side
-knowledge the family carries (known orthogonal complement of the analysis
-domain, closed-form prefix norms, sparsity). Grid-sampled functions on a
+Sequence systems are modelled by vector families: one vectorized rule that
+builds a whole block of members (COO triplets for sparse families, an
+(N, d) array for dense ones), checked once here, plus whatever analytic
+side knowledge the family carries (known orthogonal complement of the
+analysis domain, closed-form prefix norms). Grid-sampled functions on a
 period or on a symmetric window of the line are carried by GridFunction.
 Convergence and divergence across truncation ladders is judged by
 tail_diagnostic, which returns a ConvergenceVerdict rather than a bare bool
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -104,13 +105,18 @@ def default_ladder(family: "VectorFamily", base: int = 256, depth: int = 4) -> T
 class VectorFamily:
     """A countable family of vectors materializable at any truncation level.
 
-    Each family declares its members by one rule: `sparse(index)` gives
-    (positions, values) pairs independent of d, or, for families with dense
-    members, `generator(index, d)` gives the member as a length-d array.
-    When only `sparse` is given, `generator` is derived from it. Families
-    enumerate indices start_index, start_index+1, ... in their canonical
-    order (for integer-frequency systems the canonical order is
-    0, 1, -1, 2, -2, ...).
+    Each family declares its members once, by one vectorized rule over an
+    integer array of indices. A sparse family's `block(indices)` returns
+    COO triplets (rows, positions, values): row r of the block is member
+    indices[r], positions are 0-based coordinates independent of d. A family
+    with dense members sets `dense=True`, and its `block(indices, d)`
+    returns the members as rows of an (N, d) array. Families enumerate
+    indices start_index, start_index+1, ... in their canonical order (for
+    integer-frequency systems the canonical order is 0, 1, -1, 2, -2, ...).
+
+    One-index views are derived from the rule: `generator(index, d)` gives
+    a member as a length-d array, and `sparse(index)` gives its (positions,
+    values) pairs, or is None exactly for dense families.
 
     Side knowledge travels with the family: `perp_directions` holds the
     0-based coordinates that span the known orthogonal complement of the
@@ -120,33 +126,29 @@ class VectorFamily:
     """
 
     name: str
-    generator: Callable[[int, int], np.ndarray] | None = None
+    block: Callable | None = None
+    dense: bool = False
     start_index: int = 1
     min_dim: Callable[[int], int] = None
-    sparse: Callable[[int], tuple] | None = None
     perp_directions: tuple | None = None
     prefix_norm_rule: Callable[[np.ndarray], np.ndarray] | None = None
+    generator: Callable[[int, int], np.ndarray] = field(init=False, repr=False)
+    sparse: Callable[[int], tuple] | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.min_dim is None:
             self.min_dim = lambda n: n
-        if self.generator is None:
-            if self.sparse is None:
-                raise ValueError(
-                    f"family {self.name!r} declares no member rule: give "
-                    "sparse(index) or generator(index, d)")
-            sparse = self.sparse
+        if self.block is None:
+            raise ValueError(
+                f"family {self.name!r} declares no member rule: give "
+                "block(indices), or block(indices, d) with dense=True")
+        self.generator = lambda idx, d: _members(self, np.array([idx]), d)[0]
+        self.sparse = None
+        if not self.dense:
+            self.sparse = lambda idx: _coo(self, np.array([idx]))[1:]
 
-            def dense(idx, d):
-                v = np.zeros(d, dtype=complex)
-                pos, vals = sparse(idx)
-                v[pos] = vals
-                return v
-
-            self.generator = dense
-
-    def indices(self, count: int) -> range:
-        return range(self.start_index, self.start_index + count)
+    def indices(self, count: int) -> np.ndarray:
+        return np.arange(self.start_index, self.start_index + count)
 
 
 def _checked_level(family: VectorFamily, level: tuple) -> tuple:
@@ -167,44 +169,63 @@ def _finite(values: np.ndarray, family: VectorFamily) -> np.ndarray:
     return values
 
 
-def _sparse_members(family: VectorFamily, n_count: int) -> tuple:
-    """(rows, positions, values) of the first N members by the sparse rule."""
-    rows, pos, vals = [], [], []
-    for row, idx in enumerate(family.indices(n_count)):
-        p, v = family.sparse(idx)
-        p = np.asarray(p)
-        rows.append(np.full(p.size, row))
-        pos.append(p)
-        vals.append(np.asarray(v, dtype=complex))
-    return (np.concatenate(rows), np.concatenate(pos),
-            _finite(np.concatenate(vals), family))
+def _coo(family: VectorFamily, indices: np.ndarray, d: int | None = None) -> tuple:
+    """(rows, positions, values) of a sparse rule at the given indices,
+    checked: one length, integer rows in [0, N), positions in [0, d) (only
+    non-negative when d is None) and finite values."""
+    rows, pos, vals = family.block(indices)
+    rows, pos = np.asarray(rows), np.asarray(pos)
+    vals = np.asarray(vals, dtype=complex)
+    rule = f"member rule of {family.name}"
+    if not (rows.ndim == pos.ndim == vals.ndim == 1
+            and rows.size == pos.size == vals.size):
+        raise ValueError(f"{rule}: rows, positions and values must be flat "
+                         "arrays of one length")
+    if rows.size:
+        if not (rows.dtype.kind in "iu" and pos.dtype.kind in "iu"):
+            raise ValueError(f"{rule}: rows and positions must be integers")
+        if rows.min() < 0 or rows.max() >= indices.size:
+            raise ValueError(f"{rule}: rows must lie in [0, N) with "
+                             f"N={indices.size}")
+        if pos.min() < 0 or (d is not None and pos.max() >= d):
+            raise ValueError(f"{rule}: positions must lie in [0, d) with d={d}")
+    return rows, pos, _finite(vals, family)
+
+
+def _members(family: VectorFamily, indices: np.ndarray, d: int) -> np.ndarray:
+    """The members at the given indices as rows of an (N, d) array, from one
+    call of the family's rule."""
+    if family.dense:
+        x = np.asarray(family.block(indices, d), dtype=complex)
+        if x.shape != (indices.size, d):
+            raise ValueError(
+                f"member rule of {family.name}: a dense block must have shape "
+                f"(N, d) = {(indices.size, d)}, got {x.shape}")
+        return _finite(x, family)
+    rows, pos, vals = _coo(family, indices, d)
+    out = np.zeros((indices.size, d), dtype=complex)
+    out[rows, pos] = vals
+    return out
 
 
 def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
     """Materialize the first N members at dimension d as rows of an array."""
     d, n_count = _checked_level(family, level)
-    if family.sparse is not None:
-        rows, pos, vals = _sparse_members(family, n_count)
-        out = np.zeros((n_count, d), dtype=complex)
-        out[rows, pos] = vals
-        return out
-    rows = [np.asarray(family.generator(idx, d), dtype=complex)
-            for idx in family.indices(n_count)]
-    return _finite(np.vstack(rows), family)
+    return _members(family, family.indices(n_count), d)
 
 
 def instantiate_sparse(family: VectorFamily, level: tuple):
     """The first N members at dimension d as rows of a CSR array.
 
-    Only for families that declare `sparse(index)`; scipy is imported here
-    so that importing the package does not load it.
+    Only for families with a sparse rule; scipy is imported here so that
+    importing the package does not load it.
     """
     from scipy import sparse
 
-    if family.sparse is None:
+    if family.dense:
         raise ValueError(f"family {family.name!r} declares no sparse rule")
     d, n_count = _checked_level(family, level)
-    rows, pos, vals = _sparse_members(family, n_count)
+    rows, pos, vals = _coo(family, family.indices(n_count), d)
     return sparse.csr_array((vals, (rows, pos)), shape=(n_count, d))
 
 

@@ -89,21 +89,28 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     """The system as a vector family on its own grid (dimension = cells).
 
     Rows are normalized by sqrt(M) so finite-dimensional inner products
-    approximate integrals over (0, 1).
+    approximate integrals over (0, 1). The block takes np.exp once per
+    frequency f >= 0, and the row of -f is the conjugate of the row of f.
     """
     g = system.g_values()
     x = system.grid()
     m = system.m
 
-    def gen(idx, d):
+    def block(idx, d):
         if d != m:
             raise ValueError("grid families live at dimension = cell count")
-        f = frequency_of(idx)
-        return g * np.exp(2j * np.pi * f * system.b * x) / np.sqrt(m)
+        freqs = np.array([frequency_of(i) for i in idx.tolist()])
+        # 2 pi i f b as a Python scalar per frequency, then times the grid:
+        # the phases round as in the one-member product
+        phases = np.array([2j * np.pi * f * system.b
+                           for f in range(int(np.abs(freqs).max()) + 1)])
+        rows = g * np.exp(np.multiply.outer(phases, x)) / np.sqrt(m)
+        out = rows[np.abs(freqs)]
+        return np.conjugate(out, out=out, where=(freqs < 0)[:, None])
 
     return VectorFamily(
-        name=system.name, generator=gen, start_index=1,
-        min_dim=lambda n: m, sparse=None, perp_directions=None)
+        name=system.name, block=block, dense=True, start_index=1,
+        min_dim=lambda n: m, perp_directions=None)
 
 
 # ---------------------------------------------------------------------------

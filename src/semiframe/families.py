@@ -2,8 +2,11 @@
 
 Index conventions: members are numbered from each family's start index and
 live against the standard basis e_1, e_2, ... (1-based labels, 0-based
-storage). Each family declares its members once: the sparse ones as
-(positions, values) pairs, the dense one as length-d rows.
+storage). Each family declares its members once, as one rule over an array
+of indices: the sparse ones as COO triplets (rows, positions, values), the
+dense one as an (N, d) array. Non-integer powers are taken with scalar pow
+over the index list, because numpy's array power can differ from it by an
+ulp and the frame-action diagnostics magnify member ulps.
 """
 
 from __future__ import annotations
@@ -19,13 +22,21 @@ DIFFERENCE_POWER = 1.6          # 8/5, scale of the difference stream
 TARGET_POWER = -2.0             # decay of the probe vector h_n = n^-2
 
 
-def orthonormal_family() -> VectorFamily:
-    def sparse(idx):
-        return np.array([idx - 1]), np.array([1.0 + 0j])
+def _powers(indices: np.ndarray, power: float) -> np.ndarray:
+    """float(n) ** power for each index n, by Python's scalar pow."""
+    return np.array([float(n) ** power for n in indices.tolist()])
 
+
+def _diagonal(indices: np.ndarray, values: np.ndarray) -> tuple:
+    """COO triplets of the members values[r] e_{indices[r]}."""
+    return np.arange(indices.size), indices - 1, values
+
+
+def orthonormal_family() -> VectorFamily:
     return VectorFamily(
-        name="orthonormal", start_index=1,
-        min_dim=lambda n: n, sparse=sparse, perp_directions=None)
+        name="orthonormal", start_index=1, min_dim=lambda n: n,
+        block=lambda idx: _diagonal(idx, np.ones(idx.size)),
+        perp_directions=None)
 
 
 def shared_direction_family(power: float = 0.0, name: str | None = None) -> VectorFamily:
@@ -37,38 +48,38 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
     {e_n / n^power} stays Bessel.
     """
 
-    def sparse(idx):
-        w = float(idx) ** power
-        return np.array([0, idx - 1]), np.array([w, w], dtype=complex)
+    def block(idx):
+        pos = np.stack([np.zeros_like(idx), idx - 1], axis=1)
+        return (np.repeat(np.arange(idx.size), 2), pos.ravel(),
+                np.repeat(_powers(idx, power), 2))
 
     return VectorFamily(
         name=name or f"shared-direction-p{power:g}",
-        start_index=2, min_dim=lambda n: n + 1, sparse=sparse,
+        start_index=2, min_dim=lambda n: n + 1, block=block,
         perp_directions=(0,))
 
 
 def scaled_basis_family(power: float) -> VectorFamily:
     """Members n^power e_n; diagonal, so every diagnostic has a closed form."""
-
-    def sparse(idx):
-        return np.array([idx - 1]), np.array([float(idx) ** power + 0j])
-
     return VectorFamily(
-        name=f"scaled-basis-p{power:g}", start_index=1,
-        min_dim=lambda n: n, sparse=sparse, perp_directions=None)
+        name=f"scaled-basis-p{power:g}", start_index=1, min_dim=lambda n: n,
+        block=lambda idx: _diagonal(idx, _powers(idx, power)),
+        perp_directions=None)
 
 
 def seeded_dense_family(seed: int) -> VectorFamily:
     """Dense complex Gaussian members, deterministic in (seed, index, d)."""
 
-    def gen(idx, d):
+    def member(idx, d):
         rng = np.random.default_rng([seed, idx, d])
         v = rng.normal(size=d) + 1j * rng.normal(size=d)
         return v / np.sqrt(2 * d)
 
     return VectorFamily(
-        name=f"seeded-dense-{seed}", generator=gen, start_index=1,
-        min_dim=lambda n: max(4, n // 2), sparse=None, perp_directions=None)
+        name=f"seeded-dense-{seed}", start_index=1,
+        min_dim=lambda n: max(4, n // 2), dense=True,
+        block=lambda idx, d: np.array([member(i, d) for i in idx.tolist()]),
+        perp_directions=None)
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +149,24 @@ def interleaved_difference_family() -> VectorFamily:
     sums grow, so the quadratic-form domain strictly exceeds the strong one.
     """
 
-    def sparse(idx):
-        if idx % 2 == 1:
-            k = (idx + 1) // 2
-            if k == 1:
-                return np.array([0]), np.array([1.0 + 0j])
-            w = float(k) ** DIFFERENCE_POWER
-            return np.array([k - 2, k - 1]), np.array([-w, w], dtype=complex)
-        k = idx // 2
-        return np.array([k - 1]), np.array([np.sqrt(float(k)) + 0j])
+    def block(idx):
+        # odd members 2k - 1 are e_1 (k = 1) or k^{8/5} (e_k - e_{k-1}), even
+        # members 2k are sqrt(k) e_k; each row holds a leading entry and, for
+        # a difference, a second at storage position k - 1, in row order
+        odd = idx % 2 == 1
+        k = (idx + 1) // 2
+        diff = odd & (k > 1)
+        w = _powers(k, DIFFERENCE_POWER)
+        lead = np.where(diff, -w, np.where(odd, 1.0, np.sqrt(k)))
+        pos = np.stack([np.where(diff, k - 2, k - 1), k - 1], axis=1)
+        vals = np.stack([lead, w], axis=1)
+        taken = np.stack([np.ones_like(diff), diff], axis=1)
+        rows = np.repeat(np.arange(idx.size), 2).reshape(-1, 2)
+        return rows[taken], pos[taken], vals[taken]
 
     return VectorFamily(
         name="interleaved-difference", start_index=1,
-        min_dim=lambda n: (n + 1) // 2, sparse=sparse, perp_directions=None,
+        min_dim=lambda n: (n + 1) // 2, block=block, perp_directions=None,
         prefix_norm_rule=lambda ms: interleaved_prefix_norms(int(np.max(ms)))[
             np.asarray(ms, dtype=int) - 1])
 

@@ -12,8 +12,9 @@ import pytest
 
 from semiframe import core
 from semiframe.core import (
-    GridFunction, TruncationLadder, VectorFamily, covering_shifts, line_grid,
-    pairwise_sum, periodic_grid, periodization_gap, periodize, tail_diagnostic,
+    GridFunction, TruncationLadder, VectorFamily, covering_shifts, instantiate,
+    instantiate_sparse, line_grid, pairwise_sum, periodic_grid,
+    periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import (
     ExponentialSystem, biorthogonality_gap, t_general,
@@ -265,16 +266,23 @@ DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
 # members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
 # every member vanishes, so no singular value clears any cutoff
 KEEPS_ONLY_E5 = Projector((0, 1, 2, 3), "analytic")
-DENSE_BASIS = VectorFamily(name="dense-basis",
-                           generator=lambda i, d: np.eye(d)[i - 1])
+DENSE_BASIS = VectorFamily(name="dense-basis", dense=True,
+                           block=lambda idx, d: np.eye(d)[idx - 1])
 # members e_1..e_4 at d = 6: the kept block is singular
 SPARSE_DEFICIENT = VectorFamily(
     name="deficient-sparse",
-    sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
+    block=lambda idx: (np.arange(idx.size), idx - 1, np.ones(idx.size)))
 RATIO = "must be finite and in [0, 1)"
 INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
+
+
+def _sparse_rule(rows, positions, values):
+    """A sparse family whose rule returns the given COO triplet; the rows
+    below instantiate it at (3, 2), two members in dimension 3."""
+    return VectorFamily(name="malformed",
+                        block=lambda idx: (rows, positions, values))
 
 
 @pytest.mark.parametrize("call, precondition", [
@@ -333,8 +341,9 @@ TAIL_TERMS = "tail_terms must be a whole number >= 1"
                          TruncationLadder(((2, 2), (3, 3), (4, 4)))),
      "family members must be finite"),
     (lambda: parseval_canonical(
-        VectorFamily(name="dense-nan",
-                     generator=lambda i, d: np.full(d, np.nan)), (4, 4)),
+        VectorFamily(name="dense-nan", dense=True,
+                     block=lambda idx, d: np.full((idx.size, d), np.nan)),
+        (4, 4)),
      "family members must be finite"),
     (lambda: dual_via_pseudoinverse(orthonormal_family(), (5, 4), KEEPS_ONLY_E5),
      "restricted frame matrix singular"),
@@ -358,6 +367,21 @@ TAIL_TERMS = "tail_terms must be a whole number >= 1"
      "cutoff_ratio " + RATIO),
     (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), cutoff_ratio=np.inf),
      "cutoff_ratio " + RATIO),
+    (lambda: instantiate(_sparse_rule([0, 1], [2, 3], [1.0, 1.0]), (3, 2)),
+     "positions must lie in [0, d) with d=3"),
+    (lambda: instantiate(_sparse_rule([0, 1], [-1, 0], [1.0, 1.0]), (3, 2)),
+     "positions must lie in [0, d) with d=3"),
+    (lambda: instantiate(VectorFamily(
+        name="short-rows", dense=True,
+        block=lambda idx, d: np.ones((idx.size, d - 1))), (3, 2)),
+     "a dense block must have shape (N, d) = (2, 3), got (2, 2)"),
+    (lambda: instantiate(_sparse_rule([0, 1], [0, 1], [1.0, 1.0, 1.0]), (3, 2)),
+     "rows, positions and values must be flat arrays of one length"),
+    (lambda: instantiate_sparse(_sparse_rule([1, 2], [0, 1], [1.0, 1.0]), (3, 2)),
+     "rows must lie in [0, N) with N=2"),
+    (lambda: instantiate_sparse(_sparse_rule([0, 1], [0.0, 1.0], [1.0, 1.0]),
+                                (3, 2)),
+     "rows and positions must be integers"),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -378,7 +402,10 @@ TAIL_TERMS = "tail_terms must be a whole number >= 1"
         "canonical-dual-floor-nan", "parseval-floor-nan",
         "parseval-floor-negative", "canonical-dual-floor-1",
         "pseudoinverse-cutoff-2", "pseudoinverse-cutoff-nan",
-        "pseudoinverse-cutoff-negative", "pseudoinverse-dense-cutoff-inf"])
+        "pseudoinverse-cutoff-negative", "pseudoinverse-dense-cutoff-inf",
+        "sparse-rule-position-at-d", "sparse-rule-position-negative",
+        "dense-rule-short-rows", "sparse-rule-unequal-lengths",
+        "sparse-rule-row-past-n", "sparse-rule-float-positions"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from semiframe.core import VectorFamily, instantiate
+from semiframe.core import (
+    TruncationLadder, VectorFamily, instantiate, instantiate_sparse,
+)
+from semiframe.exponentials import ExponentialSystem, frequency_of
 from semiframe.families import (
-    INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
+    DIFFERENCE_POWER, INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
     orthonormal_family, scaled_basis_family, seeded_dense_family,
     shared_direction_family,
 )
+from semiframe.muckenhoupt import ConstantWeight, plateau_weight
+from semiframe.operators import (
+    Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
+    permutation_gap, s_apply,
+)
+from semiframe.scenarios import registry_vector_families
 
 DENSE_MEMBERS = 119            # covers coordinate indices up to 60
 DENSE_DIM = 64
@@ -18,23 +27,123 @@ def test_orthonormal_members():
     assert np.array_equal(x, np.eye(5, dtype=complex))
 
 
-@pytest.mark.parametrize("fam, level, spots", [
+# the per-index member formulas, written out one member at a time: the
+# oracle for the vectorized member rules
+
+
+def _zeros_with(d, entries):
+    v = np.zeros(d, dtype=complex)
+    for pos, val in entries:
+        v[pos] = val
+    return v
+
+
+def _shared_member(power):
+    return lambda idx, d: _zeros_with(
+        d, [(0, float(idx) ** power), (idx - 1, float(idx) ** power)])
+
+
+def _diagonal_member(value):
+    return lambda idx, d: _zeros_with(d, [(idx - 1, value(idx))])
+
+
+def _interleaved_member(idx, d):
+    k = (idx + 1) // 2
+    if idx % 2 == 0:
+        return _zeros_with(d, [(idx // 2 - 1, np.sqrt(float(idx // 2)))])
+    if k == 1:
+        return _zeros_with(d, [(0, 1.0)])
+    w = float(k) ** DIFFERENCE_POWER
+    return _zeros_with(d, [(k - 2, -w), (k - 1, w)])
+
+
+def _grid_member(system):
+    g, x, m = system.g_values(), system.grid(), system.m
+    return lambda idx, d: (
+        g * np.exp(2j * np.pi * frequency_of(idx) * system.b * x) / np.sqrt(m))
+
+
+def _seeded_member(seed):
+    def member(idx, d):
+        rng = np.random.default_rng([seed, idx, d])
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return v / np.sqrt(2 * d)
+    return member
+
+
+REGISTRY_MEMBERS = {
+    "diana": _shared_member(0.0),
+    "stoeva": _shared_member(1.0),
+    "interleaved-chi": _interleaved_member,
+    "ordering-sensitivity": _grid_member(
+        ExponentialSystem(ConstantWeight(1), 1.0, 1024)),
+    "plateau-exp": _grid_member(
+        ExponentialSystem(plateau_weight(6, power=2), 1.0, 1024)),
+    "seeded": _seeded_member(11),
+}
+
+
+@pytest.mark.parametrize("fam, level, member, spots", [
     # member n of the growing shared-direction family is n at coordinates 1 and n
-    pytest.param(shared_direction_family(1.0), (6, 5),
+    pytest.param(shared_direction_family(1.0), (6, 5), _shared_member(1.0),
                  {(0, 0): 2, (0, 1): 2, (3, 0): 5, (3, 4): 5},
                  id="shared-direction-p1"),
-    pytest.param(orthonormal_family(), (5, 5), {}, id="orthonormal"),
-    pytest.param(scaled_basis_family(-0.5), (4, 4), {}, id="scaled-basis"),
-    pytest.param(interleaved_difference_family(), (8, 9), {},
-                 id="interleaved-difference"),
-])
-def test_shared_direction_sparse_matches_dense(fam, level, spots):
+    pytest.param(orthonormal_family(), (5, 5), _diagonal_member(lambda n: 1.0),
+                 {}, id="orthonormal"),
+    pytest.param(scaled_basis_family(-0.5), (4, 4),
+                 _diagonal_member(lambda n: float(n) ** -0.5), {},
+                 id="scaled-basis"),
+    pytest.param(interleaved_difference_family(), (8, 9), _interleaved_member,
+                 {}, id="interleaved-difference"),
+    pytest.param(interleaved_difference_family(), (2049, 2 ** 12),
+                 _interleaved_member, {}, id="interleaved-difference-4096"),
+] + [pytest.param(fam, level, REGISTRY_MEMBERS[scenario], {}, id=scenario)
+     for scenario, fam, level in registry_vector_families()])
+def test_shared_direction_sparse_matches_dense(fam, level, member, spots):
+    """Both materializations equal the per-index formulas exactly, in
+    row blocks so the N = 4096 case holds no second full copy."""
     d, n = level
     x = instantiate(fam, level)
-    rows = [fam.generator(idx, d) for idx in fam.indices(n)]
-    assert np.array_equal(x, np.vstack(rows))
+    csr = None if fam.sparse is None else instantiate_sparse(fam, level)
+    for lo in range(0, n, 512):
+        rows = np.array([member(idx, d) for idx in fam.indices(n)[lo:lo + 512]])
+        assert np.array_equal(x[lo:lo + 512], rows)
+        if csr is not None:
+            assert np.array_equal(csr[lo:lo + 512].toarray(), rows)
     for (row, col), value in spots.items():
         assert x[row, col] == value
+
+
+def test_member_rules_need_no_per_index_view(monkeypatch):
+    """Every operator reads members through the family's block rule: with
+    the one-index views raising, the registry families still run."""
+    def refuse(*args):
+        raise AssertionError("a one-index member view was called")
+
+    init = VectorFamily.__post_init__
+
+    def post_init(family):
+        init(family)
+        family.generator = refuse
+        if family.sparse is not None:
+            family.sparse = refuse
+
+    monkeypatch.setattr(VectorFamily, "__post_init__", post_init)
+    for _, fam, _ in registry_vector_families():
+        ladder = TruncationLadder(tuple((fam.min_dim(n), n) for n in (3, 5, 9)))
+        d, n = ladder.top
+        # the grid families live at d = 1024: keeping every 128th coordinate
+        # leaves 8 x 8 kept blocks that their 9 members span
+        projector = None if d < 128 else Projector(
+            tuple(j for j in range(d) if j % 128), "analytic")
+        instantiate(fam, (d, n))
+        if fam.sparse is not None:
+            instantiate_sparse(fam, (d, n))
+        s_apply(fam, np.ones(d), (d, n))
+        permutation_gap(fam, (d, n), n_perms=2)
+        lower_bound(fam, ladder, projector)
+        canonical_dual(fam, (d, n), projector)
+        dual_via_pseudoinverse(fam, (d, n), projector)
 
 
 def test_family_without_member_rule_is_refused():

@@ -131,8 +131,8 @@ def test_lower_bound_carries_estimated_projector():
 def test_singular_restriction_raises():
     # members never reach the last coordinate, so the restricted operator
     # is singular once the projector keeps the whole space
-    fam = VectorFamily(name="deficient",
-                       generator=lambda i, d: np.eye(d)[i - 1])
+    fam = VectorFamily(name="deficient", dense=True,
+                       block=lambda idx, d: np.eye(d)[idx - 1])
     with pytest.raises(SingularRestrictionError) as err:
         canonical_dual(fam, (6, 4))
     assert err.value.lambda_min <= err.value.floor
@@ -377,11 +377,14 @@ def test_interleaved_duals_read_dense_eigh_off_the_band(monkeypatch):
 def _shared_with_identity_family():
     """Members e_1 and e_1 + 2 e_n: a sparse rule whose kept block under
     the identity projector has a full first row (bandwidth r - 1)."""
-    def sparse(idx):
-        if idx == 1:
-            return np.array([0]), np.array([1.0 + 0j])
-        return np.array([0, idx - 1]), np.array([1.0, 2.0], dtype=complex)
-    return VectorFamily(name="shared-with-identity", sparse=sparse)
+    def block(idx):
+        # e_1 + 2 e_n, without the e_n entry at n = 1
+        taken = np.stack([idx > 0, idx > 1], axis=1)
+        rows = np.repeat(np.arange(idx.size), 2).reshape(-1, 2)
+        pos = np.stack([0 * idx, idx - 1], axis=1)
+        vals = np.broadcast_to([1.0, 2.0], pos.shape)
+        return rows[taken], pos[taken], vals[taken]
+    return VectorFamily(name="shared-with-identity", block=block)
 
 
 def test_wide_band_sparse_family_takes_dense_path():
@@ -414,8 +417,8 @@ def test_seeded_dense_keeps_the_dense_route_bit_for_bit():
 
 
 def test_sparse_deficient_family_is_singular():
-    fam = VectorFamily(name="deficient-sparse",
-                       sparse=lambda i: (np.array([i - 1]), np.array([1.0 + 0j])))
+    fam = VectorFamily(name="deficient-sparse", block=lambda idx: (
+        np.arange(idx.size), idx - 1, np.ones(idx.size)))
     for call in (canonical_dual, parseval_canonical):
         with pytest.raises(SingularRestrictionError) as err:
             call(fam, (6, 4))
@@ -450,11 +453,12 @@ def _pinv_oracle(fam, level, projector=None, cutoff_ratio=PINV_CUTOFF_RATIO):
 
 def _sparse_family(name, table):
     """A sparse family whose member i is table[i - 1] = {coordinate: value}."""
-    def sparse(idx):
-        row = table[idx - 1]
-        return (np.array(list(row), dtype=int),
-                np.array(list(row.values()), dtype=complex))
-    return VectorFamily(name=name, sparse=sparse)
+    def block(idx):
+        members = [table[i - 1] for i in idx.tolist()]
+        return (np.repeat(np.arange(idx.size), [len(m) for m in members]),
+                np.array([p for m in members for p in m], dtype=int),
+                np.array([v for m in members for v in m.values()], dtype=complex))
+    return VectorFamily(name=name, block=block)
 
 
 # blocks (members x kept coordinates): 3x2 on e_5, e_6 (members 1, 3, 8);

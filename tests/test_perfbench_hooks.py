@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import shared_direction_family
+from semiframe.muckenhoupt import ConstantWeight
 from semiframe.translates import unit_indicator_profile
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -42,6 +44,8 @@ def test_patched_class_hooks_exist():
     assert callable(_module("core").VectorFamily.__post_init__)
     family = shared_direction_family(0.0)
     assert callable(family.generator) and callable(family.sparse)
+    dense = family_on_grid(ExponentialSystem(ConstantWeight(1), 1.0, 8))
+    assert callable(dense.generator) and dense.sparse is None
     assert callable(_module("translates").FourierProfile.__post_init__)
     assert callable(unit_indicator_profile().fn)
     muckenhoupt = _module("muckenhoupt")
