@@ -114,9 +114,11 @@ class VectorFamily:
     indices start_index, start_index+1, ... in their canonical order (for
     integer-frequency systems the canonical order is 0, 1, -1, 2, -2, ...).
 
-    One-index views are derived from the rule: `generator(index, d)` gives
-    a member as a length-d array, and `sparse(index)` gives its (positions,
-    values) pairs, or is None exactly for dense families.
+    `dense` is the one flag that tells sparse from dense families. The
+    one-index views `generator(index, d)` (a member as a length-d array)
+    and `sparse(index)` (its (positions, values) pairs, None exactly for
+    dense families) are derived from the rule; no library path calls them,
+    they stay as the per-member hooks that perfbench/tracing.py wraps.
 
     Side knowledge travels with the family: `perp_directions` holds the
     0-based coordinates that span the known orthogonal complement of the

@@ -90,7 +90,8 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
 
     Rows are normalized by sqrt(M) so finite-dimensional inner products
     approximate integrals over (0, 1). The block takes np.exp once per
-    frequency f >= 0, and the row of -f is the conjugate of the row of f.
+    distinct |f| among its members, and the row of -f is the conjugate of
+    the row of f.
     """
     g = system.g_values()
     x = system.grid()
@@ -99,13 +100,13 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     def block(idx, d):
         if d != m:
             raise ValueError("grid families live at dimension = cell count")
-        freqs = np.array([frequency_of(i) for i in idx.tolist()])
-        # 2 pi i f b as a Python scalar per frequency, then times the grid:
-        # the phases round as in the one-member product
-        phases = np.array([2j * np.pi * f * system.b
-                           for f in range(int(np.abs(freqs).max()) + 1)])
+        freqs = np.where(idx % 2 == 0, idx // 2, -(idx // 2))
+        # one row per distinct |f|, its phase 2 pi i f b a Python scalar
+        # times the grid: the phases round as in the one-member product
+        mags, rows_of = np.unique(np.abs(freqs), return_inverse=True)
+        phases = np.array([2j * np.pi * f * system.b for f in mags.tolist()])
         rows = g * np.exp(np.multiply.outer(phases, x)) / np.sqrt(m)
-        out = rows[np.abs(freqs)]
+        out = rows[rows_of]
         return np.conjugate(out, out=out, where=(freqs < 0)[:, None])
 
     return VectorFamily(

@@ -399,10 +399,10 @@ def _restricted_spectrum(family: VectorFamily, level: tuple,
     columns (r x N). Y is CSR for families with a sparse rule and dense
     otherwise; the block picks its storage from B's measured bandwidth.
     """
-    if family.sparse is not None:
-        xt = instantiate_sparse(family, level).T.tocsr()
-    else:
+    if family.dense:
         xt = instantiate(family, level).T
+    else:
+        xt = instantiate_sparse(family, level).T.tocsr()
     keep = _kept(family, projector, level[0])
     return keep, _KeptBlock(xt[keep])
 
@@ -527,7 +527,7 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     cutoff.
     """
     _checked_ratio("cutoff_ratio", cutoff_ratio)
-    if family.sparse is None:
+    if family.dense:
         c = analysis_matrix(family, level)
         c[:, ~_kept(family, projector, level[0])] = 0.0
         u, s, vh = np.linalg.svd(c, full_matrices=False)

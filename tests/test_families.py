@@ -100,16 +100,24 @@ REGISTRY_MEMBERS = {
 ] + [pytest.param(fam, level, REGISTRY_MEMBERS[scenario], {}, id=scenario)
      for scenario, fam, level in registry_vector_families()])
 def test_shared_direction_sparse_matches_dense(fam, level, member, spots):
-    """Both materializations equal the per-index formulas exactly, in
-    row blocks so the N = 4096 case holds no second full copy."""
+    """Both materializations and both one-index views equal the per-index
+    formulas exactly, in row blocks so the N = 4096 case holds no second
+    full copy."""
     d, n = level
     x = instantiate(fam, level)
-    csr = None if fam.sparse is None else instantiate_sparse(fam, level)
+    csr = None if fam.dense else instantiate_sparse(fam, level)
+    assert (fam.sparse is None) == fam.dense
     for lo in range(0, n, 512):
-        rows = np.array([member(idx, d) for idx in fam.indices(n)[lo:lo + 512]])
+        idx_block = fam.indices(n)[lo:lo + 512]
+        rows = np.array([member(idx, d) for idx in idx_block])
         assert np.array_equal(x[lo:lo + 512], rows)
+        assert np.array_equal(
+            np.array([fam.generator(idx, d) for idx in idx_block]), rows)
         if csr is not None:
             assert np.array_equal(csr[lo:lo + 512].toarray(), rows)
+            assert np.array_equal(
+                np.array([_zeros_with(d, zip(*fam.sparse(idx)))
+                          for idx in idx_block]), rows)
     for (row, col), value in spots.items():
         assert x[row, col] == value
 
@@ -137,7 +145,7 @@ def test_member_rules_need_no_per_index_view(monkeypatch):
         projector = None if d < 128 else Projector(
             tuple(j for j in range(d) if j % 128), "analytic")
         instantiate(fam, (d, n))
-        if fam.sparse is not None:
+        if not fam.dense:
             instantiate_sparse(fam, (d, n))
         s_apply(fam, np.ones(d), (d, n))
         permutation_gap(fam, (d, n), n_perms=2)
