@@ -174,7 +174,8 @@ def _finite(values: np.ndarray, family: VectorFamily) -> np.ndarray:
 def _coo(family: VectorFamily, indices: np.ndarray, d: int | None = None) -> tuple:
     """(rows, positions, values) of a sparse rule at the given indices,
     checked: one length, integer rows in [0, N), positions in [0, d) (only
-    non-negative when d is None) and finite values."""
+    non-negative when d is None), no (row, position) pair named twice (the
+    dense scatter would keep one value, CSR their sum) and finite values."""
     rows, pos, vals = family.block(indices)
     rows, pos = np.asarray(rows), np.asarray(pos)
     vals = np.asarray(vals, dtype=complex)
@@ -191,6 +192,9 @@ def _coo(family: VectorFamily, indices: np.ndarray, d: int | None = None) -> tup
                              f"N={indices.size}")
         if pos.min() < 0 or (d is not None and pos.max() >= d):
             raise ValueError(f"{rule}: positions must lie in [0, d) with d={d}")
+        pairs = np.sort(rows.astype(np.int64) * (int(pos.max()) + 1) + pos)
+        if np.any(pairs[1:] == pairs[:-1]):
+            raise ValueError(f"{rule}: a member names one position twice")
     return rows, pos, _finite(vals, family)
 
 

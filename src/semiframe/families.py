@@ -104,8 +104,8 @@ def interleaved_coefficients(k_lo: int, k_hi: int):
     if k_lo < 2:
         raise ValueError("coefficients start at index 2")
     k = np.arange(k_lo, k_hi + 1, dtype=float)
-    u_k = _telescoped(k)
-    u_next = _telescoped(k + 1)
+    u = _telescoped(np.arange(k_lo, k_hi + 2, dtype=float))
+    u_k, u_next = u[:-1], u[1:]
     alpha = u_k - u_next + 1.0 / k
     beta = u_k + 1.0 / k
     gamma = u_k

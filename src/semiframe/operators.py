@@ -1,16 +1,20 @@
 """Analysis, synthesis, and frame-operator diagnostics at finite truncation.
 
-Everything here works on materialized families: the analysis matrix stacks
-conjugated members as rows, the frame matrix accumulates rank-one terms, and
-the two canonical-dual routes (restricted inverse of the projected frame
-matrix, pseudo-inverse of the analysis matrix) are kept independent so they
-can cross-check each other. Lower bounds, the restricted-inverse dual and
-the Parseval normalization all read one kept block of the frame matrix,
-held banded when its measured bandwidth is narrow and dense otherwise; the
-pseudo-inverse of a sparse family's analysis matrix is taken per connected
-block. scipy is imported only in those two places. Partial-sum
-traces record order-dependent behavior; the frame matrix itself is
-permutation-invariant.
+The diagnostics read members in the family's own storage: CSR for a family
+with a sparse rule, an (N, d) array for a dense one. The frame action, the
+order-dependent partial sums, the coefficient energies and pairings, and the
+permuted Grams behind the permutation gap are each written once for both
+storages. The analysis and synthesis matrices, the frame matrix and the
+adjoint gap stay dense; they are the oracle the sparse route is tested
+against. The two canonical-dual routes (restricted inverse of the projected
+frame matrix, pseudo-inverse of the analysis matrix) are kept independent
+so they can cross-check each other. Lower bounds, the restricted-inverse
+dual and the Parseval normalization all read one kept block of the frame
+matrix, held banded when its measured bandwidth is narrow and dense
+otherwise; the pseudo-inverse of a sparse family's analysis matrix is taken
+per connected block. scipy is imported inside the functions that need it,
+so importing the package does not load it. Partial-sum traces record
+order-dependent behavior; the frame matrix itself is permutation-invariant.
 """
 
 from __future__ import annotations
@@ -110,6 +114,14 @@ class ReconstructionResult:
     coefficient_tail: ConvergenceVerdict | None
 
 
+def _stored(family: VectorFamily, level: tuple):
+    """The members at the level as rows in the family's own storage: CSR
+    for a sparse rule, an ndarray for a dense one."""
+    if family.dense:
+        return instantiate(family, level)
+    return instantiate_sparse(family, level)
+
+
 def analysis_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
     """Row n holds conj of the n-th member; matrix @ f gives <f, member_n>."""
     return np.conj(instantiate(family, level))
@@ -162,7 +174,7 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     energies = []
     coeffs_top = None
     for d, n in ladder.levels:
-        c = analysis_matrix(family, (d, n)) @ _fit_dim(f, d)
+        c = _stored(family, (d, n)).conj() @ _fit_dim(f, d)
         energies.append(float(np.sum(np.abs(c) ** 2)))
         coeffs_top = c
     verdict = tail_diagnostic(energies, ladder.counts())
@@ -177,39 +189,60 @@ def frame_matrix(family: VectorFamily, level: tuple) -> FrameMatrix:
     return FrameMatrix(t, gap)
 
 
+def _gram(y):
+    """y^T conj(y), the frame matrix of the rows of y. A CSR y gives a
+    sparse product; a dense y gives only the upper triangle, from one
+    Hermitian rank-k update (zherk), at half the flops of the full product."""
+    if isinstance(y, np.ndarray):
+        from scipy.linalg.blas import zherk
+        return zherk(1.0, y.T)
+    return y.T @ y.conj()
+
+
 def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
                     seed: int = 7) -> float:
     """Largest relative entrywise deviation of the frame matrix under
     seeded row permutations; the accumulated sum is order-free, so only
     roundoff shows up here."""
-    x = instantiate(family, level)
-    base = x.T @ np.conj(x)
-    scale = max(1.0, float(np.abs(base).max()))
+    x = _stored(family, level)
+    base = _gram(x)
+    scale = max(1.0, float(abs(base).max()))
     rng = np.random.default_rng(seed)
     worst = 0.0
     n = level[1]
     for _ in range(n_perms):
-        xp = x[rng.permutation(n)]
-        t = xp.T @ np.conj(xp)
-        worst = max(worst, float(np.abs(t - base).max()) / scale)
+        t = _gram(x[rng.permutation(n)])
+        worst = max(worst, float(abs(t - base).max()) / scale)
     return worst
 
 
 def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarray:
     """Apply the truncated frame operator without materializing it; a probe
     of another length is truncated or continues by zero."""
-    x = instantiate(family, level)
-    return x.T @ (np.conj(x) @ _fit_dim(f, level[0]))
+    x = _stored(family, level)
+    return x.T @ (x.conj() @ _fit_dim(f, level[0]))
 
 
-def _trace_from_weighted_rows(weighted: np.ndarray, ordering: np.ndarray,
+def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
                               window: float) -> tuple:
-    n, d = weighted.shape
+    """Prefix sums of coeffs[k] rows[k] and their norms; a CSR row is
+    scattered into the running sum, a dense row is added whole."""
+    n, d = rows.shape
     running = np.zeros(d, dtype=complex)
     norms = np.empty(n)
-    for k in range(n):
-        running += weighted[k]
-        norms[k] = np.linalg.norm(running)
+    if isinstance(rows, np.ndarray):
+        weighted = coeffs[:, None] * rows
+        for k in range(n):
+            running += weighted[k]
+            norms[k] = np.linalg.norm(running)
+    else:
+        ptr, pos = rows.indptr, rows.indices
+        weighted = np.repeat(coeffs, np.diff(ptr)) * rows.data
+        for k in range(n):
+            # a row names each position once (core refuses repeats)
+            span = slice(ptr[k], ptr[k + 1])
+            running[pos[span]] += weighted[span]
+            norms[k] = np.linalg.norm(running)
     tail = norms[max(0, 3 * n // 4 - 1):]
     scale = max(abs(norms[-1]), np.finfo(float).tiny)
     variation = float((tail.max() - tail.min()) / scale)
@@ -217,15 +250,15 @@ def _trace_from_weighted_rows(weighted: np.ndarray, ordering: np.ndarray,
     return running, trace
 
 
-def _partial_sums(x: np.ndarray, coeffs: np.ndarray, ordering, window: float):
-    """Partial sums of coeffs_n x_n in the given order, with trace."""
+def _partial_sums(x, coeffs: np.ndarray, ordering, window: float):
+    """Partial sums of coeffs_n x_n in the given order, with trace; x is
+    CSR or dense."""
     coeffs = np.asarray(coeffs, dtype=complex)
     n = x.shape[0]
     order = np.arange(n) if ordering is None else np.asarray(ordering)
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"ordering must be a permutation of range(N), N={n}")
-    weighted = coeffs[order, None] * x[order]
-    return _trace_from_weighted_rows(weighted, order, window)
+    return _trace_from_weighted_rows(x[order], coeffs[order], order, window)
 
 
 def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
@@ -241,8 +274,8 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
             window: float = STABILIZATION_WINDOW):
     """Order-dependent partial sums of sum_n <f, member_n> member_n; a probe
     of another length is truncated or continues by zero."""
-    x = instantiate(family, level)
-    coeffs = np.conj(x) @ _fit_dim(f, level[0])
+    x = _stored(family, level)
+    coeffs = x.conj() @ _fit_dim(f, level[0])
     return _partial_sums(x, coeffs, ordering, window)
 
 
@@ -644,7 +677,7 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     pairings = {k: [] for k in range(len(test_set))}
     bound = 0.0
     for d, n in ladder.levels:
-        mat = analysis_matrix(family, (d, n))
+        mat = _stored(family, (d, n)).conj()
         c_f = mat @ _fit_dim(f, d)
         for k, g in enumerate(test_set):
             c_g = mat @ _fit_dim(np.asarray(g, dtype=complex), d)

@@ -382,6 +382,9 @@ def _sparse_rule(rows, positions, values):
     (lambda: instantiate_sparse(_sparse_rule([0, 1], [0.0, 1.0], [1.0, 1.0]),
                                 (3, 2)),
      "rows and positions must be integers"),
+    (lambda: instantiate_sparse(_sparse_rule([0, 1, 0, 1], [0, 1, 0, 1],
+                                             [1.0, 1.0, 2.0, 2.0]), (3, 2)),
+     "a member names one position twice"),
 ], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
         "translate-step-nan", "density-nan", "empty-periodic-grid",
         "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -405,15 +408,17 @@ def _sparse_rule(rows, positions, values):
         "pseudoinverse-cutoff-negative", "pseudoinverse-dense-cutoff-inf",
         "sparse-rule-position-at-d", "sparse-rule-position-negative",
         "dense-rule-short-rows", "sparse-rule-unequal-lengths",
-        "sparse-rule-row-past-n", "sparse-rule-float-positions"])
+        "sparse-rule-row-past-n", "sparse-rule-float-positions",
+        "sparse-rule-repeated-position"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported inside the banded helpers and the block-wise
-    # pseudo-inverse, so the package's import time does not pay for it
+    # scipy is imported inside the functions that use it (CSR members, the
+    # banded helpers, the block-wise pseudo-inverse, the zherk Gram), so the
+    # package's import time does not pay for it
     code = ("import sys, semiframe; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")

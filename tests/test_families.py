@@ -6,7 +6,8 @@ from semiframe.core import (
 )
 from semiframe.exponentials import ExponentialSystem, frequency_of
 from semiframe.families import (
-    DIFFERENCE_POWER, INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
+    DIFFERENCE_POWER, INTERLEAVED_HEAD, _telescoped, decaying_probe,
+    interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
     orthonormal_family, scaled_basis_family, seeded_dense_family,
     shared_direction_family,
@@ -210,6 +211,17 @@ def test_interleaved_coefficients_match_direct_formula():
     assert np.allclose(alpha, u_direct - u_next + 1.0 / n, rtol=1e-6)
     with pytest.raises(ValueError):
         interleaved_coefficients(1, 5)
+
+
+@pytest.mark.parametrize("k_lo, k_hi", [(2, 3), (2, 500001), (1000, 99999)])
+def test_interleaved_coefficients_match_two_telescoped_calls(k_lo, k_hi):
+    """One telescoped evaluation over k_lo..k_hi + 1, sliced, gives the
+    bits of evaluating it at k and at k + 1 separately."""
+    k = np.arange(k_lo, k_hi + 1, dtype=float)
+    u_k, u_next = _telescoped(k), _telescoped(k + 1)
+    expected = (u_k - u_next + 1.0 / k, u_k + 1.0 / k, u_k)
+    for got, want in zip(interleaved_coefficients(k_lo, k_hi), expected):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_interleaved_head_constant():

@@ -3,6 +3,7 @@ import pytest
 
 from semiframe.core import (
     TruncationLadder, VectorFamily, default_ladder, instantiate,
+    instantiate_sparse, tail_diagnostic,
 )
 from semiframe.families import (
     decaying_probe, interleaved_difference_family, orthonormal_family,
@@ -221,16 +222,23 @@ def test_s_apply_ordering_dependence():
     (shared_direction_family(1.0), (65, 64)),
 ], ids=["interleaved", "seeded-dense", "growing"])
 def test_s_apply_is_analysis_then_synthesis(fam, level, monkeypatch):
+    """s_apply equals dense synthesis of the coefficients it reads, taken
+    from the family's own storage (CSR coefficients of a sparse family may
+    differ from the dense matrix product by an ulp), and materializes the
+    members once."""
     f = decaying_probe(level[0], -0.6)
     order = np.random.default_rng(11).permutation(level[1])
+    stored = (instantiate(fam, level) if fam.dense
+              else instantiate_sparse(fam, level))
     for ordering in (None, order):
-        coeffs = analysis_matrix(fam, level) @ f
+        coeffs = stored.conj() @ f
         ref_vec, ref = synthesis(fam, coeffs, level, ordering=ordering)
         calls = []
-        real_instantiate = operators.instantiate
         with monkeypatch.context() as mp:
-            mp.setattr(operators, "instantiate",
-                       lambda *a: calls.append(a) or real_instantiate(*a))
+            for name in ("instantiate", "instantiate_sparse"):
+                real = getattr(operators, name)
+                mp.setattr(operators, name, lambda *a, real=real:
+                           calls.append(a) or real(*a))
             vec, trace = s_apply(fam, f, level, ordering=ordering)
         assert len(calls) == 1
         assert np.array_equal(vec, ref_vec)
@@ -248,6 +256,113 @@ def test_w_membership_split_domains():
     assert rep.in_W_domain.kind == "Divergent"
     assert 0.15 <= rep.prefix_exponent <= 0.25
     assert rep.prefix_sups[-1][1] > rep.prefix_sups[0][1]
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics on the members' own storage against dense expressions
+
+EPS = np.finfo(float).eps
+
+
+def _roundoff(got, want, scale):
+    """|got - want| within 16 eps of the summed term magnitudes `scale`:
+    the two routes add the same products in another order."""
+    return np.all(np.abs(np.asarray(got) - np.asarray(want))
+                  <= 16 * EPS * np.asarray(scale))
+
+
+def _dense_trace(x, f, order):
+    """Prefix sums of <f, x_n> x_n over the rows of the dense x in the
+    given order, with their norms and the norms of |<f, x_n>| |x_n|."""
+    coeffs = np.conj(x) @ f
+    running = np.zeros(x.shape[1], dtype=complex)
+    bound = np.zeros(x.shape[1])
+    norms, scales = [], []
+    for k in order:
+        running += coeffs[k] * x[k]
+        bound += np.abs(coeffs[k]) * np.abs(x[k])
+        norms.append(np.linalg.norm(running))
+        scales.append(np.linalg.norm(bound))
+    return running, np.array(norms), np.array(scales), bound
+
+
+STORAGE_CASES = [
+    pytest.param(shared_direction_family(0.0, name="diana-links"),
+                 TruncationLadder(((33, 32), (65, 64), (129, 128))), id="diana"),
+    pytest.param(shared_direction_family(1.0, name="growing-links"),
+                 TruncationLadder(((33, 32), (65, 64), (129, 128))),
+                 id="growing"),
+    pytest.param(interleaved_difference_family(),
+                 TruncationLadder(((66, 131), (130, 259), (258, 515))),
+                 id="interleaved"),
+    pytest.param(seeded_dense_family(4),
+                 TruncationLadder(((16, 32), (32, 64), (64, 128))),
+                 id="seeded-dense"),
+]
+
+
+@pytest.mark.parametrize("fam, ladder", STORAGE_CASES)
+def test_diagnostics_on_stored_members_match_dense(fam, ladder, monkeypatch):
+    """frame_action, s_apply, analysis, w_membership and permutation_gap read
+    CSR members for a sparse family (a dense read raises) and agree with the
+    dense expressions up to the roundoff of another summation order."""
+    level = ladder.top
+    d, n = level
+    xs = [instantiate(fam, lv) for lv in ladder.levels]
+    x = xs[-1]
+    f = decaying_probe(d, -0.6)
+    g = decaying_probe(d, -3.0)
+    order = np.random.default_rng(5).permutation(n)
+
+    real = operators.instantiate
+
+    def dense_only(family, lv):
+        if not family.dense:
+            raise AssertionError(f"{family.name} materialized densely")
+        return real(family, lv)
+
+    monkeypatch.setattr(operators, "instantiate", dense_only)
+
+    abs_x, abs_f = np.abs(x), np.abs(f)
+    assert _roundoff(frame_action(fam, f, level),
+                     x.T @ (np.conj(x) @ f), abs_x.T @ (abs_x @ abs_f))
+
+    for ordering in (None, order):
+        ref_vec, ref_norms, scales, bound = _dense_trace(
+            x, f, np.arange(n) if ordering is None else ordering)
+        vec, trace = s_apply(fam, f, level, ordering=ordering)
+        assert _roundoff(vec, ref_vec, bound)
+        assert _roundoff(trace.prefix_norms, ref_norms, scales)
+        assert np.array_equal(trace.ordering,
+                              np.arange(n) if ordering is None else ordering)
+
+    coeffs, verdict = analysis(fam, f, ladder)
+    assert _roundoff(coeffs, np.conj(x) @ f, abs_x @ abs_f)
+    energies = [float(np.sum(np.abs(np.conj(xl) @ f[:lv[0]]) ** 2))
+                for xl, lv in zip(xs, ladder.levels)]
+    assert verdict.kind == tail_diagnostic(energies, ladder.counts()).kind
+
+    rep = w_membership(fam, f, [g], ladder)
+    pairings = [complex(np.vdot(np.conj(xl) @ g[:lv[0]], np.conj(xl) @ f[:lv[0]]))
+                for xl, lv in zip(xs, ladder.levels)]
+    assert rep.in_T_domain.kind == tail_diagnostic(
+        pairings, ladder.counts(), rel_tol=1e-7).kind
+    pair_scale = np.abs(np.conj(x) @ g) @ (abs_x @ abs_f)
+    assert abs(rep.bound_estimate - abs(pairings[-1]) / np.linalg.norm(g)) \
+        <= 64 * EPS * pair_scale / np.linalg.norm(g)
+    if fam.prefix_norm_rule is None:
+        for (count, sup), xl, lv in zip(rep.prefix_sups, xs, ladder.levels):
+            _, norms, scales, _ = _dense_trace(xl, f[:lv[0]], np.arange(lv[1]))
+            assert count == lv[1]
+            assert abs(sup - norms.max()) <= 16 * EPS * scales.max()
+
+    gram = x.T @ np.conj(x)
+    stored = x if fam.dense else instantiate_sparse(fam, level)
+    got = operators._gram(stored)
+    got = got if fam.dense else got.toarray()
+    upper = np.triu(np.ones((d, d), dtype=bool))
+    assert _roundoff(got[upper], gram[upper], (abs_x.T @ abs_x)[upper])
+    assert permutation_gap(fam, level, n_perms=4) <= 64 * EPS
 
 
 # ---------------------------------------------------------------------------
