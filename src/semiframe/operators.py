@@ -189,6 +189,20 @@ def frame_matrix(family: VectorFamily, level: tuple) -> FrameMatrix:
     return FrameMatrix(t, gap)
 
 
+def _whole(name: str, values) -> np.ndarray:
+    """A count, or an array of counts, as int64; refuses an empty one or
+    any entry that is not a whole number >= 1."""
+    a = np.asarray(values)
+    if a.size == 0:
+        raise ValueError(f"{name} must not be empty")
+    if not ((np.issubdtype(a.dtype, np.integer)
+             or np.issubdtype(a.dtype, np.floating))
+            and np.all(np.isfinite(a)) and np.all(a >= 1)
+            and np.all(a == np.floor(a))):
+        raise ValueError(f"{name} must be whole numbers >= 1, got {values!r}")
+    return a.astype(np.int64)
+
+
 def _gram(y):
     """y^T conj(y), the frame matrix of the rows of y. A CSR y gives a
     sparse product; a dense y gives only the upper triangle, from one
@@ -203,7 +217,8 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
                     seed: int = 7) -> float:
     """Largest relative entrywise deviation of the frame matrix under
     seeded row permutations; the accumulated sum is order-free, so only
-    roundoff shows up here."""
+    roundoff shows up here; n_perms must be a whole number >= 1."""
+    n_perms = int(_whole("n_perms", n_perms))
     x = _stored(family, level)
     base = _gram(x)
     scale = max(1.0, float(abs(base).max()))
@@ -225,19 +240,24 @@ def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarra
 
 def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
                               window: float) -> tuple:
-    """Prefix sums of coeffs[k] rows[k] and their norms; a CSR row is
-    scattered into the running sum, a dense row is added whole."""
+    """Prefix sums of coeffs[i] rows[i] over i in ordering, and their norms.
+
+    A dense row is weighted and added to the running sum one at a time, in
+    place of the rows, so no reordered or weighted copy of the members is
+    built; a CSR family is reordered (a cheap copy of its stored entries)
+    and each row is scattered into the running sum.
+    """
     n, d = rows.shape
     running = np.zeros(d, dtype=complex)
     norms = np.empty(n)
     if isinstance(rows, np.ndarray):
-        weighted = coeffs[:, None] * rows
-        for k in range(n):
-            running += weighted[k]
+        for k, i in enumerate(ordering):
+            running += coeffs[i] * rows[i]
             norms[k] = np.linalg.norm(running)
     else:
+        rows = rows[ordering]
         ptr, pos = rows.indptr, rows.indices
-        weighted = np.repeat(coeffs, np.diff(ptr)) * rows.data
+        weighted = np.repeat(coeffs[ordering], np.diff(ptr)) * rows.data
         for k in range(n):
             # a row names each position once (core refuses repeats)
             span = slice(ptr[k], ptr[k + 1])
@@ -252,13 +272,15 @@ def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
 
 def _partial_sums(x, coeffs: np.ndarray, ordering, window: float):
     """Partial sums of coeffs_n x_n in the given order, with trace; x is
-    CSR or dense."""
+    CSR or dense, and the ordering an integer permutation of range(N)."""
     coeffs = np.asarray(coeffs, dtype=complex)
     n = x.shape[0]
     order = np.arange(n) if ordering is None else np.asarray(ordering)
-    if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
-        raise ValueError(f"ordering must be a permutation of range(N), N={n}")
-    return _trace_from_weighted_rows(x[order], coeffs[order], order, window)
+    if (order.shape != (n,) or not np.issubdtype(order.dtype, np.integer)
+            or not np.array_equal(np.sort(order), np.arange(n))):
+        raise ValueError(f"ordering must be a permutation of range(N), N={n}, "
+                         "given as integers")
+    return _trace_from_weighted_rows(x, coeffs, order, window)
 
 
 def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
@@ -338,6 +360,8 @@ class _KeptBlock:
     diagonal G scales each row of M, so G^{-1} M and G^{-1/2} M are read off
     the diagonal, keep one entry per nonzero of M and stay CSR; under any
     wider band they come from dense eigh of G, formed on demand, and fill in.
+    A derived block is returned through placed(), which writes a CSR block's
+    stored entries straight into the output and builds no dense copy of M.
     """
 
     def __init__(self, members):
@@ -366,9 +390,16 @@ class _KeptBlock:
             self.band[g.row[lower] - g.col[lower], g.col[lower]] = g.data[lower]
         self.members = members
 
-    def dense_members(self) -> np.ndarray:
+    def placed(self, keep: np.ndarray) -> np.ndarray:
+        """M in the kept rows of a zeroed (d, N) array, d = keep.size."""
         m = self.members
-        return m if isinstance(m, np.ndarray) else m.toarray()
+        out = np.zeros((keep.size, m.shape[1]), dtype=complex)
+        if isinstance(m, np.ndarray):
+            out[keep] = m
+        else:       # a canonical CSR block names each entry once
+            m = m.tocoo()
+            out[np.flatnonzero(keep)[m.row], m.col] = m.data
+        return out
 
     def _diagonal(self, floor_ratio: float) -> np.ndarray:
         """The diagonal of a diagonal G; refuses a numerically singular G."""
@@ -403,7 +434,9 @@ class _KeptBlock:
             # G^{-power} M is M with row i scaled by g_i^{-power}
             g = self._diagonal(floor_ratio)
             return self._rows_scaled(1.0 / g ** power), float(g.min())
-        m = self.dense_members()
+        m = self.members
+        if not isinstance(m, np.ndarray):
+            m = m.toarray()
         w, v = np.linalg.eigh(m @ m.conj().T if self.dense is None else self.dense)
         lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
         return _KeptBlock((v / w ** power) @ v.conj().T @ m), lo
@@ -472,14 +505,17 @@ def canonical_dual(family: VectorFamily, level: tuple,
     offending eigenvalue. The returned Bessel bound estimate is the largest
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound.
+
+    On a diagonal kept block (growing-links, diana-links) the dual has one
+    nonzero per member, and only those entries are written into the zeroed
+    output; no other dense copy of the dual is built.
     """
     _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
     dual_block, lam = block.inverse(floor_ratio)
     # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
     # is row-contiguous; zero off the kept coordinates
-    duals = np.zeros(level, dtype=complex)
-    duals[keep] = dual_block.dense_members()
+    duals = dual_block.placed(keep)
     bessel_est = dual_block.extremes()[1]
     return DualFamily(duals.T, "inverse", level, bessel_est, 1.0 / lam, lam)
 
@@ -640,10 +676,8 @@ def parseval_canonical(family: VectorFamily, level: tuple,
     _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
     tight, _ = block.inverse(floor_ratio, power=0.5)
-    vectors = np.zeros(level, dtype=complex)
-    vectors[keep] = tight.dense_members()
     lo, hi = tight.extremes()
-    return vectors.T, max(abs(lo - 1.0), abs(hi - 1.0))
+    return tight.placed(keep).T, max(abs(lo - 1.0), abs(hi - 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -671,8 +705,12 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     membership in the pointwise-sum domain, growth with a fitted positive
     exponent models its failure. Families carrying a closed-form prefix-norm
     rule are evaluated through it at the counts in `rule_counts` (defaults to
-    the ladder counts), which reaches far beyond materializable levels.
+    the ladder counts), which reaches far beyond materializable levels; its
+    exponent is the least-squares slope of log norm against log count from
+    an eighth of the largest count on.
     """
+    if len(test_set) == 0:
+        raise ValueError("test_set must hold at least one probe")
     f = np.asarray(f, dtype=complex)
     pairings = {k: [] for k in range(len(test_set))}
     bound = 0.0
@@ -699,14 +737,20 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
 
     exponent = None
     if family.prefix_norm_rule is not None:
-        counts = np.asarray(rule_counts if rule_counts is not None
-                            else ladder.counts())
-        norms_full = family.prefix_norm_rule(np.arange(1, counts.max() + 1))
+        counts = _whole("rule_counts", rule_counts if rule_counts is not None
+                        else ladder.counts())
+        top = counts.max()
+        if top < 3:
+            raise ValueError("the prefix-norm fit needs a count of at least 3, "
+                             f"got at most {top}")
+        norms_full = family.prefix_norm_rule(np.arange(1, top + 1))
         sups = [float(np.max(norms_full[:m])) for m in counts]
-        m_lo = max(counts.max() // 8, 2)
-        ms = np.arange(m_lo, counts.max() + 1)
-        exponent, _ = np.polyfit(np.log(ms), np.log(norms_full[m_lo - 1:]), 1)
-        exponent = float(exponent)
+        m_lo = max(top // 8, 2)
+        lx = np.log(np.arange(m_lo, top + 1))
+        ly = np.log(norms_full[m_lo - 1:])
+        lx -= lx.mean()
+        ly -= ly.mean()
+        exponent = float(lx @ ly / (lx @ lx))
     else:
         counts = ladder.counts()
         sups = []

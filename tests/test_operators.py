@@ -10,6 +10,8 @@ from semiframe.families import (
     scaled_basis_family, seeded_dense_family, shared_direction_family,
 )
 from semiframe import operators
+from semiframe.exponentials import ExponentialSystem, family_on_grid
+from semiframe.muckenhoupt import ConstantWeight
 from semiframe.operators import (
     PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
     analysis, analysis_matrix, canonical_dual, dual_via_pseudoinverse, frame_action,
@@ -550,6 +552,74 @@ def test_lower_bound_far_beyond_the_dense_limit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# kept-block outputs and the dense trace, without member copies
+
+KEPT_CASES = [
+    pytest.param(shared_direction_family(1.0, name="growing-links"),
+                 (513, 512), id="growing"),
+    pytest.param(shared_direction_family(0.0, name="diana-links"),
+                 (257, 256), id="diana"),
+    pytest.param(seeded_dense_family(9), (64, 128), id="seeded-dense"),
+]
+
+
+@pytest.mark.parametrize("fam, level", KEPT_CASES)
+def test_kept_block_outputs_match_the_dense_assignment(fam, level):
+    """canonical_dual and parseval_canonical write a CSR block's stored
+    entries into the output; bit for bit the assignment of its dense copy."""
+    from scipy import sparse
+
+    keep, block = operators._restricted_spectrum(fam, level, None)
+    for power, got in ((1.0, canonical_dual(fam, level).vectors),
+                       (0.5, parseval_canonical(fam, level)[0])):
+        derived, _ = block.inverse(operators.EIG_FLOOR_RATIO, power=power)
+        members = derived.members
+        assert sparse.issparse(members) != fam.dense
+        want = np.zeros(level, dtype=complex)
+        want[keep] = members if fam.dense else members.toarray()
+        assert np.array_equal(got, want.T)
+
+
+def test_canonical_dual_builds_no_second_dense_copy():
+    import tracemalloc
+
+    fam = shared_direction_family(1.0)
+    canonical_dual(fam, (65, 64))          # imports and first calls
+    tracemalloc.start()
+    try:
+        dual = canonical_dual(fam, (1025, 1024))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * dual.vectors.nbytes
+
+
+def _copied_trace(x, coeffs, order):
+    """The prefix sums as taken from reordered, weighted copies of the rows."""
+    weighted = coeffs[order][:, None] * x[order]
+    running = np.zeros(x.shape[1], dtype=complex)
+    norms = np.empty(len(order))
+    for k in range(len(order)):
+        running += weighted[k]
+        norms[k] = np.linalg.norm(running)
+    return running, norms
+
+
+@pytest.mark.parametrize("fam, level", [
+    (seeded_dense_family(5), (48, 96)),
+    (family_on_grid(ExponentialSystem(ConstantWeight(1), 1.0, 64)), (64, 65)),
+], ids=["seeded-dense", "flat-exponentials"])
+def test_dense_trace_keeps_the_copied_prefix_norms(fam, level):
+    x = instantiate(fam, level)
+    coeffs = np.conj(x) @ decaying_probe(level[0], -0.6)
+    order = np.random.default_rng(13).permutation(level[1])
+    want_vec, want = _copied_trace(x, coeffs, order)
+    vec, trace = synthesis(fam, coeffs, level, ordering=order)
+    assert np.array_equal(vec, want_vec)
+    assert np.array_equal(trace.prefix_norms, want)
+
+
+# ---------------------------------------------------------------------------
 # the block-wise pseudo-inverse against the whole-matrix SVD
 
 
@@ -710,8 +780,8 @@ def test_frame_action_and_s_apply_fit_the_probe_to_d():
 
 @pytest.mark.parametrize("ordering", [
     np.arange(3), np.zeros(16, dtype=int), np.arange(1, 17),
-    np.arange(16).reshape(4, 4)],
-    ids=["too-short", "repeats", "out-of-range", "not-flat"])
+    np.arange(16).reshape(4, 4), np.arange(16.0)],
+    ids=["too-short", "repeats", "out-of-range", "not-flat", "float"])
 def test_ordering_must_be_a_permutation(ordering):
     fam = orthonormal_family()
     f = decaying_probe(16, -0.6)
@@ -719,3 +789,30 @@ def test_ordering_must_be_a_permutation(ordering):
         s_apply(fam, f, (16, 16), ordering=ordering)
     with pytest.raises(ValueError, match=r"ordering must be a permutation"):
         synthesis(fam, f, (16, 16), ordering=ordering)
+
+
+@pytest.mark.parametrize("n_perms", [0, -3, 2.5, np.nan])
+def test_permutation_gap_needs_a_whole_number_of_permutations(n_perms):
+    with pytest.raises(ValueError, match=r"n_perms must be whole numbers >= 1"):
+        permutation_gap(shared_direction_family(0.0), (17, 16), n_perms=n_perms)
+
+
+def test_w_membership_refuses_an_empty_test_set():
+    fam = orthonormal_family()
+    with pytest.raises(ValueError, match=r"test_set must hold at least one"):
+        w_membership(fam, decaying_probe(33), [], LINK_LADDER)
+
+
+@pytest.mark.parametrize("counts, match", [
+    (np.array([], dtype=int), r"rule_counts must not be empty"),
+    (np.array([0, 100]), r"rule_counts must be whole numbers >= 1"),
+    (np.array([10.5, 100.0]), r"rule_counts must be whole numbers >= 1"),
+    (np.array([np.nan, 100.0]), r"rule_counts must be whole numbers >= 1"),
+    (np.array([1, 2]), r"prefix-norm fit needs a count of at least 3"),
+], ids=["empty", "below-one", "fractional", "nan", "one-point-fit"])
+def test_w_membership_rule_counts_are_whole_and_positive(counts, match):
+    fam = interleaved_difference_family()
+    ladder = TruncationLadder(((66, 131), (130, 259), (258, 515)))
+    probe = decaying_probe(258)
+    with pytest.raises(ValueError, match=match):
+        w_membership(fam, probe, [probe], ladder, rule_counts=counts)
