@@ -193,13 +193,10 @@ def _whole(name: str, values) -> np.ndarray:
     """A count, or an array of counts, as int64; refuses an empty one or
     any entry that is not a whole number >= 1."""
     a = np.asarray(values)
-    if a.size == 0:
-        raise ValueError(f"{name} must not be empty")
-    if not ((np.issubdtype(a.dtype, np.integer)
-             or np.issubdtype(a.dtype, np.floating))
-            and np.all(np.isfinite(a)) and np.all(a >= 1)
-            and np.all(a == np.floor(a))):
-        raise ValueError(f"{name} must be whole numbers >= 1, got {values!r}")
+    if not (a.size and a.dtype.kind in "iuf" and np.all(np.isfinite(a))
+            and np.all(a >= 1) and np.all(a == np.floor(a))):
+        raise ValueError(f"{name} must be one or more whole numbers >= 1, "
+                         f"got {values!r}")
     return a.astype(np.int64)
 
 
@@ -241,12 +238,9 @@ def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarra
 def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
                               window: float) -> tuple:
     """Prefix sums of coeffs[i] rows[i] over i in ordering, and their norms.
-
-    A dense row is weighted and added to the running sum one at a time, in
-    place of the rows, so no reordered or weighted copy of the members is
-    built; a CSR family is reordered (a cheap copy of its stored entries)
-    and each row is scattered into the running sum.
-    """
+    Dense rows are weighted and added one at a time, so no reordered or
+    weighted copy of them is built; CSR rows are reordered (a copy of the
+    stored entries only) and each is scattered into the running sum."""
     n, d = rows.shape
     running = np.zeros(d, dtype=complex)
     norms = np.empty(n)
@@ -504,11 +498,9 @@ def canonical_dual(family: VectorFamily, level: tuple,
     Refuses when the restriction is numerically singular, reporting the
     offending eigenvalue. The returned Bessel bound estimate is the largest
     eigenvalue of the dual family's frame matrix; theory caps it by the
-    reciprocal of the restricted lower bound.
-
-    On a diagonal kept block (growing-links, diana-links) the dual has one
-    nonzero per member, and only those entries are written into the zeroed
-    output; no other dense copy of the dual is built.
+    reciprocal of the restricted lower bound. On a diagonal kept block the
+    dual has one nonzero per member, and only those entries are written
+    into the output.
     """
     _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
