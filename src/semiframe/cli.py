@@ -39,7 +39,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE = 0, 1, 2, 64
 DEFAULT_GRID = 4096
 DEFAULT_TAIL = 2000
 DEFAULT_SEED = 42
-DEFAULT_TOL = 1e-9
+ROUTE_GAP_TOL = 1e-9           # dual: inverse against pseudo-inverse route
+RECONSTRUCTION_TOL = 1e-6      # reconstruct: relative error, or its gap to 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +161,7 @@ def _cmd_dual(args) -> int:
         np.savetxt(args.out, np.column_stack(
             [d1.vectors.real, d1.vectors.imag]), delimiter=",")
         print(f"dual vectors written to {args.out}", file=sys.stderr)
-    return EXIT_PASS if gap <= args.tol else EXIT_FAIL
+    return EXIT_PASS if gap <= ROUTE_GAP_TOL else EXIT_FAIL
 
 
 def _cmd_reconstruct(args) -> int:
@@ -188,10 +189,9 @@ def _cmd_reconstruct(args) -> int:
     print(f"  relative error vs probe     : {res.rel_error!r}")
     print(f"  relative error vs projection: {res.in_span_error!r}")
     print(f"  coefficient-domain verdict  : {res.coefficient_tail.kind}")
-    if args.probe == "orthogonal":
-        return EXIT_PASS if abs(res.rel_error - 1.0) <= args.tol * 1e3 \
-            else EXIT_FAIL
-    return EXIT_PASS if res.rel_error <= args.tol * 1e3 else EXIT_FAIL
+    err = abs(res.rel_error - 1.0) if args.probe == "orthogonal" \
+        else res.rel_error
+    return EXIT_PASS if err <= RECONSTRUCTION_TOL else EXIT_FAIL
 
 
 def _cmd_a2test(args) -> int:
@@ -254,7 +254,6 @@ def build_parser() -> _Parser:
     d = sub.add_parser("dual", help="canonical dual members, two routes")
     d.add_argument("--family", choices=("diana", "stoeva"), default="diana")
     d.add_argument("--count", type=int, default=256)
-    d.add_argument("--tol", type=float, default=DEFAULT_TOL)
     d.add_argument("--out", default=None)
     d.set_defaults(fn=_cmd_dual)
 
@@ -264,7 +263,6 @@ def build_parser() -> _Parser:
                    default="in-span")
     r.add_argument("--count", type=int, default=256)
     r.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    r.add_argument("--tol", type=float, default=DEFAULT_TOL)
     r.set_defaults(fn=_cmd_reconstruct)
 
     a = sub.add_parser("a2test", help="interval-average class test")

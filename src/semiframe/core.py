@@ -8,7 +8,10 @@ analysis domain, closed-form prefix norms). Grid-sampled functions on a
 period or on a symmetric window of the line are carried by GridFunction.
 Convergence and divergence across truncation ladders is judged by
 tail_diagnostic, which returns a ConvergenceVerdict rather than a bare bool
-so that callers can surface evidence.
+so that callers can surface evidence. The translate and exponential systems
+share two result types: a Classification (per-property verdicts with their
+evidence) and ResidueCoefficients (coefficients on a residue ring, read at
+signed indices).
 """
 
 from __future__ import annotations
@@ -254,6 +257,36 @@ def frame_verdict(bessel: str, lower: str) -> str:
     return NO if NO in (bessel, lower) else UNDECIDED
 
 
+@dataclass
+class Classification:
+    """Verdicts on a system's properties: properties[prop] is the pair
+    (verdict, evidence dict); scope names the space they are judged in."""
+
+    name: str
+    scope: str
+    properties: dict
+
+    def verdict(self, prop: str) -> str:
+        return self.properties[prop][0]
+
+
+@dataclass
+class ResidueCoefficients:
+    """Coefficients on the residue ring Z / size, read at signed indices
+    |n| <= size // 2."""
+
+    values: np.ndarray          # index n mod size
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def at(self, n: int) -> complex:
+        if abs(n) > self.size // 2:
+            raise ValueError("index outside the resolved band")
+        return complex(self.values[n % self.size])
+
+
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     kind: str
@@ -415,6 +448,19 @@ def whole_count(ratio: float, precondition: str) -> int:
     return int(round(ratio))
 
 
+def whole_number(value, least: int, precondition: str) -> int:
+    """A count that must be a finite whole number >= least, as an int.
+
+    Raises ValueError(precondition) for anything else: a fraction, a NaN,
+    an infinity, a value below least or a non-number.
+    """
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and np.isfinite(value) and value >= least
+            and value == int(value)):
+        raise ValueError(f"{precondition}, got {value!r}")
+    return int(value)
+
+
 def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
     """Fold a line-grid function into one period: sum over f(x - k*a), |k| <= shifts.
 
@@ -425,6 +471,7 @@ def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
     """
     if f.kind != LINE:
         raise ValueError("periodize expects a line grid")
+    shifts = whole_number(shifts, 0, "shifts must be a whole number >= 0")
     m = whole_count(a / f.step, "period must be an integer number of grid steps")
     out = np.zeros(m, dtype=complex)
     j0 = f.index0

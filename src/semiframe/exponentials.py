@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, VectorFamily, frame_verdict, phase_blocks,
-    tail_diagnostic, whole_count,
+    NO, UNDECIDED, YES, Classification, ResidueCoefficients, VectorFamily,
+    frame_verdict, phase_blocks, tail_diagnostic, whole_count, whole_number,
 )
 from .muckenhoupt import (
     IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
@@ -118,26 +118,10 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
 # analysis / synthesis at full window, b = 1
 
 
-@dataclass
-class ExponentialCoefficients:
-    """Signed-frequency accessor over the DFT residue ring."""
-
-    values: np.ndarray          # raw twisted-DFT output, index = freq mod M
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def frequency(self, n: int) -> complex:
-        if abs(n) > self.size // 2:
-            raise ValueError("frequency outside the resolved band")
-        return complex(self.values[n % self.size])
-
-
 def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
-                          ) -> ExponentialCoefficients:
+                          ) -> ResidueCoefficients:
     """Coefficients (1/M) sum f conj(g) exp(-2 pi i n x_i) for all M
-    frequencies, via one FFT plus the midpoint twist. b = 1 only."""
+    frequencies n mod M, via one FFT plus the midpoint twist. b = 1 only."""
     if system.b != 1.0:
         raise ValueError("full-window FFT analysis needs b = 1")
     m = system.m
@@ -149,11 +133,11 @@ def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
     n = np.arange(m)
     signed = np.where(n <= m // 2, n, n - m)
     twist = np.exp(-1j * np.pi * signed / m)
-    return ExponentialCoefficients(twist * raw)
+    return ResidueCoefficients(twist * raw)
 
 
 def synthesis_exponentials(system: ExponentialSystem,
-                           coeffs: ExponentialCoefficients,
+                           coeffs: ResidueCoefficients,
                            weight_values: np.ndarray) -> np.ndarray:
     """sum_n c_n weight_values(x) exp(2 pi i n x) over the full window."""
     if system.b != 1.0:
@@ -206,6 +190,7 @@ def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
     """
     if system.b != 1.0:
         raise ValueError("biorthogonality holds at critical density b = 1 only")
+    n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
     gram = _dual_gram(system, n_max)
     return float(np.abs(gram - np.eye(len(gram))).max())
 
@@ -259,18 +244,6 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
 # classification
 
 
-@dataclass
-class ExponentialClassification:
-    name: str
-    scope: str
-    properties: dict
-    ess_inf: float
-    ess_sup: float
-
-    def verdict(self, prop: str) -> str:
-        return self.properties[prop][0]
-
-
 def _weight_ladder(weight):
     ladder = getattr(weight, "value_ladder", None)
     return ladder() if ladder is not None else None
@@ -283,7 +256,7 @@ def _weight_candidates(weight):
     return None
 
 
-def classify_exponentials(system: ExponentialSystem) -> ExponentialClassification:
+def classify_exponentials(system: ExponentialSystem) -> Classification:
     """Read the frame-type inequalities off the weight's essential bounds.
 
     With b <= 1 the operator is diagonal multiplication, so bounds are
@@ -334,4 +307,4 @@ def classify_exponentials(system: ExponentialSystem) -> ExponentialClassificatio
                                              "constant": a2.constant_estimate})
         props["unconditional_basis"] = (props["frame"][0],
                                         {"same_as": "frame, at b = 1"})
-    return ExponentialClassification(system.name, scope, props, inf_w, sup_w)
+    return Classification(system.name, scope, props)

@@ -19,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .core import whole_number
+
 DYADIC_DEPTH = 14
 MIN_PLATEAUS = 2
 MAX_PLATEAUS = 12
@@ -184,8 +186,8 @@ class SampledWeight(_LevelArrays):
 
     def __init__(self, values, descriptor=None):
         v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0 or not np.all(v > 0):
-            raise ValueError("need a 1-d array of positive samples")
+        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v) & (v > 0)):
+            raise ValueError("need a 1-d array of finite positive samples")
         self.values = v
         self.m = v.size
         self._prefix = {}
@@ -343,8 +345,8 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     moving between the two deepest dyadic generations, and the constant is
     the supremum over every generation scanned.
     """
-    if depth < 1:
-        raise ValueError("dyadic depth must be at least 1")
+    depth = whole_number(depth, 1, "dyadic depth must be at least 1 and "
+                         "a whole number")
     if not callable(getattr(weight, "dyadic_level", None)):
         raise ValueError(f"{type(weight).__name__} has no dyadic-level kernel "
                          "(dyadic_level); the A2 scan reads each level from it")

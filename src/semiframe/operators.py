@@ -11,10 +11,11 @@ frame matrix, pseudo-inverse of the analysis matrix) are kept independent
 so they can cross-check each other. Lower bounds, the restricted-inverse
 dual and the Parseval normalization all read one kept block of the frame
 matrix, held banded when its measured bandwidth is narrow and dense
-otherwise; the pseudo-inverse of a sparse family's analysis matrix is taken
-per connected block. scipy is imported inside the functions that need it,
-so importing the package does not load it. Partial-sum traces record
-order-dependent behavior; the frame matrix itself is permutation-invariant.
+otherwise; the pseudo-inverse of the analysis matrix is taken per connected
+block, and a dense family's analysis matrix is one block. scipy is imported
+inside the functions that need it, so importing the package does not load
+it. Partial-sum traces record order-dependent behavior; the frame matrix
+itself is permutation-invariant.
 """
 
 from __future__ import annotations
@@ -456,13 +457,10 @@ def _restricted_spectrum(family: VectorFamily, level: tuple,
 
     Returns (keep, block): the mask of kept coordinates and the kept block
     B = Y Y^H of T, where Y = X^T[keep] holds the projected members as
-    columns (r x N). Y is CSR for families with a sparse rule and dense
-    otherwise; the block picks its storage from B's measured bandwidth.
+    columns (r x N), in the members' own storage; the block picks its
+    storage from B's measured bandwidth.
     """
-    if family.dense:
-        xt = instantiate(family, level).T
-    else:
-        xt = instantiate_sparse(family, level).T.tocsr()
+    xt = _stored(family, level).T
     keep = _kept(family, projector, level[0])
     return keep, _KeptBlock(xt[keep])
 
@@ -560,13 +558,6 @@ def _connected_blocks(c) -> list:
     return groups
 
 
-def _top_frame_eigenvalue(duals: np.ndarray) -> float:
-    """Largest eigenvalue of the frame matrix of the rows of duals (N x d),
-    or the largest over a stack of such blocks."""
-    frame = np.swapaxes(duals, -1, -2) @ np.conj(duals)
-    return float(np.linalg.eigvalsh(frame)[..., -1].max())
-
-
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
                            projector: Projector | None = None,
                            cutoff_ratio: float = PINV_CUTOFF_RATIO) -> DualFamily:
@@ -577,50 +568,47 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     range; its columns reproduce the restricted-inverse dual exactly. A
     projector built at another dimension is carried to the level.
 
-    For a family with a sparse rule the restricted analysis matrix C is
+    The restricted analysis matrix C (members against kept coordinates) is
     split into its connected blocks; after permuting rows and columns C is
     block-diagonal, so its pseudo-inverse is the block-diagonal of the
-    blocks' pseudo-inverses. Blocks of one shape share one batched SVD.
-    Singular values at or below cutoff_ratio times the largest one over all
-    blocks are cut, and the Bessel estimate is the largest eigenvalue of the
-    duals' frame matrix, block-diagonal by the same split. Other families
-    take one dense SVD of C. Refuses when no singular value clears the
-    cutoff.
+    blocks' pseudo-inverses. A dense family's C is one block, every member
+    against every kept coordinate. Blocks of one shape share one batched
+    SVD. Singular values at or below cutoff_ratio times the largest one over
+    all blocks are cut, and the Bessel estimate is the largest eigenvalue of
+    the duals' frame matrix, block-diagonal by the same split. Refuses when
+    no singular value clears the cutoff.
     """
     _checked_ratio("cutoff_ratio", cutoff_ratio)
-    if family.dense:
-        c = analysis_matrix(family, level)
-        c[:, ~_kept(family, projector, level[0])] = 0.0
-        u, s, vh = np.linalg.svd(c, full_matrices=False)
-        cutoff = cutoff_ratio * float(s[0])
-        cut = s > cutoff
-        if not cut.any():
-            raise SingularRestrictionError(float(s[0]) ** 2, cutoff ** 2)
-        pinv = (vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T   # d x N
-        duals = pinv.T
-        bessel_est = _top_frame_eigenvalue(duals)
-        smin = float(s[cut][-1])
+    members = _stored(family, level)
+    coords = np.flatnonzero(_kept(family, projector, level[0]))
+    c = members[:, coords].conj()
+    if isinstance(c, np.ndarray):
+        blocks = [(np.arange(level[1])[None], np.arange(coords.size)[None],
+                   c[None])]
     else:
-        members = instantiate_sparse(family, level)
-        coords = np.flatnonzero(_kept(family, projector, level[0]))
-        c = members[:, coords].conj()
-        groups = [(rows, cols, np.linalg.svd(stack, full_matrices=False))
-                  for rows, cols, stack in _connected_blocks(c)]
-        top = max((float(s.max()) for _, _, (_, s, _) in groups), default=0.0)
-        cutoff = cutoff_ratio * top
-        if not top > cutoff:
-            raise SingularRestrictionError(top ** 2, cutoff ** 2)
-        duals = np.zeros(level[::-1], dtype=complex)
-        bessel_est, smin = 0.0, top
-        for rows, cols, (u, s, vh) in groups:
-            cut = s > cutoff
-            inv = np.divide(1.0, s, out=np.zeros_like(s), where=cut)
-            # the block's pseudo-inverse V S^+ U^H, transposed: members by rows
-            block = np.conj((u * inv[:, None, :]) @ vh)
-            duals[rows[:, :, None], coords[cols][:, None, :]] = block
-            bessel_est = max(bessel_est, _top_frame_eigenvalue(block))
-            if cut.any():
-                smin = min(smin, float(s[cut].min()))
+        blocks = _connected_blocks(c)
+    groups = [(rows, cols, np.linalg.svd(stack, full_matrices=False))
+              for rows, cols, stack in blocks]
+    top = max((float(s.max()) for _, _, (_, s, _) in groups), default=0.0)
+    cutoff = cutoff_ratio * top
+    if not top > cutoff:
+        raise SingularRestrictionError(top ** 2, cutoff ** 2)
+    duals = np.zeros(level[::-1], dtype=complex)
+    bessel_est, smin = 0.0, top
+    for rows, cols, (u, s, vh) in groups:
+        cut = s > cutoff
+        # the block's pseudo-inverse V S^+ U^H, transposed: members by rows;
+        # V is divided by s, not scaled by 1/s, so a dense family's block
+        # keeps the bits of the whole-matrix formula
+        v = np.swapaxes(vh.conj(), -1, -2)
+        v_inv = np.divide(v, s[:, None, :], out=np.zeros_like(v),
+                          where=cut[:, None, :])
+        block = np.swapaxes(v_inv @ np.swapaxes(u.conj(), -1, -2), -1, -2)
+        duals[rows[:, :, None], coords[cols][:, None, :]] = block
+        frame = np.swapaxes(block, -1, -2) @ np.conj(block)
+        bessel_est = max(bessel_est, float(np.linalg.eigvalsh(frame).max()))
+        if cut.any():
+            smin = min(smin, float(s[cut].min()))
     return DualFamily(duals, "pseudoinverse", level, bessel_est,
                       float(1.0 / smin ** 2), smin ** 2)
 
@@ -644,7 +632,7 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     f_d = _fit_dim(f, d)
     pf = f_d.copy()
     pf[~_kept(family, projector, d)] = 0.0
-    coeffs = analysis_matrix(family, level) @ pf
+    coeffs = _stored(family, level).conj() @ pf
     f_tilde = dual.vectors.T @ coeffs
     norm_f = np.linalg.norm(f_d)
     rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0

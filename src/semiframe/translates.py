@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, GridFunction, covering_shifts, frame_verdict,
-    line_grid, pairwise_sum, periodize, phase_blocks, tail_diagnostic,
-    whole_count,
+    NO, UNDECIDED, YES, Classification, GridFunction, ResidueCoefficients,
+    covering_shifts, frame_verdict, line_grid, pairwise_sum, periodize,
+    phase_blocks, tail_diagnostic, whole_count, whole_number,
 )
 from .muckenhoupt import plateau_weight
 
@@ -231,11 +231,8 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     and 2K terms; when the two disagree, combining them removes a 1/K tail
     model.
     """
-    if not (isinstance(tail_terms, (int, float, np.integer, np.floating))
-            and np.isfinite(tail_terms) and tail_terms >= 1
-            and tail_terms == int(tail_terms)):
-        raise ValueError(f"tail_terms must be a whole number >= 1, "
-                         f"got {tail_terms!r}")
+    tail_terms = whole_number(tail_terms, 1,
+                              "tail_terms must be a whole number >= 1")
     a = system.step
     profile = system.profile
     phi = profile.fn
@@ -252,7 +249,7 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         vals = _alias_blocks(term, a, gamma, n_lo, n_hi)
         return vals / a, 0.0, False
     closed = self_paired and _closed_tail_ok(profile, a)
-    k = min(int(tail_terms), CLOSED_TAIL_TERMS) if closed else int(tail_terms)
+    k = min(tail_terms, CLOSED_TAIL_TERMS) if closed else tail_terms
     s_k = _alias_blocks(term, a, gamma, -k, k)
     if closed:
         s, envelope = profile.tail
@@ -269,6 +266,15 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     return s_2k / a, gap / a, False
 
 
+def _lattice(m) -> np.ndarray:
+    """The nodes i/m, i = 0..m-1, of the unit-periodic grid that pphi,
+    bracket and the canonical dual sample on; m must be a whole number
+    >= 2."""
+    m = whole_number(m, 2, "grid needs at least two nodes: m must be a "
+                     "whole number >= 2")
+    return np.arange(m) / m
+
+
 @dataclass
 class PphiReport:
     ess_inf: float
@@ -276,7 +282,6 @@ class PphiReport:
     zero_fraction: float
     tail_gap: float
     extrapolated: bool
-    grid_size: int
 
 
 def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
@@ -286,17 +291,15 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
     """
-    if m < 2:
-        raise ValueError("grid needs at least two nodes")
-    gamma = np.arange(m) / m
+    gamma = _lattice(m)
     vals, gap, extr = _alias_series(system, gamma, tail_terms)
     p = np.real(vals)
     sup = float(p.max())
     tau = ZERO_MASK_RATIO * sup
     live = p > tau
     inf_live = float(p[live].min()) if live.any() else 0.0
-    report = PphiReport(inf_live, sup, 1.0 - live.mean(), gap, extr, m)
-    grid = GridFunction(p, 1.0 / m, "periodic")
+    report = PphiReport(inf_live, sup, 1.0 - live.mean(), gap, extr)
+    grid = GridFunction(p, 1.0 / p.size, "periodic")
     return grid, report
 
 
@@ -307,44 +310,25 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
     Shares the alias kernel and tail handling with pphi, so feeding the
     generator's own profile reproduces the pphi values exactly.
     """
-    gamma = np.arange(m) / m
+    gamma = _lattice(m)
     vals, _, _ = _alias_series(system, gamma, tail_terms, f_fn=f_hat)
-    return GridFunction(vals, 1.0 / m, "periodic")
-
-
-@dataclass
-class TranslateCoefficients:
-    """Analysis coefficients <f, phi(. - n a)> for n on the residue ring."""
-
-    values: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def shift(self, n: int) -> complex:
-        if abs(n) > self.size // 2:
-            raise ValueError("shift index outside the resolved band")
-        return complex(self.values[n % self.size])
-
-    def band(self, n_max: int) -> tuple:
-        ns = np.arange(-n_max, n_max + 1)
-        return ns, np.array([self.shift(int(n)) for n in ns])
+    return GridFunction(vals, 1.0 / gamma.size, "periodic")
 
 
 def analysis_translates(system: TranslateSystem, f_hat: Callable,
                         m: int = DEFAULT_GRID, tail_terms: int = DEFAULT_TAIL
-                        ) -> TranslateCoefficients:
-    """Coefficients as Fourier coefficients of the aliased cross-energy.
+                        ) -> ResidueCoefficients:
+    """Coefficients <f, phi(. - n a)> for n on the residue ring, as Fourier
+    coefficients of the aliased cross-energy.
 
     Exact for f whose bracket is a trigonometric polynomial of degree below
     m/2; otherwise accurate to the bracket's aliasing error.
     """
     b = bracket(system, f_hat, m, tail_terms)
-    return TranslateCoefficients(np.fft.ifft(b.values))
+    return ResidueCoefficients(np.fft.ifft(b.values))
 
 
-def modulation_sum(coeffs: TranslateCoefficients, line_indices: np.ndarray
+def modulation_sum(coeffs: ResidueCoefficients, line_indices: np.ndarray
                    ) -> np.ndarray:
     """sum_n c_n exp(-2 pi i n a xi) on lattice nodes xi with a*xi = j/m."""
     spectrum = np.fft.fft(coeffs.values)
@@ -385,6 +369,7 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     """Same operator by explicit coefficient quadrature and modulation sum,
     truncated at shifts |n| <= n_max. Slow by design (cross-check route):
     each block of shifts meets every line node, with no fold by residue."""
+    n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
     a = system.step
     h = f_hat_grid.step
     m = whole_count(1.0 / (a * h), LATTICE_STEP)
@@ -403,26 +388,26 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
                               tail_terms: int = DEFAULT_TAIL) -> TranslateSystem:
     """Dual generator: divide the profile by the aliased energy on its support.
 
-    Evaluation is exact-lattice only: the dual profile accepts nodes xi with
-    a*xi on the grid 1/m Z and refuses anything else, because interpolating
-    p would silently break reconstruction accuracy.
+    p is sampled once on the grid i/m, from the system's known_p when it
+    declares one and from pphi otherwise. Evaluation is exact-lattice only:
+    the dual profile accepts nodes xi with a*xi on the grid 1/m Z and
+    refuses anything else, because interpolating p would silently break
+    reconstruction accuracy.
     """
     a = system.step
+    gamma = _lattice(m)
     if system.known_p is not None:
-        p_at = lambda g: np.asarray(system.known_p(g), dtype=float)
-        sup = float(np.max(p_at(np.arange(m) / m)))
+        p = np.asarray(system.known_p(gamma), dtype=float)
     else:
-        p_grid, rep = pphi(system, m, tail_terms)
-        sup = rep.ess_sup
+        p = pphi(system, gamma.size, tail_terms)[0].values
+    tau = ZERO_MASK_RATIO * float(p.max())
 
-        def p_at(g):
-            idx = np.asarray(g, dtype=float) * m
-            snapped = np.rint(idx)
-            if np.max(np.abs(idx - snapped)) > 1e-6:
-                raise ValueError("dual profile sampled off the p-lattice")
-            return p_grid.values[np.mod(snapped.astype(int), m)]
-
-    tau = ZERO_MASK_RATIO * sup
+    def p_at(g):
+        idx = np.asarray(g, dtype=float) * p.size
+        snapped = np.rint(idx)
+        if np.max(np.abs(idx - snapped)) > 1e-6:
+            raise ValueError("dual profile sampled off the p-lattice")
+        return p[np.mod(snapped.astype(int), p.size)]
 
     def dual_fn(xi):
         xi = np.asarray(xi, dtype=float)
@@ -441,8 +426,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
 @dataclass
 class TranslateReconstruction:
     rel_error: float
-    coeffs: TranslateCoefficients
-    grid_size: int
+    coeffs: ResidueCoefficients
 
 
 def reconstruct_translates(system: TranslateSystem, f_hat: Callable,
@@ -465,28 +449,15 @@ def reconstruct_translates(system: TranslateSystem, f_hat: Callable,
     if denom == 0:
         raise ValueError("zero probe")
     return TranslateReconstruction(
-        float(np.linalg.norm(rec - ref) / denom), coeffs, m)
+        float(np.linalg.norm(rec - ref) / denom), coeffs)
 
 
 # ---------------------------------------------------------------------------
 # classification
 
 
-@dataclass
-class TranslateClassification:
-    name: str
-    scope: str
-    properties: dict
-    ess_inf: float
-    ess_sup: float
-    zero_fraction: float
-
-    def verdict(self, prop: str) -> str:
-        return self.properties[prop][0]
-
-
 def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
-                        tail_terms: int = DEFAULT_TAIL) -> TranslateClassification:
+                        tail_terms: int = DEFAULT_TAIL) -> Classification:
     """Classify the translate family relative to the closure of its span.
 
     All span-relative verdicts read off the aliased energy: bounded above
@@ -546,5 +517,4 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     else:
         props["complete_whole_line"] = (UNDECIDED, {})
 
-    return TranslateClassification(system.name, "closed-span", props,
-                                   rep.ess_inf, rep.ess_sup, rep.zero_fraction)
+    return Classification(system.name, "closed-span", props)

@@ -31,8 +31,9 @@ from semiframe.operators import (
     parseval_canonical, projector_for,
 )
 from semiframe.translates import (
-    FourierProfile, TranslateSystem, brute_apply, line_window, pphi,
-    raised_cosine_profile, unit_indicator_profile, walnut_apply,
+    FourierProfile, TranslateSystem, bracket, brute_apply,
+    canonical_dual_translates, line_window, pphi, raised_cosine_profile,
+    unit_indicator_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -287,6 +288,7 @@ def _sparse_rule(rows, positions, values):
 
 @pytest.mark.parametrize("call, precondition", [
     (lambda: SampledWeight([1.0, np.nan]), "positive samples"),
+    (lambda: SampledWeight([1.0, np.inf]), "finite positive samples"),
     (lambda: PowerWeight(np.nan), "power exponent must be finite"),
     (lambda: PowerWeight(np.inf), "power exponent must be finite"),
     (lambda: ConstantWeight(np.nan), "weight values must be positive"),
@@ -385,9 +387,9 @@ def _sparse_rule(rows, positions, values):
     (lambda: instantiate_sparse(_sparse_rule([0, 1, 0, 1], [0, 1, 0, 1],
                                              [1.0, 1.0, 2.0, 2.0]), (3, 2)),
      "a member names one position twice"),
-], ids=["sampled-nan", "power-nan", "power-inf", "constant-nan", "scale-nan",
-        "translate-step-nan", "density-nan", "empty-periodic-grid",
-        "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
+], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
+        "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
+        "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
         "line-grid-negative-step", "pphi-grid-0", "pphi-tail-inf",
         "pphi-tail-nan", "pphi-tail-negative", "pphi-hat-tail-0",
         "pphi-tail-fractional", "canonical-dual-no-members",
@@ -411,6 +413,39 @@ def _sparse_rule(rows, positions, values):
         "sparse-rule-row-past-n", "sparse-rule-float-positions",
         "sparse-rule-repeated-position"])
 def test_malformed_input_is_refused(call, precondition):
+    with pytest.raises(ValueError, match=re.escape(precondition)):
+        call()
+
+
+GRID_NODES = "grid needs at least two nodes"
+N_MAX = "n_max must be a whole number >= 0"
+# raised cosine with its closed-form p declared; 16 line nodes per unit step
+KNOWN_P = TranslateSystem(
+    raised_cosine_profile(), 1.0,
+    known_p=lambda g: 0.75 + 0.25 * np.cos(2 * np.pi * np.asarray(g)))
+LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
+
+
+@pytest.mark.parametrize("call, precondition", [
+    (lambda: pphi(INDICATOR, m=64.5), GRID_NODES),
+    (lambda: pphi(INDICATOR, m=np.nan), GRID_NODES),
+    (lambda: bracket(INDICATOR, INDICATOR.profile.fn, m=64.5), GRID_NODES),
+    (lambda: bracket(INDICATOR, INDICATOR.profile.fn, m=np.nan), GRID_NODES),
+    (lambda: canonical_dual_translates(KNOWN_P, m=64.5), GRID_NODES),
+    (lambda: brute_apply(KNOWN_P, LATTICE_PROBE, -1), N_MAX),
+    (lambda: brute_apply(KNOWN_P, LATTICE_PROBE, 2.5), N_MAX),
+    (lambda: periodize(LATTICE_PROBE, 1.0, -1),
+     "shifts must be a whole number >= 0"),
+    (lambda: biorthogonality_gap(ExponentialSystem(ConstantWeight(1), 1.0, 8),
+                                 -1), N_MAX),
+    (lambda: a2_estimate(ConstantWeight(1), depth=2.5),
+     "dyadic depth must be at least 1 and a whole number"),
+], ids=["pphi-grid-fractional", "pphi-grid-nan", "bracket-grid-fractional",
+        "bracket-grid-nan", "known-p-dual-grid-fractional",
+        "brute-apply-n-max-negative", "brute-apply-n-max-fractional",
+        "periodize-shifts-negative", "biorthogonality-n-max-negative",
+        "a2-depth-fractional"])
+def test_malformed_grid_sizes_and_counts_are_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
 

@@ -58,9 +58,9 @@ def test_analysis_matches_direct_quadrature():
     g = system.g_values()
     for n in range(-5, 6):
         direct = np.sum(f * np.conj(g) * np.exp(-2j * np.pi * n * x)) / m
-        assert abs(coeffs.frequency(n) - direct) < 1e-13
+        assert abs(coeffs.at(n) - direct) < 1e-13
     with pytest.raises(ValueError):
-        coeffs.frequency(m)
+        coeffs.at(m)
 
 
 def test_analysis_requires_critical_density():

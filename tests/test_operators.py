@@ -580,6 +580,24 @@ def test_kept_block_outputs_match_the_dense_assignment(fam, level):
         assert np.array_equal(got, want.T)
 
 
+def test_reconstruct_reads_the_stored_members():
+    import tracemalloc
+
+    fam = shared_direction_family(1.0)
+    level = (1025, 1024)
+    dual = canonical_dual(fam, level)
+    f = decaying_probe(level[0])
+    reconstruct(f, fam, dual, level)      # imports and first calls
+    tracemalloc.start()
+    try:
+        reconstruct(f, fam, dual, level)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the dense analysis matrix alone would take 16 MB
+    assert peak < 2 ** 20
+
+
 def test_canonical_dual_builds_no_second_dense_copy():
     import tracemalloc
 
@@ -677,6 +695,7 @@ PINV_CASES = [
     pytest.param(interleaved_difference_family(), (129, 257), None,
                  id="interleaved-one-block"),
     pytest.param(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR, id="mixed-blocks"),
+    pytest.param(seeded_dense_family(5), (48, 96), None, id="seeded-dense"),
 ]
 
 

@@ -102,6 +102,18 @@ def test_cli_dual_and_reconstruct(capsys):
     assert "1.0" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["dual", "--tol", "1e-3"],
+    ["reconstruct", "--tol", "1e-3"],
+], ids=["dual", "reconstruct"])
+def test_cli_gates_take_no_tolerance_option(argv, capsys):
+    # the route-gap and reconstruction gates are fixed constants
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 def test_cli_classify_and_a2test(capsys):
     assert cli.main(["classify", "translates", "--profile",
                      "raised-cosine", "--grid", "128"]) == 0

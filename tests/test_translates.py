@@ -124,13 +124,13 @@ def test_analysis_coefficients_of_cosine_bracket():
     # bracket of the generator is 3/4 + cos(2 pi g)/4, so only shifts
     # 0 and +-1 carry weight
     coeffs = analysis_translates(COSINE, COSINE.profile.fn, m=64)
-    assert abs(coeffs.shift(0) - 0.75) < 1e-14
-    assert abs(coeffs.shift(1) - 0.125) < 1e-14
-    assert abs(coeffs.shift(-1) - 0.125) < 1e-14
+    assert abs(coeffs.at(0) - 0.75) < 1e-14
+    assert abs(coeffs.at(1) - 0.125) < 1e-14
+    assert abs(coeffs.at(-1) - 0.125) < 1e-14
     for n in (2, -2, 5, 13):
-        assert abs(coeffs.shift(n)) < 1e-14
+        assert abs(coeffs.at(n)) < 1e-14
     with pytest.raises(ValueError):
-        coeffs.shift(64)
+        coeffs.at(64)
 
 
 def test_modulation_sum_against_direct_series():
@@ -138,7 +138,8 @@ def test_modulation_sum_against_direct_series():
     coeffs = analysis_translates(COSINE, COSINE.profile.fn, m=m)
     j = np.array([0, 3, -5, 16])
     got = modulation_sum(coeffs, j)
-    ns, band = coeffs.band(4)
+    ns = np.arange(-4, 5)
+    band = np.array([coeffs.at(int(n)) for n in ns])
     xi = j / m                  # a = 1, lattice nodes with a xi = j / m
     direct = np.array([np.sum(band * np.exp(-2j * np.pi * ns * x))
                        for x in xi])
@@ -209,6 +210,18 @@ def test_canonical_dual_grid_route_snaps_to_lattice():
         / _cosine_p(np.array([3.0 / 64, -5.0 / 64]))
     assert np.abs(on - expect).max() < 1e-12
     with pytest.raises(ValueError):
+        dual.profile(np.array([0.013]))
+
+
+def test_known_p_dual_refuses_off_lattice_nodes():
+    # p is sampled once on the lattice, from known_p as from pphi
+    system = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p,
+                             ess_inf_hint=0.5)
+    dual = canonical_dual_translates(system, m=64)
+    on = np.array([3.0 / 64, -5.0 / 64])
+    expect = system.profile(on) / _cosine_p(on)
+    assert np.abs(dual.profile(on) - expect).max() < 1e-12
+    with pytest.raises(ValueError, match="dual profile sampled off the p-lattice"):
         dual.profile(np.array([0.013]))
 
 
