@@ -45,7 +45,8 @@ RECONSTRUCTION_TOL = 1e-6      # reconstruct: relative error, or its gap to 1
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        # main reports it and returns EXIT_USAGE, as for library preconditions
+        raise ValueError(message)
 
 
 def _translate_system(args) -> TranslateSystem:
@@ -149,7 +150,7 @@ def _cmd_dual(args) -> int:
     power = {"diana": 0.0, "stoeva": 1.0}[args.family]
     fam = shared_direction_family(power, name=args.family)
     level = (args.count + 1, args.count)
-    proj = projector_for(fam, level[0])
+    proj = projector_for(fam)
     d1 = canonical_dual(fam, level, proj)
     d2 = dual_via_pseudoinverse(fam, level, proj)
     gap = float(np.abs(d1.vectors - d2.vectors).max())
@@ -174,7 +175,7 @@ def _cmd_reconstruct(args) -> int:
         (n + 1, n)
         for n in (args.count // 2, args.count, 2 * args.count,
                   4 * args.count)))
-    proj = projector_for(fam, level[0])
+    proj = projector_for(fam)
     dual = canonical_dual(fam, level, proj)
     if args.probe == "orthogonal":
         f = np.zeros(level[0], dtype=complex)
@@ -277,11 +278,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValueError as err:
-        # precondition violations from the library surface as usage errors
+        # argparse usage errors and precondition violations from the library
+        # surface alike
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -90,14 +90,11 @@ class TruncationLadder:
         return np.array([n for _, n in self.levels])
 
 
-def default_ladder(family: "VectorFamily", base: int = 256, depth: int = 4) -> TruncationLadder:
-    """Doubling ladder from `base` vectors, dimensions set by the family."""
-    levels = []
-    n = base
-    for _ in range(depth):
-        levels.append((family.min_dim(n), n))
-        n *= 2
-    return TruncationLadder(tuple(levels))
+def default_ladder(family: "VectorFamily") -> TruncationLadder:
+    """Doubling ladder of 64, 128, 256 and 512 vectors, dimensions set by
+    the family."""
+    return TruncationLadder(tuple((family.min_dim(n), n)
+                                  for n in (64, 128, 256, 512)))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,6 @@ def _loglog_fit(sizes: np.ndarray, values: np.ndarray):
 
 def tail_diagnostic(values: Sequence, sizes: Sequence,
                     rel_tol: float = CONVERGENCE_REL_TOL,
-                    growth_threshold: float = DIVERGENCE_EXPONENT,
                     r2_threshold: float = DIVERGENCE_R2) -> ConvergenceVerdict:
     """Judge a ladder of diagnostic values.
 
@@ -320,7 +316,7 @@ def tail_diagnostic(values: Sequence, sizes: Sequence,
     rel_tol * (1 + |last value|), or when the successive differences contract
     at a fitted geometric rate (the limit is then extrapolated). Divergent
     when |values| grow along the ladder with fitted log-log slope above
-    growth_threshold at R^2 above r2_threshold. Inconclusive otherwise.
+    DIVERGENCE_EXPONENT at R^2 above r2_threshold. Inconclusive otherwise.
     """
     v = np.asarray(values)
     n = np.asarray(sizes, dtype=float)
@@ -336,7 +332,7 @@ def tail_diagnostic(values: Sequence, sizes: Sequence,
 
     if np.all(mags > 0) and np.all(np.diff(mags) > 0):
         slope, r2 = _loglog_fit(n, mags)
-        if slope > growth_threshold and r2 > r2_threshold:
+        if slope > DIVERGENCE_EXPONENT and r2 > r2_threshold:
             return ConvergenceVerdict(DIVERGENT, growth_exponent=slope,
                                       r_squared=r2, detail="growth fit")
 

@@ -25,6 +25,7 @@ DYADIC_DEPTH = 14
 MIN_PLATEAUS = 2
 MAX_PLATEAUS = 12
 GROWTH_FACTOR = 10.0            # candidate-ladder ratio growth for a NotInA2 call
+A2_BOUND = 1e6                  # a ratio above this is a NotInA2 witness
 IN_A2 = "InA2"
 NOT_IN_A2 = "NotInA2"
 UNDECIDED_A2 = "Inconclusive"
@@ -333,17 +334,18 @@ def _interval_label(a, b) -> str:
 
 
 def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
-                q: int = 1, bound: float = 1e6) -> A2Report:
+                q: int = 1) -> A2Report:
     """Estimate the A2 constant of omega^q and classify the weight.
 
     Visits only the dyadic subintervals of (0, 1) that can exceed 1, down to
     the given depth, through the weight's dyadic_level(level, q) kernel: the
     largest ratio of a level and the first j attaining it. Any
     caller-supplied candidate intervals (k, a, b) come first. A candidate
-    ladder whose ratios keep growing forces NotInA2 with the witnesses
-    recorded; otherwise the verdict reads whether the supremum has stopped
-    moving between the two deepest dyadic generations, and the constant is
-    the supremum over every generation scanned.
+    ladder whose ratios keep growing, or any ratio above A2_BOUND, forces
+    NotInA2 with the witnesses recorded; otherwise the verdict reads whether
+    the supremum has stopped moving between the two deepest dyadic
+    generations, and the constant is the supremum over every generation
+    scanned.
     """
     depth = whole_number(depth, 1, "dyadic depth must be at least 1 and "
                          "a whole number")
@@ -360,7 +362,7 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
         if len(ladder) >= 3:
             grew = all(u < v for u, v in zip(ladder, ladder[1:]))
             if (grew and ladder[-1] > GROWTH_FACTOR * ladder[0]) \
-                    or ladder[-1] > bound:
+                    or ladder[-1] > A2_BOUND:
                 return A2Report(NOT_IN_A2, math.inf, witnesses,
                                 "candidate interval ratios grow without sign of a cap")
 
@@ -371,7 +373,7 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
         sup_by_level.append(sup)
         if sup > best[0]:
             best = (sup, _interval_label(j / 2 ** level, (j + 1) / 2 ** level))
-        if sup > bound:
+        if sup > A2_BOUND:
             witnesses.append((f"dyadic-L{level}", best[1], sup))
             return A2Report(NOT_IN_A2, math.inf, witnesses,
                             "dyadic ratio exceeded the declared bound")

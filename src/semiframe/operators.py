@@ -33,8 +33,8 @@ from .core import (
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
 PINV_CUTOFF_RATIO = 1e-10      # singular-value cutoff relative to the largest
 STABILIZATION_WINDOW = 1e-8    # last-quarter relative variation of prefix norms
-PROJECTOR_GROWTH_EXPONENT = 0.5
 BAND_CUTOFF = 1                # widest kept block read through banded LAPACK
+ADJOINT_PROBES = 8             # seeded unit probe pairs of adjoint_gap
 
 
 class SingularRestrictionError(ValueError):
@@ -67,13 +67,13 @@ class FrameMatrix:
 class Projector:
     """Orthogonal projector onto the modelled closure of the analysis domain.
 
-    Held as the sorted 0-based coordinates it removes. Coordinates do not
-    depend on the dimension, so at dimension d the projector removes those
-    below d and keeps every other coordinate.
+    Held as the sorted 0-based coordinates it removes; projector_for takes
+    them from the family's declared orthogonal complement. Coordinates do
+    not depend on the dimension, so at dimension d the projector removes
+    those below d and keeps every other coordinate.
     """
 
     flagged: tuple
-    kind: str                    # "analytic" or "estimated"
 
     def __post_init__(self):
         if any(not isinstance(j, (int, np.integer)) or j < 0
@@ -92,7 +92,6 @@ class Projector:
 class DualFamily:
     vectors: np.ndarray          # row n = dual member n
     route: str                   # "inverse" or "pseudoinverse"
-    level: tuple
     bessel_bound_estimate: float
     bessel_bound_theoretical: float
     lower_bound: float
@@ -133,15 +132,15 @@ def synthesis_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
     return instantiate(family, level).T
 
 
-def adjoint_gap(family: VectorFamily, level: tuple, probes: int = 8,
-                seed: int = 0) -> float:
-    """max |<Cf, c> - <f, Dc>| over seeded unit probes; zero up to roundoff."""
+def adjoint_gap(family: VectorFamily, level: tuple, seed: int = 0) -> float:
+    """max |<Cf, c> - <f, Dc>| over ADJOINT_PROBES seeded unit probes; zero
+    up to roundoff."""
     d, n = level
     c_mat = analysis_matrix(family, level)
     d_mat = synthesis_matrix(family, level)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(ADJOINT_PROBES):
         f = rng.normal(size=d) + 1j * rng.normal(size=d)
         f /= np.linalg.norm(f)
         c = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -300,46 +299,19 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
 # projectors
 
 
-def projector_for(family: VectorFamily, d: int,
-                  ladder: TruncationLadder | None = None) -> Projector:
-    """Projector onto the modelled analysis-domain closure.
-
-    Uses the family's declared orthogonal complement when present. Otherwise
-    estimates one by flagging coordinate directions whose diagonal frame
-    values grow along the ladder (fitted exponent above 0.5); families with
-    dense analysis domain come out as the identity.
-    """
-    if family.perp_directions is not None:
-        return Projector(tuple(sorted(set(family.perp_directions))), "analytic")
-    if ladder is None:
-        return Projector((), "analytic")
-    if d < ladder.top[0]:
-        raise ValueError("projector dimension d must be at least the "
-                         "ladder's top dimension")
-
-    diags = []
-    for d_l, n_l in ladder.levels:
-        x = instantiate(family, (d_l, n_l))
-        col = np.sum(np.abs(x) ** 2, axis=0)
-        diags.append(np.concatenate([col, np.zeros(d - d_l)]))
-    diags = np.vstack(diags)
-    counts = ladder.counts().astype(float)
-    flagged = []
-    for j in range(d):
-        q = diags[:, j]
-        if np.all(q > 0) and q[-1] > 4 * q[0]:
-            slope = np.polyfit(np.log(counts), np.log(q), 1)[0]
-            if slope > PROJECTOR_GROWTH_EXPONENT:
-                flagged.append(j)
-    return Projector(tuple(flagged), "estimated")
+def projector_for(family: VectorFamily) -> Projector:
+    """Projector onto the modelled analysis-domain closure: the family's
+    declared orthogonal complement removed, or the identity when the family
+    declares none."""
+    return Projector(tuple(sorted(set(family.perp_directions or ()))))
 
 
 def _kept(family: VectorFamily, projector: Projector | None,
           d: int) -> np.ndarray:
-    """Coordinates below d kept by the projector, or by the family's own
-    analytic one when none is given."""
+    """Coordinates below d kept by the projector, or by the family's
+    declared one when none is given."""
     if projector is None:
-        projector = projector_for(family, d)
+        projector = projector_for(family)
     keep = projector.kept(d)
     if not keep.any():
         raise ValueError(f"the projector keeps no coordinate below d={d}")
@@ -396,10 +368,10 @@ class _KeptBlock:
             out[np.flatnonzero(keep)[m.row], m.col] = m.data
         return out
 
-    def _diagonal(self, floor_ratio: float) -> np.ndarray:
+    def _diagonal(self) -> np.ndarray:
         """The diagonal of a diagonal G; refuses a numerically singular G."""
         g = self.band[0].real
-        _above_floor(float(g.min()), float(g.max()), floor_ratio)
+        _above_floor(float(g.min()), float(g.max()))
         return g
 
     def _rows_scaled(self, scale: np.ndarray) -> "_KeptBlock":
@@ -422,30 +394,24 @@ class _KeptBlock:
             w = eigvals_banded(self.band, lower=True)
         return float(w[0]), float(w[-1])
 
-    def inverse(self, floor_ratio: float, power: float = 1.0) -> tuple:
+    def inverse(self, power: float = 1.0) -> tuple:
         """(block of G^{-power} M, smallest eigenvalue of G); refuses a
         numerically singular G."""
         if self.bandwidth == 0:
             # G^{-power} M is M with row i scaled by g_i^{-power}
-            g = self._diagonal(floor_ratio)
+            g = self._diagonal()
             return self._rows_scaled(1.0 / g ** power), float(g.min())
         m = self.members
         if not isinstance(m, np.ndarray):
             m = m.toarray()
         w, v = np.linalg.eigh(m @ m.conj().T if self.dense is None else self.dense)
-        lo = _above_floor(float(w[0]), float(w[-1]), floor_ratio)
+        lo = _above_floor(float(w[0]), float(w[-1]))
         return _KeptBlock((v / w ** power) @ v.conj().T @ m), lo
 
 
-def _checked_ratio(name: str, ratio: float) -> None:
-    """Refuse a floor or cutoff ratio (relative to the largest value) that
-    is not finite and in [0, 1)."""
-    if not (np.isfinite(ratio) and 0.0 <= ratio < 1.0):
-        raise ValueError(f"{name} must be finite and in [0, 1), got {ratio}")
-
-
-def _above_floor(lo: float, hi: float, floor_ratio: float) -> float:
-    floor = floor_ratio * hi
+def _above_floor(lo: float, hi: float) -> float:
+    """lo, unless it lies at or below EIG_FLOOR_RATIO times hi."""
+    floor = EIG_FLOOR_RATIO * hi
     if lo <= floor:
         raise SingularRestrictionError(lo, floor)
     return lo
@@ -469,7 +435,6 @@ def lower_bound(family: VectorFamily, ladder: TruncationLadder,
                 projector: Projector | None = None):
     """Smallest eigenvalue of the projected frame matrix, per ladder level.
 
-    A projector built at another dimension is carried to each level.
     Returns (per_level, verdict): per_level is a list of ((d, N), lambda_min)
     and the verdict judges stability of the estimates. A stable positive
     limit certifies the lower bound at the modelled truncations only.
@@ -488,26 +453,25 @@ def lower_bound(family: VectorFamily, ladder: TruncationLadder,
 
 
 def canonical_dual(family: VectorFamily, level: tuple,
-                   projector: Projector | None = None,
-                   floor_ratio: float = EIG_FLOOR_RATIO) -> DualFamily:
+                   projector: Projector | None = None) -> DualFamily:
     """Dual members: restricted inverse of the projected frame matrix applied
     to the projected family.
 
-    Refuses when the restriction is numerically singular, reporting the
+    Refuses when the restriction is numerically singular (its smallest
+    eigenvalue at or below EIG_FLOOR_RATIO times its largest), reporting the
     offending eigenvalue. The returned Bessel bound estimate is the largest
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound. On a diagonal kept block the
     dual has one nonzero per member, and only those entries are written
     into the output.
     """
-    _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
-    dual_block, lam = block.inverse(floor_ratio)
+    dual_block, lam = block.inverse()
     # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
     # is row-contiguous; zero off the kept coordinates
     duals = dual_block.placed(keep)
     bessel_est = dual_block.extremes()[1]
-    return DualFamily(duals.T, "inverse", level, bessel_est, 1.0 / lam, lam)
+    return DualFamily(duals.T, "inverse", bessel_est, 1.0 / lam, lam)
 
 
 def _connected_blocks(c) -> list:
@@ -559,26 +523,23 @@ def _connected_blocks(c) -> list:
 
 
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
-                           projector: Projector | None = None,
-                           cutoff_ratio: float = PINV_CUTOFF_RATIO) -> DualFamily:
+                           projector: Projector | None = None) -> DualFamily:
     """Dual members as columns of the analysis pseudo-inverse.
 
     The pseudo-inverse of the analysis matrix restricted to the admissible
     subspace extends the inverse by zero on the orthogonal complement of its
-    range; its columns reproduce the restricted-inverse dual exactly. A
-    projector built at another dimension is carried to the level.
+    range; its columns reproduce the restricted-inverse dual exactly.
 
     The restricted analysis matrix C (members against kept coordinates) is
     split into its connected blocks; after permuting rows and columns C is
     block-diagonal, so its pseudo-inverse is the block-diagonal of the
     blocks' pseudo-inverses. A dense family's C is one block, every member
     against every kept coordinate. Blocks of one shape share one batched
-    SVD. Singular values at or below cutoff_ratio times the largest one over
-    all blocks are cut, and the Bessel estimate is the largest eigenvalue of
-    the duals' frame matrix, block-diagonal by the same split. Refuses when
-    no singular value clears the cutoff.
+    SVD. Singular values at or below PINV_CUTOFF_RATIO times the largest one
+    over all blocks are cut, and the Bessel estimate is the largest
+    eigenvalue of the duals' frame matrix, block-diagonal by the same split.
+    Refuses when no singular value clears the cutoff.
     """
-    _checked_ratio("cutoff_ratio", cutoff_ratio)
     members = _stored(family, level)
     coords = np.flatnonzero(_kept(family, projector, level[0]))
     c = members[:, coords].conj()
@@ -590,7 +551,7 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     groups = [(rows, cols, np.linalg.svd(stack, full_matrices=False))
               for rows, cols, stack in blocks]
     top = max((float(s.max()) for _, _, (_, s, _) in groups), default=0.0)
-    cutoff = cutoff_ratio * top
+    cutoff = PINV_CUTOFF_RATIO * top
     if not top > cutoff:
         raise SingularRestrictionError(top ** 2, cutoff ** 2)
     duals = np.zeros(level[::-1], dtype=complex)
@@ -609,7 +570,7 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
         bessel_est = max(bessel_est, float(np.linalg.eigvalsh(frame).max()))
         if cut.any():
             smin = min(smin, float(s[cut].min()))
-    return DualFamily(duals, "pseudoinverse", level, bessel_est,
+    return DualFamily(duals, "pseudoinverse", bessel_est,
                       float(1.0 / smin ** 2), smin ** 2)
 
 
@@ -622,8 +583,7 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     outside the modelled domain closure is invisible to the expansion and
     exactly the projection of f is recovered. The headline relative error is
     measured against the original f: for f orthogonal to the admissible
-    subspace it equals 1. A probe shorter than d continues by zero, and a
-    projector built at another dimension is carried to d. When a
+    subspace it equals 1. A probe shorter than d continues by zero. When a
     ladder is supplied, the raw coefficient energy of the unprojected f is
     tracked as a domain diagnostic.
     """
@@ -645,17 +605,15 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
 
 
 def parseval_canonical(family: VectorFamily, level: tuple,
-                       projector: Projector | None = None,
-                       floor_ratio: float = EIG_FLOOR_RATIO):
+                       projector: Projector | None = None):
     """Inverse-square-root normalization of the projected family.
 
     Returns (vectors, gap) where gap is the largest deviation from 1 of the
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
-    _checked_ratio("floor_ratio", floor_ratio)
     keep, block = _restricted_spectrum(family, level, projector)
-    tight, _ = block.inverse(floor_ratio, power=0.5)
+    tight, _ = block.inverse(power=0.5)
     lo, hi = tight.extremes()
     return tight.placed(keep).T, max(abs(lo - 1.0), abs(hi - 1.0))
 

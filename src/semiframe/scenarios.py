@@ -98,7 +98,7 @@ def _run_diana(seed=DEFAULT_SEED):
     fam = shared_direction_family(0.0, name="diana-links")
     level = (257, 256)
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256), (513, 512)))
-    proj = projector_for(fam, level[0])
+    proj = projector_for(fam)
     checks = []
 
     dual = canonical_dual(fam, level, proj)
@@ -150,7 +150,7 @@ def _run_diana(seed=DEFAULT_SEED):
     checks.append(_check("restricted-lower-bound-one", lam_gap <= 1e-8,
                          lam_gap, verdict=verdict.kind))
 
-    agap = adjoint_gap(fam, level, probes=8, seed=seed)
+    agap = adjoint_gap(fam, level, seed=seed)
     checks.append(_check("analysis-synthesis-adjoint", agap <= 1e-13, agap))
 
     pgap = permutation_gap(fam, level, n_perms=5, seed=seed)
@@ -168,9 +168,9 @@ def _run_diana(seed=DEFAULT_SEED):
 
 def _run_stoeva(seed=DEFAULT_SEED):
     fam = shared_direction_family(1.0, name="growing-links")
-    ladder = default_ladder(fam, base=64, depth=4)
+    ladder = default_ladder(fam)
     level = ladder.top
-    proj = projector_for(fam, level[0])
+    proj = projector_for(fam)
     checks = []
 
     dual = canonical_dual(fam, level, proj)
@@ -508,7 +508,7 @@ def _run_s_not_closed(seed=DEFAULT_SEED):
     checks.append(_check("no-upper-frame-bound", growth.kind == "Divergent",
                          tops, exponent=growth.growth_exponent))
 
-    proj = projector_for(fam, 257)
+    proj = projector_for(fam)
     per_level, _ = lower_bound(
         fam, TruncationLadder(((65, 64), (129, 128), (257, 256))), proj)
     lam_gap = max(abs(lam - 1.0) for _, lam in per_level)

@@ -405,7 +405,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     def p_at(g):
         idx = np.asarray(g, dtype=float) * p.size
         snapped = np.rint(idx)
-        if np.max(np.abs(idx - snapped)) > 1e-6:
+        if np.max(np.abs(idx - snapped), initial=0.0) > 1e-6:
             raise ValueError("dual profile sampled off the p-lattice")
         return p[np.mod(snapped.astype(int), p.size)]
 

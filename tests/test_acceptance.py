@@ -58,7 +58,7 @@ def test_criterion_1_shared_direction_dual_bound_reconstruction(capsys):
     fam = shared_direction_family(0.0)
     level = (257, 256)
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256)))
-    proj = projector_for(fam, level[0], ladder)
+    proj = projector_for(fam)
     dual = canonical_dual(fam, level, proj)
 
     expected = np.zeros((level[1], level[0]), dtype=complex)

@@ -28,7 +28,7 @@ from semiframe.muckenhoupt import (
 )
 from semiframe.operators import (
     Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
-    parseval_canonical, projector_for,
+    parseval_canonical,
 )
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
@@ -253,27 +253,15 @@ def test_grid_csv_roundtrip(tmp_path):
     assert np.array_equal(nodes, g.nodes())
 
 
-def _projector_below_ladder_top():
-    fam = shared_direction_family(1.0)
-    fam.perp_directions = None
-    ladder = TruncationLadder(((17, 16), (33, 32), (65, 64)))
-    projector_for(fam, 17, ladder)
-
-
 # removes every coordinate of the diana level (9, 8)
-KEEPS_NOTHING = Projector(tuple(range(9)), "analytic")
+KEEPS_NOTHING = Projector(tuple(range(9)))
 DIANA = shared_direction_family(0.0)
 DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
 # members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
 # every member vanishes, so no singular value clears any cutoff
-KEEPS_ONLY_E5 = Projector((0, 1, 2, 3), "analytic")
+KEEPS_ONLY_E5 = Projector((0, 1, 2, 3))
 DENSE_BASIS = VectorFamily(name="dense-basis", dense=True,
                            block=lambda idx, d: np.eye(d)[idx - 1])
-# members e_1..e_4 at d = 6: the kept block is singular
-SPARSE_DEFICIENT = VectorFamily(
-    name="deficient-sparse",
-    block=lambda idx: (np.arange(idx.size), idx - 1, np.ones(idx.size)))
-RATIO = "must be finite and in [0, 1)"
 INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
@@ -317,8 +305,6 @@ def _sparse_rule(rows, positions, values):
      "a level needs at least one member"),
     (lambda: dual_via_pseudoinverse(shared_direction_family(0.0), (1, 0)),
      "a level needs at least one member"),
-    (_projector_below_ladder_top,
-     "projector dimension d must be at least the ladder's top dimension"),
     (lambda: a2_estimate(ScaledWeight(ConstantWeight(1), 2)),
      "ScaledWeight has no dyadic-level kernel"),
     (lambda: FourierProfile("tail-1", np.sinc, tail=(1, np.ones_like)),
@@ -335,7 +321,7 @@ def _sparse_rule(rows, positions, values):
      "the projector keeps no coordinate below d"),
     (lambda: dual_via_pseudoinverse(DIANA, (9, 8), KEEPS_NOTHING),
      "the projector keeps no coordinate below d"),
-    (lambda: Projector((-1,), "analytic"),
+    (lambda: Projector((-1,)),
      "projector coordinates must be non-negative integers"),
     (lambda: canonical_dual(scaled_basis_family(np.nan), (4, 4)),
      "family members must be finite"),
@@ -351,24 +337,6 @@ def _sparse_rule(rows, positions, values):
      "restricted frame matrix singular"),
     (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), KEEPS_ONLY_E5),
      "restricted frame matrix singular"),
-    (lambda: canonical_dual(SPARSE_DEFICIENT, (6, 4), floor_ratio=np.nan),
-     "floor_ratio " + RATIO),
-    (lambda: parseval_canonical(SPARSE_DEFICIENT, (6, 4), floor_ratio=np.nan),
-     "floor_ratio " + RATIO),
-    (lambda: parseval_canonical(DIANA, (9, 8), floor_ratio=-1.0),
-     "floor_ratio " + RATIO),
-    (lambda: canonical_dual(DIANA, (9, 8), floor_ratio=1.0),
-     "floor_ratio " + RATIO),
-    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), cutoff_ratio=2.0),
-     "cutoff_ratio " + RATIO),
-    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), cutoff_ratio=np.nan),
-     "cutoff_ratio " + RATIO),
-    (lambda: dual_via_pseudoinverse(orthonormal_family(), (5, 4),
-                                    Projector((0,), "analytic"),
-                                    cutoff_ratio=-1e-3),
-     "cutoff_ratio " + RATIO),
-    (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), cutoff_ratio=np.inf),
-     "cutoff_ratio " + RATIO),
     (lambda: instantiate(_sparse_rule([0, 1], [2, 3], [1.0, 1.0]), (3, 2)),
      "positions must lie in [0, d) with d=3"),
     (lambda: instantiate(_sparse_rule([0, 1], [-1, 0], [1.0, 1.0]), (3, 2)),
@@ -393,7 +361,7 @@ def _sparse_rule(rows, positions, values):
         "line-grid-negative-step", "pphi-grid-0", "pphi-tail-inf",
         "pphi-tail-nan", "pphi-tail-negative", "pphi-hat-tail-0",
         "pphi-tail-fractional", "canonical-dual-no-members",
-        "pseudoinverse-no-members", "projector-d-below-ladder-top",
+        "pseudoinverse-no-members",
         "a2-weight-without-level-kernel", "profile-tail-exponent-1",
         "profile-tail-exponent-nan", "profile-support-reversed",
         "lower-bound-projector-keeps-nothing",
@@ -404,10 +372,6 @@ def _sparse_rule(rows, positions, values):
         "sparse-family-inf-member", "dense-family-nan-member",
         "pseudoinverse-nothing-above-cutoff",
         "pseudoinverse-dense-nothing-above-cutoff",
-        "canonical-dual-floor-nan", "parseval-floor-nan",
-        "parseval-floor-negative", "canonical-dual-floor-1",
-        "pseudoinverse-cutoff-2", "pseudoinverse-cutoff-nan",
-        "pseudoinverse-cutoff-negative", "pseudoinverse-dense-cutoff-inf",
         "sparse-rule-position-at-d", "sparse-rule-position-negative",
         "dense-rule-short-rows", "sparse-rule-unequal-lengths",
         "sparse-rule-row-past-n", "sparse-rule-float-positions",

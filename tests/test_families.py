@@ -144,7 +144,7 @@ def test_member_rules_need_no_per_index_view(monkeypatch):
         # the grid families live at d = 1024: keeping every 128th coordinate
         # leaves 8 x 8 kept blocks that their 9 members span
         projector = None if d < 128 else Projector(
-            tuple(j for j in range(d) if j % 128), "analytic")
+            tuple(j for j in range(d) if j % 128))
         instantiate(fam, (d, n))
         if not fam.dense:
             instantiate_sparse(fam, (d, n))

@@ -85,7 +85,7 @@ def test_permutation_gap_is_roundoff():
 
 def test_analysis_domain_verdicts():
     fam = orthonormal_family()
-    ladder = default_ladder(fam, base=64, depth=4)
+    ladder = default_ladder(fam)
     _, ok = analysis(fam, decaying_probe(512, -1.0), ladder)
     assert ok.kind == "Convergent"
     _, bad = analysis(fam, decaying_probe(512, -0.4), ladder)
@@ -96,21 +96,15 @@ def test_projector_analytic_axis():
     # the declared complement is held as the coordinates it removes, the
     # same at every dimension
     fam = shared_direction_family(0.0)
-    assert projector_for(fam, 9) == Projector((0,), "analytic")
-    assert projector_for(fam, 257) == projector_for(fam, 9)
-    assert projector_for(fam, 9).kept(4).tolist() == [False, True, True, True]
-
-
-def test_projector_estimated_from_ladder():
-    fam = shared_direction_family(1.0)
-    fam.perp_directions = None
-    p = projector_for(fam, 65, ladder=LINK_LADDER)
-    assert p.kind == "estimated"
-    assert p.flagged == (0,)
+    assert projector_for(fam) == Projector((0,))
+    assert projector_for(fam).kept(4).tolist() == [False, True, True, True]
+    assert projector_for(fam).kept(257).sum() == 256
 
 
 def test_projector_defaults_to_identity():
-    assert projector_for(orthonormal_family(), 6) == Projector((), "analytic")
+    # a dense analysis domain, and a family that declares no complement
+    assert projector_for(orthonormal_family()) == Projector(())
+    assert projector_for(_growing_without_complement()) == Projector(())
 
 
 def test_lower_bound_ladder():
@@ -119,14 +113,12 @@ def test_lower_bound_ladder():
     assert verdict.kind == "Convergent"
 
 
-def test_lower_bound_carries_estimated_projector():
-    # without its declared complement the growing family needs the
-    # estimated projector at every level, not only at the top dimension
-    fam = shared_direction_family(1.0)
-    fam.perp_directions = None
+def test_lower_bound_carries_given_projector():
+    # without its declared complement the growing family needs a given
+    # projector at every level, not only at the top dimension
+    fam = _growing_without_complement()
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256)))
-    proj = projector_for(fam, 257, ladder)
-    per_level, verdict = lower_bound(fam, ladder, proj)
+    per_level, verdict = lower_bound(fam, ladder, Projector((0,)))
     assert all(abs(lam - 4.0) < 1e-8 for _, lam in per_level)
     assert verdict.kind == "Convergent"
 
@@ -174,11 +166,11 @@ def test_reconstruct_pads_short_probe():
 
 
 def test_pseudoinverse_and_reconstruct_carry_projector_to_level():
-    # a projector built at another dimension is carried to the level, as
-    # lower_bound and canonical_dual already do
+    # the projector's coordinates are carried to the level, as lower_bound
+    # and canonical_dual do
     fam = shared_direction_family(0.0)
     level = (33, 32)
-    proj = projector_for(fam, 65)
+    proj = projector_for(fam)
     dual = canonical_dual(fam, level, proj)
     pinv = dual_via_pseudoinverse(fam, level, proj)
     assert np.abs(pinv.vectors - dual.vectors).max() < 1e-9
@@ -375,7 +367,7 @@ def _dense_oracle(fam, level, projector=None):
     """The kept block B = Y Y^H built densely from `instantiate`, read by
     numpy's eigh, and the restricted-inverse dual, Parseval vectors and
     their frame-matrix spectra computed from it."""
-    keep = (projector or projector_for(fam, level[0])).kept(level[0])
+    keep = (projector or projector_for(fam)).kept(level[0])
     y = instantiate(fam, level).T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     duals = np.zeros(level, dtype=complex)
@@ -408,11 +400,8 @@ NARROW_CASES = [
     pytest.param(shared_direction_family(1.0), (1025, 1024), None,
                  id="growing-1024"),
     pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
-    pytest.param(_growing_without_complement(), (257, 256),
-                 projector_for(_growing_without_complement(), 257,
-                               TruncationLadder(((65, 64), (129, 128),
-                                                 (257, 256)))),
-                 id="estimated-projector"),
+    pytest.param(_growing_without_complement(), (257, 256), Projector((0,)),
+                 id="given-projector"),
 ]
 
 
@@ -447,7 +436,7 @@ def test_diagonal_block_inverse_scales_rows(n, monkeypatch):
         raise AssertionError("solveh_banded on a diagonal kept block")
     monkeypatch.setattr(linalg, "solveh_banded", refuse)
     _, block = operators._restricted_spectrum(fam, level, None)
-    dual_block, lam = block.inverse(operators.EIG_FLOOR_RATIO)
+    dual_block, lam = block.inverse()
     assert block.bandwidth == 0 and isinstance(dual_block.members, sparse.csr_array)
     assert lam == w[0]
     dual = canonical_dual(fam, level)
@@ -572,7 +561,7 @@ def test_kept_block_outputs_match_the_dense_assignment(fam, level):
     keep, block = operators._restricted_spectrum(fam, level, None)
     for power, got in ((1.0, canonical_dual(fam, level).vectors),
                        (0.5, parseval_canonical(fam, level)[0])):
-        derived, _ = block.inverse(operators.EIG_FLOOR_RATIO, power=power)
+        derived, _ = block.inverse(power=power)
         members = derived.members
         assert sparse.issparse(members) != fam.dense
         want = np.zeros(level, dtype=complex)
@@ -645,7 +634,7 @@ def _pinv_oracle(fam, level, projector=None, cutoff_ratio=PINV_CUTOFF_RATIO):
     """One dense SVD of the whole restricted analysis matrix: duals, their
     frame matrix's top eigenvalue and s_min^2."""
     c = np.conj(instantiate(fam, level))
-    c[:, ~(projector or projector_for(fam, level[0])).kept(level[0])] = 0.0
+    c[:, ~(projector or projector_for(fam)).kept(level[0])] = 0.0
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     keep = s > cutoff_ratio * float(s[0])
     pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
@@ -671,7 +660,7 @@ def _sparse_family(name, table):
 MIXED_BLOCKS = _sparse_family("mixed-blocks", [
     {4: 1.0, 5: 2.0}, {0: 2.0}, {4: 0.5j, 5: -1.0}, {3: 1.0}, {6: 1.5},
     {8: 1.0, 1: 3.0 - 1j}, {3: 2.0j}, {4: 3.0, 5: 1.0 + 1.0j}])
-MIXED_PROJECTOR = Projector((6,), "analytic")
+MIXED_PROJECTOR = Projector((6,))
 
 
 def _record_svd_shapes(monkeypatch):
@@ -690,8 +679,8 @@ PINV_CASES = [
                  id=f"growing-{n}") for n in (256, 512, 1024)] + [
     pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
     pytest.param(shared_direction_family(1.0),
-                 default_ladder(shared_direction_family(1.0), base=64,
-                                depth=4).top, None, id="stoeva-top"),
+                 default_ladder(shared_direction_family(1.0)).top, None,
+                 id="stoeva-top"),
     pytest.param(interleaved_difference_family(), (129, 257), None,
                  id="interleaved-one-block"),
     pytest.param(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR, id="mixed-blocks"),
@@ -731,7 +720,7 @@ def test_growing_family_sends_only_unit_blocks_to_svd(monkeypatch):
     assert shapes == [(1024, 1, 1)]
 
 
-def test_cutoff_is_global_over_blocks():
+def test_cutoff_is_global_over_blocks(monkeypatch):
     # two 1x1 blocks: 1e-11 is below 1e-10 times the largest singular
     # value (1), though not below that fraction of its own block's
     fam = _sparse_family("two-scales", [{0: 1.0}, {1: 1e-11}])
@@ -741,8 +730,9 @@ def test_cutoff_is_global_over_blocks():
     assert np.array_equal(pinv.vectors, np.diag([1.0, 0.0]).astype(complex))
     assert pinv.lower_bound == lower == 1.0
     assert pinv.bessel_bound_estimate == bessel == 1.0
-    # kept under a cutoff that clears it
-    kept = dual_via_pseudoinverse(fam, (2, 2), cutoff_ratio=1e-12)
+    # kept under a cutoff that clears it, read when the route runs
+    monkeypatch.setattr(operators, "PINV_CUTOFF_RATIO", 1e-12)
+    kept = dual_via_pseudoinverse(fam, (2, 2))
     assert kept.vectors[1, 1] == pytest.approx(1e11, rel=1e-15)
 
 

@@ -108,9 +108,7 @@ def test_cli_dual_and_reconstruct(capsys):
 ], ids=["dual", "reconstruct"])
 def test_cli_gates_take_no_tolerance_option(argv, capsys):
     # the route-gap and reconstruction gates are fixed constants
-    with pytest.raises(SystemExit) as exit_:
-        cli.main(argv)
-    assert exit_.value.code == cli.EXIT_USAGE
+    assert cli.main(argv) == cli.EXIT_USAGE
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
@@ -140,7 +138,13 @@ def test_cli_precondition_violations_exit_as_usage(capsys):
     (["classify", "translates", "--profile", "plateau-band", "--step", "2"],
      "plateau-band is defined at step 1"),
     (["pphi", "--grid", "0"], "grid needs at least two nodes"),
-], ids=["dual-count-0", "plateau-band-step-2", "pphi-grid-0"])
+    # argparse's own usage errors return in-process as well
+    (["pphi", "--grid", "2.5"], "argument --grid: invalid int value: '2.5'"),
+    (["classify", "translates", "--profile", "nope"],
+     "argument --profile: invalid choice: 'nope'"),
+    ([], "the following arguments are required: command"),
+], ids=["dual-count-0", "plateau-band-step-2", "pphi-grid-0",
+        "pphi-grid-fractional", "classify-unknown-profile", "no-command"])
 def test_cli_usage_errors_name_the_precondition(argv, precondition, capsys):
     assert cli.main(argv) == cli.EXIT_USAGE
     assert f"error: {precondition}" in capsys.readouterr().err

@@ -195,10 +195,12 @@ def test_walnut_validates_lattice():
 
 
 def test_canonical_dual_known_p_route():
-    dual = canonical_dual_translates(COSINE, m=128)
+    system = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p,
+                             ess_inf_hint=0.5)
+    dual = canonical_dual_translates(system, m=128)
     # dual profile is phi / p on the support
     xi = np.array([0.0, 0.25, -0.5])
-    expect = COSINE.profile(xi) / _cosine_p(xi)
+    expect = system.profile(xi) / _cosine_p(xi)
     assert np.abs(dual.profile(xi) - expect).max() < 1e-12
 
 
@@ -223,6 +225,14 @@ def test_known_p_dual_refuses_off_lattice_nodes():
     assert np.abs(dual.profile(on) - expect).max() < 1e-12
     with pytest.raises(ValueError, match="dual profile sampled off the p-lattice"):
         dual.profile(np.array([0.013]))
+
+
+def test_dual_profile_at_no_nodes_is_empty():
+    # no nodes means no off-lattice node, on the known_p and the pphi route
+    known = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p)
+    for system in (known, COSINE):
+        out = canonical_dual_translates(system, m=64).profile(np.array([]))
+        assert out.shape == (0,)
 
 
 def test_reconstruction_of_dual_side_probe():
