@@ -49,14 +49,51 @@ def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def phase_blocks(rows: np.ndarray, cols: np.ndarray, order: int):
-    """exp(2 pi i r c / order) over integer rows r and columns c, in blocks
-    (rows_slice, block) of at most PHASE_BLOCK entries (or one row), read off
-    the order-th roots of unity at (r c) mod order so no argument grows."""
+    """exp(2 pi i r c / order) over evenly spaced integer rows r and integer
+    columns c, in blocks (rows_slice, block) of at most PHASE_BLOCK entries
+    (or one row), read off the order-th roots of unity at (r c) mod order so
+    no argument grows.
+
+    No entry takes a division: row r0 + k stride of a block holds
+    (r0 c) mod order + (k stride c) mod order, the second term one offset
+    table shared by every block and the first advanced from block to block
+    by addition, so the sum indexes the roots laid out twice."""
+    if rows.size > 2 and np.any(np.diff(rows) != rows[1] - rows[0]):
+        raise ValueError("phase rows must be evenly spaced")
+    if rows.size == 0:
+        return
+    cols = cols % order
     roots = np.exp(2j * np.pi * np.arange(order) / order)
+    twice = np.concatenate([roots, roots])
     step = max(1, PHASE_BLOCK // max(cols.size, 1))
+    stride = (rows[1] - rows[0]) % order if rows.size > 1 else 0
+    offsets = _offset_table(min(step, rows.size), stride * cols % order, order)
+    idx = np.empty_like(offsets)
+    base = rows[0] % order * cols % order
+    jump = step * stride % order * cols % order
     for lo in range(0, rows.size, step):
-        idx = np.multiply.outer(rows[lo:lo + step], cols) % order
-        yield slice(lo, lo + step), roots[idx]
+        at = np.add(offsets[:rows.size - lo], base, out=idx[:rows.size - lo])
+        yield slice(lo, lo + step), np.take(twice, at)
+        base = _add_wrapped(base, jump, order)
+
+
+def _offset_table(n: int, shift: np.ndarray, order: int) -> np.ndarray:
+    """(k shift) mod order for k < n, built by doubling: the rows k..2k-1 are
+    the rows 0..k-1 plus (k shift) mod order."""
+    table = np.zeros((n, shift.size), dtype=np.int64)
+    k = 1
+    while k < n:
+        part = table[k:2 * k]
+        _add_wrapped(table[:part.shape[0]], k * shift % order, order, out=part)
+        k *= 2
+    return table
+
+
+def _add_wrapped(a, b, order: int, out=None) -> np.ndarray:
+    """(a + b) mod order for a and b in [0, order), by one subtraction."""
+    out = np.add(a, b, out=out)
+    out -= order * (out >= order)
+    return out
 
 
 # ---------------------------------------------------------------------------

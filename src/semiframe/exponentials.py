@@ -191,6 +191,10 @@ def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
     if system.b != 1.0:
         raise ValueError("biorthogonality holds at critical density b = 1 only")
     n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
+    if 2 * n_max >= system.m:
+        raise ValueError("n_max must stay below M/2: frequencies j and j + M "
+                         f"coincide on the midpoint grid, got n_max={n_max} "
+                         f"at M={system.m}")
     gram = _dual_gram(system, n_max)
     return float(np.abs(gram - np.eye(len(gram))).max())
 

@@ -31,6 +31,8 @@ ZERO_MASK_RATIO = 1e-8          # p below this fraction of its sup counts as zer
 ALIAS_BLOCK = 64
 ORTHO_TOL = 1e-6
 LATTICE_STEP = "grid step must subdivide the dual period 1/a"
+GRID_NODES = "grid needs at least two nodes: m must be a whole number >= 2"
+LINE_GRID = "expect f sampled on a symmetric line grid"
 
 
 @dataclass
@@ -270,8 +272,7 @@ def _lattice(m) -> np.ndarray:
     """The nodes i/m, i = 0..m-1, of the unit-periodic grid that pphi,
     bracket and the canonical dual sample on; m must be a whole number
     >= 2."""
-    m = whole_number(m, 2, "grid needs at least two nodes: m must be a "
-                     "whole number >= 2")
+    m = whole_number(m, 2, GRID_NODES)
     return np.arange(m) / m
 
 
@@ -337,6 +338,9 @@ def modulation_sum(coeffs: ResidueCoefficients, line_indices: np.ndarray
 
 def line_window(system: TranslateSystem, m: int, cover: float) -> np.ndarray:
     """Symmetric line-lattice nodes with step 1/(a m) covering [-cover, cover]."""
+    m = whole_number(m, 2, GRID_NODES)
+    if not (np.isfinite(cover) and cover > 0):
+        raise ValueError(f"cover must be finite and > 0, got {cover!r}")
     h = 1.0 / (system.step * m)
     j = int(np.ceil(cover / h))
     return np.arange(-j, j + 1) * h
@@ -350,7 +354,7 @@ def walnut_apply(system: TranslateSystem, f_hat_grid: GridFunction) -> GridFunct
     of f_hat * conj(phi_hat), so no interpolation happens anywhere.
     """
     if f_hat_grid.kind != "line":
-        raise ValueError("expect f sampled on a symmetric line grid")
+        raise ValueError(LINE_GRID)
     a = system.step
     h = f_hat_grid.step
     m = whole_count(1.0 / (a * h), LATTICE_STEP)
@@ -369,6 +373,8 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     """Same operator by explicit coefficient quadrature and modulation sum,
     truncated at shifts |n| <= n_max. Slow by design (cross-check route):
     each block of shifts meets every line node, with no fold by residue."""
+    if f_hat_grid.kind != "line":
+        raise ValueError(LINE_GRID)
     n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
     a = system.step
     h = f_hat_grid.step

@@ -33,7 +33,7 @@ from semiframe.operators import (
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
     canonical_dual_translates, line_window, pphi, raised_cosine_profile,
-    unit_indicator_profile, walnut_apply,
+    reconstruct_translates, unit_indicator_profile, walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -164,7 +164,12 @@ def test_periodize_requires_lattice_period():
     (np.arange(-300, 301), np.arange(-700, 701), 1024),     # many row blocks
     (np.arange(-24, 25), 2 * np.arange(300) + 1, 600),      # one block
     (np.arange(3), np.arange(-2 ** 17, 2 ** 17), 97),       # rows longer than a block
-], ids=["many", "one", "long-rows"])
+    (2 * np.arange(300) + 1, np.arange(-400, 401), 600),   # stride 2, four blocks
+    (np.arange(300, -301, -1), np.arange(-700, 701), 1024), # descending rows
+    (np.array([-5]), np.arange(-700, 701), 1024),           # a single row
+    (np.arange(-100, 101), np.arange(-2 ** 12, 2 ** 12), 4096),  # last block one row
+], ids=["many", "one", "long-rows", "stride-2", "descending", "single-row",
+        "partial-last-block"])
 def test_phase_blocks_are_roots_of_unity_in_capped_blocks(rows, cols, order):
     seen = []
     for at, block in core.phase_blocks(rows, cols, order):
@@ -355,6 +360,10 @@ def _sparse_rule(rows, positions, values):
     (lambda: instantiate_sparse(_sparse_rule([0, 1, 0, 1], [0, 1, 0, 1],
                                              [1.0, 1.0, 2.0, 2.0]), (3, 2)),
      "a member names one position twice"),
+    (lambda: brute_apply(INDICATOR, periodic_grid(np.ones(65)), 4),
+     "expect f sampled on a symmetric line grid"),
+    (lambda: list(core.phase_blocks(np.array([0, 1, 3]), np.arange(4), 8)),
+     "phase rows must be evenly spaced"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -375,7 +384,8 @@ def _sparse_rule(rows, positions, values):
         "sparse-rule-position-at-d", "sparse-rule-position-negative",
         "dense-rule-short-rows", "sparse-rule-unequal-lengths",
         "sparse-rule-row-past-n", "sparse-rule-float-positions",
-        "sparse-rule-repeated-position"])
+        "sparse-rule-repeated-position", "brute-apply-periodic-grid",
+        "phase-rows-uneven"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
@@ -383,6 +393,7 @@ def test_malformed_input_is_refused(call, precondition):
 
 GRID_NODES = "grid needs at least two nodes"
 N_MAX = "n_max must be a whole number >= 0"
+COVER = "cover must be finite and > 0"
 # raised cosine with its closed-form p declared; 16 line nodes per unit step
 KNOWN_P = TranslateSystem(
     raised_cosine_profile(), 1.0,
@@ -402,13 +413,26 @@ LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
      "shifts must be a whole number >= 0"),
     (lambda: biorthogonality_gap(ExponentialSystem(ConstantWeight(1), 1.0, 8),
                                  -1), N_MAX),
+    # at n_max = M/2 the frequencies -4 and 4 pair to -1, a gap of 1
+    (lambda: biorthogonality_gap(ExponentialSystem(ConstantWeight(1), 1.0, 8),
+                                 4), "n_max must stay below M/2"),
     (lambda: a2_estimate(ConstantWeight(1), depth=2.5),
      "dyadic depth must be at least 1 and a whole number"),
+    (lambda: line_window(KNOWN_P, 0, 1.0), GRID_NODES),
+    (lambda: line_window(KNOWN_P, 2.5, 1.0), GRID_NODES),
+    (lambda: line_window(KNOWN_P, 16, np.inf), COVER),
+    (lambda: line_window(KNOWN_P, 16, np.nan), COVER),
+    (lambda: line_window(KNOWN_P, 16, -1.0), COVER),
+    (lambda: reconstruct_translates(KNOWN_P, KNOWN_P.profile.fn, m=16,
+                                    cover=np.inf), COVER),
 ], ids=["pphi-grid-fractional", "pphi-grid-nan", "bracket-grid-fractional",
         "bracket-grid-nan", "known-p-dual-grid-fractional",
         "brute-apply-n-max-negative", "brute-apply-n-max-fractional",
         "periodize-shifts-negative", "biorthogonality-n-max-negative",
-        "a2-depth-fractional"])
+        "biorthogonality-n-max-aliased", "a2-depth-fractional",
+        "line-window-grid-0", "line-window-grid-fractional",
+        "line-window-cover-inf", "line-window-cover-nan",
+        "line-window-cover-negative", "reconstruct-cover-inf"])
 def test_malformed_grid_sizes_and_counts_are_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
