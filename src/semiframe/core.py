@@ -9,9 +9,9 @@ period or on a symmetric window of the line are carried by GridFunction.
 Convergence and divergence across truncation ladders is judged by
 tail_diagnostic, which returns a ConvergenceVerdict rather than a bare bool
 so that callers can surface evidence. The translate and exponential systems
-share two result types: a Classification (per-property verdicts with their
-evidence) and ResidueCoefficients (coefficients on a residue ring, read at
-signed indices).
+share a Classification (per-property verdicts with their evidence),
+ResidueCoefficients (coefficients on a residue ring, read at signed indices)
+and bound_verdicts, the Bessel and lower rule on their symbol p or |g|^2.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ CONVERGENCE_REL_TOL = 1e-9      # successive-difference stabilization window
 DIVERGENCE_EXPONENT = 0.1      # fitted log-log slope above this means growth
 DIVERGENCE_R2 = 0.99           # fit quality required to declare divergence
 CONTRACTION_RATIO = 0.95       # difference ratios below this allow extrapolation
+LADDER_R2 = 0.9                # relaxed: value ladders outgrow any power law
 PHASE_BLOCK = 2 ** 16          # phase entries one block of an explicit sum holds
 
 
@@ -289,6 +290,36 @@ def frame_verdict(bessel: str, lower: str) -> str:
     if bessel == YES and lower == YES:
         return YES
     return NO if NO in (bessel, lower) else UNDECIDED
+
+
+def essential_bounds(weight) -> tuple:
+    """(ess inf, ess sup) a weight or symbol declares, None for a bound it
+    leaves undeclared; refuses one without ess_bounds."""
+    bounds = getattr(weight, "ess_bounds", None)
+    if not callable(bounds):
+        raise ValueError(f"{type(weight).__name__} declares no essential bounds "
+                         "(ess_bounds); frame bounds and duals are read off them")
+    return bounds()
+
+
+def bound_verdicts(ess_inf, ess_sup, symbol=None) -> tuple:
+    """(bessel, lower) verdict pairs of an operator that multiplies by one
+    symbol; None marks a bound nobody declared or resolved. Bessel is No when
+    tail_diagnostic calls the symbol's value_ladder(), less its filler piece,
+    Divergent over 3 or more values, else Yes for a finite sup; lower is Yes
+    for an inf above 0."""
+    steps = symbol.value_ladder()[:-1] if hasattr(symbol, "value_ladder") else []
+    growth = tail_diagnostic([v for _, v in steps], [i for i, _ in steps],
+                             r2_threshold=LADDER_R2) if len(steps) >= 3 else None
+    if growth is not None and growth.kind == DIVERGENT:
+        bessel = (NO, {"value_ladder_exponent": growth.growth_exponent})
+    elif ess_sup is None:
+        bessel = (UNDECIDED, {})
+    else:
+        bessel = (YES if math.isfinite(ess_sup) else NO, {"bound": ess_sup})
+    if ess_inf is None:
+        return bessel, (UNDECIDED, {})
+    return bessel, (YES if ess_inf > 0 else NO, {"bound": ess_inf})
 
 
 @dataclass

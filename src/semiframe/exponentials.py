@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, Classification, ResidueCoefficients, VectorFamily,
-    frame_verdict, phase_blocks, tail_diagnostic, whole_count, whole_number,
+    bound_verdicts, essential_bounds, frame_verdict, phase_blocks,
+    whole_count, whole_number,
 )
 from .muckenhoupt import (
     IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
@@ -150,20 +151,10 @@ def synthesis_exponentials(system: ExponentialSystem,
     return np.asarray(weight_values, dtype=complex) * series
 
 
-def _ess_bounds(weight) -> tuple:
-    """(ess inf, ess sup) of the weight; refuses weights that declare none."""
-    bounds = getattr(weight, "ess_bounds", None)
-    if bounds is None:
-        raise ValueError(f"{type(weight).__name__} declares no essential "
-                         "bounds (ess_bounds); frame bounds and the dual "
-                         "generator are read off them")
-    return bounds()
-
-
 def canonical_dual_values(system: ExponentialSystem) -> np.ndarray:
     """Grid values of the dual generator b / conj(g); refuses weights that
     come arbitrarily close to zero."""
-    inf, _ = _ess_bounds(system.weight)
+    inf, _ = essential_bounds(system.weight)
     if not inf > 0:
         raise ValueError("dual generator unbounded: weight reaches zero")
     return system.b / np.conj(system.g_values())
@@ -248,11 +239,6 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
 # classification
 
 
-def _weight_ladder(weight):
-    ladder = getattr(weight, "value_ladder", None)
-    return ladder() if ladder is not None else None
-
-
 def _weight_candidates(weight):
     desc = getattr(weight, "descriptor", {})
     if desc.get("kind") == "plateau":
@@ -266,39 +252,17 @@ def classify_exponentials(system: ExponentialSystem) -> Classification:
     With b <= 1 the operator is diagonal multiplication, so bounds are
     exact weight statements rather than grid estimates: the lower inequality
     holds with inf |g|^2 / b, the Bessel inequality with sup |g|^2 / b when
-    finite. Stepped weights carry their exact per-piece value ladder; its
-    growth certifies an unbounded supremum that sampling cannot exhibit.
+    finite, both judged by core.bound_verdicts (a stepped weight's value
+    ladder certifies an unbounded supremum that sampling cannot exhibit).
     The basis question beyond the inequalities is delegated to the interval
     average test on |g|^2 and reported as the conditional-basis flag.
     """
     if system.b > 1.0:
         raise ValueError("classification assumes density b <= 1")
-    inf_w, sup_w = _ess_bounds(system.weight)
-    props = {}
+    inf_w, sup_w = essential_bounds(system.weight)
     scope = "whole-space" if inf_w > 0 else "closed-span"
-
-    ladder = _weight_ladder(system.weight)
-    if ladder is not None and len(ladder) >= 4:
-        # drop the trailing plateau: value ladders end on the filler piece
-        sizes = [i for i, _ in ladder[:-1]]
-        vals = [v for _, v in ladder[:-1]]
-        v = tail_diagnostic(vals, sizes, rel_tol=1e-9, r2_threshold=0.9)
-        if v.kind == "Divergent":
-            props["bessel"] = (NO, {"value_ladder_exponent": v.growth_exponent})
-        elif math.isfinite(sup_w):
-            props["bessel"] = (YES, {"bound": sup_w / system.b})
-        else:
-            props["bessel"] = (UNDECIDED, {"detail": v.detail})
-    elif math.isfinite(sup_w):
-        props["bessel"] = (YES, {"bound": sup_w / system.b})
-    else:
-        props["bessel"] = (NO, {"bound": math.inf})
-
-    if inf_w > 0:
-        props["lower_bound"] = (YES, {"bound": inf_w / system.b})
-    else:
-        props["lower_bound"] = (NO, {"bound": 0.0})
-
+    props = dict(zip(("bessel", "lower_bound"), bound_verdicts(
+        inf_w / system.b, sup_w / system.b, system.weight)))
     props["frame"] = (
         frame_verdict(props["bessel"][0], props["lower_bound"][0]),
         {"from": ("bessel", "lower_bound")})

@@ -31,8 +31,8 @@ from .muckenhoupt import (
 from .translates import (
     TranslateSystem, brute_apply, canonical_dual_translates,
     classify_translates, line_window, pphi, plateau_band_system,
-    raised_cosine_profile, reconstruct_translates, unit_indicator_profile,
-    walnut_apply,
+    raised_cosine_profile, raised_cosine_symbol, reconstruct_translates,
+    unit_indicator_profile, walnut_apply,
 )
 from .exponentials import (
     ExponentialSystem, biorthogonality_gap, classify_exponentials,
@@ -556,19 +556,15 @@ def _run_orthonormal_translates(seed=DEFAULT_SEED):
 # scenario: lower-translates
 
 
-def _p_raised_cosine(gamma):
-    return 0.75 + 0.25 * np.cos(2.0 * np.pi * np.asarray(gamma, dtype=float))
-
-
 def _run_lower_translates(seed=DEFAULT_SEED):
     system = TranslateSystem(raised_cosine_profile(), 1.0,
                              name="raised-cosine-integers",
-                             known_p=_p_raised_cosine, ess_inf_hint=0.5)
+                             symbol=raised_cosine_symbol())
     m = 4096
     checks = []
 
     p, rep = pphi(system, m=m)
-    p_gap = float(np.abs(p.values - _p_raised_cosine(p.nodes())).max())
+    p_gap = float(np.abs(p.values - system.symbol.sample(p.nodes())).max())
     checks.append(_check("aliased-energy-closed-form", p_gap <= 1e-12, p_gap))
 
     cls = classify_translates(system, m=m)
@@ -609,7 +605,7 @@ def _run_lower_translates(seed=DEFAULT_SEED):
                          worst_rec))
 
     _, dual_rep = pphi(dual, m=m)
-    cap = 1.0 / 0.5 + 1e-6
+    cap = 1.0 / system.symbol.ess_bounds()[0] + 1e-6
     checks.append(_check("dual-energy-capped-by-inverse-lower-bound",
                          dual_rep.ess_sup <= cap, dual_rep.ess_sup, cap=cap))
 

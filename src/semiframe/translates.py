@@ -20,8 +20,9 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, Classification, GridFunction, ResidueCoefficients,
-    covering_shifts, frame_verdict, line_grid, pairwise_sum, periodize,
-    phase_blocks, tail_diagnostic, whole_count, whole_number,
+    bound_verdicts, covering_shifts, essential_bounds, frame_verdict,
+    line_grid, pairwise_sum, periodize, phase_blocks, whole_count,
+    whole_number,
 )
 from .muckenhoupt import plateau_weight
 
@@ -76,21 +77,31 @@ class FourierProfile:
         return v * v
 
 
+@dataclass(frozen=True)
+class ClosedFormSymbol:
+    """p in closed form: sample(gamma) on [0, 1), bounds None if undeclared."""
+
+    sample: Callable[[np.ndarray], np.ndarray]
+    bounds: tuple = (None, None)
+
+    def ess_bounds(self) -> tuple:
+        return self.bounds
+
+
 @dataclass
 class TranslateSystem:
     """Translates of one generator along the lattice step * Z.
 
-    known_p: exact periodic aliased energy, when the profile admits one.
-    sup_ladder: (label, ess-sup) pairs whose growth witnesses unboundedness
-    of p for profiles built from stepped weights; measured grid suprema
-    cannot see plateaus narrower than the grid.
+    symbol declares p once in the weight protocol: sample(gamma) on [0, 1),
+    ess_bounds() (None for a bound the grid judges), optional value_ladder().
+    known_p (+ ess_inf_hint) is the benchmark's spelling, folded into symbol.
     """
 
     profile: FourierProfile
     step: float
     name: str = ""
+    symbol: object = None
     known_p: Callable[[np.ndarray], np.ndarray] | None = None
-    sup_ladder: list | None = None
     ess_inf_hint: float | None = None
 
     def __post_init__(self):
@@ -98,6 +109,16 @@ class TranslateSystem:
             raise ValueError("shift step must be positive and finite")
         if not self.name:
             self.name = f"translates-{self.profile.name}-a{self.step:g}"
+        if self.known_p is not None:
+            if self.symbol is not None:
+                raise ValueError("declare p once: symbol or known_p, not both")
+            self.symbol = ClosedFormSymbol(self.known_p, (self.ess_inf_hint, None))
+        elif self.ess_inf_hint is not None:
+            raise ValueError("ess_inf_hint needs known_p")
+        if self.symbol is not None:
+            if not callable(getattr(self.symbol, "sample", None)):
+                raise ValueError(f"{type(self.symbol).__name__} has no sample(gamma)")
+            essential_bounds(self.symbol)
 
 
 def unit_indicator_profile() -> FourierProfile:
@@ -123,10 +144,17 @@ def raised_cosine_profile() -> FourierProfile:
     return FourierProfile("raised-cosine", fn, support=(-1.0, 1.0))
 
 
+def raised_cosine_symbol() -> ClosedFormSymbol:
+    """p at step 1: cos^4(pi g/2) + sin^4(pi g/2) = 0.75 + 0.25 cos 2 pi g."""
+    return ClosedFormSymbol(lambda g: 0.75 + 0.25 * np.cos(
+        2.0 * np.pi * np.asarray(g, dtype=float)), (0.5, 1.0))
+
+
 def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
     """Single-band generator on [0, 1) whose squared profile is the stepped
     plateau weight; with step 1 the aliased energy equals the weight itself,
-    bounded below by 1 and climbing the k^(power k) ladder."""
+    bounded below by 1 and climbing the k^(power k) ladder, so the weight is
+    the system's symbol."""
     w = plateau_weight(k_max, power)
 
     def fn(g):
@@ -136,11 +164,8 @@ def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
         return out
 
     profile = FourierProfile(f"plateau-band-k{k_max}", fn, support=(0.0, 1.0))
-    ladder = [(k, float(k ** (power * k))) for k in range(2, k_max + 1)]
-    return TranslateSystem(
-        profile, 1.0, name=f"plateau-band-k{k_max}",
-        known_p=lambda g: w.sample(np.mod(np.asarray(g, dtype=float), 1.0)),
-        sup_ladder=ladder, ess_inf_hint=1.0)
+    return TranslateSystem(profile, 1.0, name=f"plateau-band-k{k_max}",
+                           symbol=w)
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +419,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
                               tail_terms: int = DEFAULT_TAIL) -> TranslateSystem:
     """Dual generator: divide the profile by the aliased energy on its support.
 
-    p is sampled once on the grid i/m, from the system's known_p when it
+    p is sampled once on the grid i/m, from the system's symbol when it
     declares one and from pphi otherwise. Evaluation is exact-lattice only:
     the dual profile accepts nodes xi with a*xi on the grid 1/m Z and
     refuses anything else, because interpolating p would silently break
@@ -402,8 +427,8 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     """
     a = system.step
     gamma = _lattice(m)
-    if system.known_p is not None:
-        p = np.asarray(system.known_p(gamma), dtype=float)
+    if system.symbol is not None:
+        p = np.asarray(system.symbol.sample(gamma), dtype=float)
     else:
         p = pphi(system, gamma.size, tail_terms)[0].values
     tau = ZERO_MASK_RATIO * float(p.max())
@@ -469,43 +494,27 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     All span-relative verdicts read off the aliased energy: bounded above
     means Bessel, bounded away from zero on its support means the lower
     inequality holds on the span closure, both together mean frame for the
-    span, identically 1 means the translates are orthonormal there. Stepped
-    profiles carry their supremum ladder, whose growth overrides the grid
-    supremum (the grid cannot resolve the narrow high steps). Whole-line
-    completeness is reported as a side note: a vanishing stretch of p or a
-    compactly supported profile already rules it out.
+    span, identically 1 means the translates are orthonormal there. Bessel
+    and lower come from core.bound_verdicts on the symbol's bounds, or on
+    the grid's where a grid half as fine agrees and no symbol declares one.
+    Whole-line completeness is reported as a side note: a vanishing stretch
+    of p or a compactly supported profile already rules it out.
     """
     p_grid, rep = pphi(system, m, tail_terms)
-    props = {}
-
-    if system.sup_ladder is not None and len(system.sup_ladder) >= 3:
-        sizes = [k for k, _ in system.sup_ladder]
-        sups = [s for _, s in system.sup_ladder]
-        # stepped ladders grow faster than any power, bending the log-log
-        # fit; the relaxed fit quality still separates them from plateaus
-        v = tail_diagnostic(sups, sizes, rel_tol=1e-9, r2_threshold=0.9)
-        if v.kind == "Divergent":
-            props["bessel"] = (NO, {"sup_ladder_exponent": v.growth_exponent})
-        elif v.kind == "Convergent":
-            props["bessel"] = (YES, {"bound": float(v.limit_estimate)})
-        else:
-            props["bessel"] = (UNDECIDED, {"detail": v.detail})
-    else:
-        coarse = float(p_grid.values[::2].max())
-        stable = rep.ess_sup <= 1.02 * coarse
-        props["bessel"] = (YES if stable else UNDECIDED,
-                           {"bound": rep.ess_sup, "tail_gap": rep.tail_gap})
-
-    inf_hint = system.ess_inf_hint
+    inf, sup = (None, None) if system.symbol is None \
+        else essential_bounds(system.symbol)
+    grid_sup, grid_inf = sup is None, inf is None
+    if grid_sup and rep.ess_sup <= 1.02 * float(p_grid.values[::2].max()):
+        sup = rep.ess_sup
     live_vals = p_grid.values[p_grid.values > ZERO_MASK_RATIO * rep.ess_sup]
     coarse_inf = float(live_vals[::2].min()) if live_vals.size > 1 else rep.ess_inf
-    inf_stable = rep.ess_inf >= 0.5 * coarse_inf
-    if inf_hint is not None:
-        props["lower_for_span"] = (YES if inf_hint > 0 else NO,
-                                   {"bound": inf_hint})
-    elif rep.ess_inf > 0 and inf_stable:
-        props["lower_for_span"] = (YES, {"bound": rep.ess_inf})
-    else:
+    if grid_inf and rep.ess_inf > 0 and rep.ess_inf >= 0.5 * coarse_inf:
+        inf = rep.ess_inf
+    props = dict(zip(("bessel", "lower_for_span"),
+                     bound_verdicts(inf, sup, system.symbol)))
+    if grid_sup:
+        props["bessel"][1].update(bound=rep.ess_sup, tail_gap=rep.tail_gap)
+    if grid_inf and inf is None:
         props["lower_for_span"] = (UNDECIDED, {"grid_inf": rep.ess_inf})
 
     props["frame_for_span"] = (

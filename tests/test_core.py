@@ -6,15 +6,16 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from semiframe import core
 from semiframe.core import (
-    GridFunction, TruncationLadder, VectorFamily, covering_shifts, instantiate,
-    instantiate_sparse, line_grid, pairwise_sum, periodic_grid,
-    periodization_gap, periodize, tail_diagnostic,
+    GridFunction, TruncationLadder, VectorFamily, bound_verdicts,
+    covering_shifts, instantiate, instantiate_sparse, line_grid, pairwise_sum,
+    periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import (
     ExponentialSystem, biorthogonality_gap, t_general,
@@ -33,7 +34,8 @@ from semiframe.operators import (
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
     canonical_dual_translates, line_window, pphi, raised_cosine_profile,
-    reconstruct_translates, unit_indicator_profile, walnut_apply,
+    raised_cosine_symbol, reconstruct_translates, unit_indicator_profile,
+    walnut_apply,
 )
 
 RNG = np.random.default_rng(2024)
@@ -272,6 +274,13 @@ HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
 
 
+class SymbolWithoutSample:
+    """Declares bounds but no way to sample p."""
+
+    def ess_bounds(self):
+        return 0.5, 1.0
+
+
 def _sparse_rule(rows, positions, values):
     """A sparse family whose rule returns the given COO triplet; the rows
     below instantiate it at (3, 2), two members in dimension 3."""
@@ -364,6 +373,17 @@ def _sparse_rule(rows, positions, values):
      "expect f sampled on a symmetric line grid"),
     (lambda: list(core.phase_blocks(np.array([0, 1, 3]), np.arange(4), 8)),
      "phase rows must be evenly spaced"),
+    (lambda: TranslateSystem(raised_cosine_profile(), 1.0,
+                             symbol=ScaledWeight(ConstantWeight(1), 2)),
+     "ScaledWeight declares no essential bounds (ess_bounds)"),
+    (lambda: TranslateSystem(raised_cosine_profile(), 1.0,
+                             symbol=SymbolWithoutSample()),
+     "SymbolWithoutSample has no sample(gamma)"),
+    (lambda: TranslateSystem(raised_cosine_profile(), 1.0,
+                             symbol=raised_cosine_symbol(), known_p=np.cos),
+     "declare p once: symbol or known_p, not both"),
+    (lambda: TranslateSystem(raised_cosine_profile(), 1.0, ess_inf_hint=0.5),
+     "ess_inf_hint needs known_p"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -385,7 +405,9 @@ def _sparse_rule(rows, positions, values):
         "dense-rule-short-rows", "sparse-rule-unequal-lengths",
         "sparse-rule-row-past-n", "sparse-rule-float-positions",
         "sparse-rule-repeated-position", "brute-apply-periodic-grid",
-        "phase-rows-uneven"])
+        "phase-rows-uneven", "symbol-without-ess-bounds",
+        "symbol-without-sample", "symbol-and-known-p",
+        "ess-inf-hint-without-known-p"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
@@ -395,9 +417,8 @@ GRID_NODES = "grid needs at least two nodes"
 N_MAX = "n_max must be a whole number >= 0"
 COVER = "cover must be finite and > 0"
 # raised cosine with its closed-form p declared; 16 line nodes per unit step
-KNOWN_P = TranslateSystem(
-    raised_cosine_profile(), 1.0,
-    known_p=lambda g: 0.75 + 0.25 * np.cos(2 * np.pi * np.asarray(g)))
+KNOWN_P = TranslateSystem(raised_cosine_profile(), 1.0,
+                          symbol=raised_cosine_symbol())
 LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
 
 
@@ -436,6 +457,34 @@ LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
 def test_malformed_grid_sizes_and_counts_are_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
+
+
+def _laddered(*values):
+    """A symbol whose value ladder holds these values, then a filler piece."""
+    steps = list(enumerate(values, start=1)) + [(len(values) + 1, 1.0)]
+    return SimpleNamespace(value_ladder=lambda: steps)
+
+
+# plateau_weight(6) ladders 2^2, 3^3, ..., 6^6 over the labels 1..5
+K6_GROWTH = ("No", {"value_ladder_exponent": 5.597800506668429})
+
+
+@pytest.mark.parametrize("ess_inf, ess_sup, symbol, bessel, lower", [
+    (1.0, 46656.0, plateau_weight(6), K6_GROWTH, ("Yes", {"bound": 1.0})),
+    (1.0, 2.0, _laddered(2.0, 2.0, 2.0, 2.0), ("Yes", {"bound": 2.0}),
+     ("Yes", {"bound": 1.0})),
+    # the filler piece does not count: two steps are too few to judge
+    (1.0, 27.0, plateau_weight(3), ("Yes", {"bound": 27.0}),
+     ("Yes", {"bound": 1.0})),
+    (1.0, math.inf, None, ("No", {"bound": math.inf}), ("Yes", {"bound": 1.0})),
+    (0.0, 1.0, None, ("Yes", {"bound": 1.0}), ("No", {"bound": 0.0})),
+    (None, None, None, ("Undecided", {}), ("Undecided", {})),
+    (None, None, plateau_weight(6), K6_GROWTH, ("Undecided", {})),
+], ids=["divergent-ladder", "flat-ladder", "short-ladder", "infinite-sup",
+        "inf-zero", "undeclared", "undeclared-divergent-ladder"])
+def test_bound_verdicts_cover_every_branch(ess_inf, ess_sup, symbol, bessel,
+                                           lower):
+    assert bound_verdicts(ess_inf, ess_sup, symbol) == (bessel, lower)
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,9 @@ FAST_SCENARIOS = (
     "ordering-sensitivity",
     "lower-translates",
 )
+# scenario, name, status and any string value of every check of
+# `semiframe scenario all --seed 42`: the verdict half of the fingerprint
+GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "scenario_all_verdicts.json"
 
 
 def test_registry_names_are_pinned():
@@ -74,6 +78,11 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert [p["scenario"] for p in payload] == list(scenario_names())
     assert all(p["outcome"] == "pass" for p in payload)
+    verdicts = [{"scenario": p["scenario"], "name": c["name"],
+                 "status": c["status"],
+                 **({"value": c["value"]} if isinstance(c["value"], str) else {})}
+                for p in payload for c in p["checks"]]
+    assert verdicts == json.loads(GOLDEN_VERDICTS.read_text())
 
 
 def test_cli_csv_output_parses(tmp_path, capsys):

@@ -11,14 +11,16 @@ from semiframe.translates import (
     CLOSED_TAIL_TERMS, FourierProfile, TranslateSystem, analysis_translates, bracket,
     brute_apply, canonical_dual_translates, classify_translates,
     hurwitz_zeta, line_window, modulation_sum, pphi, plateau_band_system,
-    raised_cosine_profile, reconstruct_translates, unit_indicator_profile,
-    walnut_apply,
+    raised_cosine_profile, raised_cosine_symbol, reconstruct_translates,
+    unit_indicator_profile, walnut_apply,
 )
+from semiframe.exponentials import ExponentialSystem, classify_exponentials
+from semiframe.muckenhoupt import plateau_weight
 
 RNG = np.random.default_rng(314)
 
 COSINE = TranslateSystem(raised_cosine_profile(), 1.0,
-                         ess_inf_hint=0.5)
+                         symbol=raised_cosine_symbol())
 INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 
 
@@ -195,13 +197,22 @@ def test_walnut_validates_lattice():
 
 
 def test_canonical_dual_known_p_route():
+    # known_p with ess_inf_hint is the benchmark's spelling of a symbol whose
+    # sup the grid judges; its dual is the symbol route's, bit for bit
     system = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p,
                              ess_inf_hint=0.5)
+    assert system.ess_inf_hint == 0.5
+    cls = classify_translates(system, m=512)
+    assert cls.verdict("bessel") == cls.verdict("lower_for_span") == "Yes"
+    assert "tail_gap" in cls.properties["bessel"][1]
     dual = canonical_dual_translates(system, m=128)
     # dual profile is phi / p on the support
     xi = np.array([0.0, 0.25, -0.5])
     expect = system.profile(xi) / _cosine_p(xi)
     assert np.abs(dual.profile(xi) - expect).max() < 1e-12
+    declared = canonical_dual_translates(COSINE, m=128)
+    nodes = line_window(system, 128, 1.0)
+    assert np.array_equal(dual.profile(nodes), declared.profile(nodes))
 
 
 def test_canonical_dual_grid_route_snaps_to_lattice():
@@ -216,21 +227,18 @@ def test_canonical_dual_grid_route_snaps_to_lattice():
 
 
 def test_known_p_dual_refuses_off_lattice_nodes():
-    # p is sampled once on the lattice, from known_p as from pphi
-    system = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p,
-                             ess_inf_hint=0.5)
-    dual = canonical_dual_translates(system, m=64)
+    # p is sampled once on the lattice, from the symbol as from pphi
+    dual = canonical_dual_translates(COSINE, m=64)
     on = np.array([3.0 / 64, -5.0 / 64])
-    expect = system.profile(on) / _cosine_p(on)
+    expect = COSINE.profile(on) / _cosine_p(on)
     assert np.abs(dual.profile(on) - expect).max() < 1e-12
     with pytest.raises(ValueError, match="dual profile sampled off the p-lattice"):
         dual.profile(np.array([0.013]))
 
 
 def test_dual_profile_at_no_nodes_is_empty():
-    # no nodes means no off-lattice node, on the known_p and the pphi route
-    known = TranslateSystem(raised_cosine_profile(), 1.0, known_p=_cosine_p)
-    for system in (known, COSINE):
+    # no nodes means no off-lattice node, on the symbol and the pphi route
+    for system in (COSINE, TranslateSystem(raised_cosine_profile(), 1.0)):
         out = canonical_dual_translates(system, m=64).profile(np.array([]))
         assert out.shape == (0,)
 
@@ -273,14 +281,30 @@ def test_classify_plateau_band():
     assert cls.verdict("complete_whole_line") == "No"
 
 
-def test_plateau_band_known_p_matches_weight_ladder():
-    system = plateau_band_system(4, power=1)
+@pytest.mark.parametrize("m", [512, 4096])
+def test_declared_symbols_match_their_alias_sums(m):
+    gamma = np.arange(m) / m
+    for k in range(2, 7):
+        system = plateau_band_system(k, power=1)
+        assert np.array_equal(pphi(system, m=m)[0].values,
+                              system.symbol.sample(gamma))
+    gap = np.abs(pphi(COSINE, m=m)[0].values - COSINE.symbol.sample(gamma))
+    assert gap.max() <= 1e-15
     # the first plateau is wide enough for a coarse grid to see value 4
-    p = system.known_p(np.array([1.0 / 128, 0.9, 2.9]))
+    p = plateau_band_system(4, power=1).symbol.sample(np.array([1.0 / 128, 0.9]))
     assert p[0] == 4.0
     assert p[1] == 1.0
-    assert p[2] == 1.0          # periodic continuation
-    assert system.sup_ladder[-1] == (4, 256.0)
+
+
+@pytest.mark.parametrize("k_max", range(2, 9))
+def test_translate_and_exponential_twins_share_bound_verdicts(k_max):
+    # at step 1 the band's aliased energy is the plateau weight itself, so
+    # both classifiers read one symbol through one rule
+    band = classify_translates(plateau_band_system(k_max)).properties
+    expo = classify_exponentials(
+        ExponentialSystem(plateau_weight(k_max, 1), 1.0, 1024)).properties
+    assert band["bessel"] == expo["bessel"]
+    assert band["lower_for_span"] == expo["lower_bound"]
 
 
 def test_system_validation():
