@@ -75,7 +75,7 @@ def phase_blocks(rows: np.ndarray, cols: np.ndarray, order: int):
     for lo in range(0, rows.size, step):
         at = np.add(offsets[:rows.size - lo], base, out=idx[:rows.size - lo])
         yield slice(lo, lo + step), np.take(twice, at)
-        base = _add_wrapped(base, jump, order)
+        _add_wrapped(base, jump, order, out=base)
 
 
 def _offset_table(n: int, shift: np.ndarray, order: int) -> np.ndarray:

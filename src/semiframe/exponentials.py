@@ -90,25 +90,25 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     """The system as a vector family on its own grid (dimension = cells).
 
     Rows are normalized by sqrt(M) so finite-dimensional inner products
-    approximate integrals over (0, 1). The block takes np.exp once per
-    distinct |f| among its members, and the row of -f is the conjugate of
-    the row of f.
+    approximate integrals over (0, 1). On x_i = (2i + 1) / 2M the member of
+    frequency f is g_i / sqrt(M) times the 2M-th root of unity at
+    (f b (2i + 1)) mod 2M, so b must be a whole number. The roots are taken
+    once per family and every block gathers from them.
     """
-    g = system.g_values()
-    x = system.grid()
+    b = whole_number(system.b, 1, "grid families need a whole-number density b")
     m = system.m
+    scaled = system.g_values() / np.sqrt(m)
+    nodes = 2 * np.arange(m) + 1
+    roots = np.exp(2j * np.pi * np.arange(2 * m) / (2 * m))
 
     def block(idx, d):
         if d != m:
             raise ValueError("grid families live at dimension = cell count")
         freqs = np.where(idx % 2 == 0, idx // 2, -(idx // 2))
-        # one row per distinct |f|, its phase 2 pi i f b a Python scalar
-        # times the grid: the phases round as in the one-member product
-        mags, rows_of = np.unique(np.abs(freqs), return_inverse=True)
-        phases = np.array([2j * np.pi * f * system.b for f in mags.tolist()])
-        rows = g * np.exp(np.multiply.outer(phases, x)) / np.sqrt(m)
-        out = rows[rows_of]
-        return np.conjugate(out, out=out, where=(freqs < 0)[:, None])
+        at = np.multiply.outer(freqs * b, nodes)
+        out = roots[np.remainder(at, 2 * m, out=at)]
+        out *= scaled
+        return out
 
     return VectorFamily(
         name=system.name, block=block, dense=True, start_index=1,

@@ -130,14 +130,16 @@ def interleaved_prefix_norms(m_max: int) -> np.ndarray:
         k_top = (m_max + 1) // 2
         alpha, beta, gamma = interleaved_coefficients(2, k_top + 1)
         head = INTERLEAVED_HEAD ** 2
-        # settled[j] = sum of alpha_n^2 for n = 2..(j+1); settled[-1] -> empty
-        settled = np.concatenate([[0.0], np.cumsum(alpha ** 2)])
-        m = np.arange(3, m_max + 1)
-        k = (m + 1) // 2
-        live = np.where(m % 2 == 1, gamma[k - 2], beta[k - 2])
-        # float_power squares exactly as the scalar live ** 2 does
-        norms_sq[2:] = head + settled[k - 2] + np.float_power(live, 2)
-    return np.sqrt(norms_sq)
+        # settled[j] = sum of alpha_n^2 for n = 2..(j+1); settled[0] is empty
+        settled = np.zeros(alpha.size + 1)
+        np.cumsum(np.square(alpha, out=alpha), out=settled[1:])
+        # prefix m = 2k - 1 ends on gamma_k, m = 2k on beta_k (k >= 2); their
+        # slots m - 1 are every other one from 2 and from 3. float_power
+        # squares exactly as the scalar live ** 2 does
+        for out, live in ((norms_sq[2::2], gamma), (norms_sq[3::2], beta)):
+            np.add(head, settled[:out.size], out=out)
+            out += np.float_power(live[:out.size], 2)
+    return np.sqrt(norms_sq, out=norms_sq)
 
 
 def interleaved_difference_family() -> VectorFamily:

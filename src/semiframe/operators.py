@@ -4,8 +4,9 @@ The diagnostics read members in the family's own storage: CSR for a family
 with a sparse rule, an (N, d) array for a dense one. The frame action, the
 order-dependent partial sums, the coefficient energies and pairings, and the
 permuted Grams behind the permutation gap are each written once for both
-storages. The analysis and synthesis matrices, the frame matrix and the
-adjoint gap stay dense; they are the oracle the sparse route is tested
+storages, and every pairing <f, member_n> conjugates the probe, not a copy
+of the members. The analysis and synthesis matrices, the frame matrix and
+the adjoint gap stay dense; they are the oracle the sparse route is tested
 against. The two canonical-dual routes (restricted inverse of the projected
 frame matrix, pseudo-inverse of the analysis matrix) are kept independent
 so they can cross-check each other. Lower bounds, the restricted-inverse
@@ -122,6 +123,12 @@ def _stored(family: VectorFamily, level: tuple):
     return instantiate_sparse(family, level)
 
 
+def _pairings(x, f: np.ndarray) -> np.ndarray:
+    """<f, member_n> for every stored member row n of x (CSR or dense), as
+    conj(x @ conj(f)): the probe is conjugated, not a copy of the members."""
+    return np.conj(x @ np.conj(f))
+
+
 def analysis_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
     """Row n holds conj of the n-th member; matrix @ f gives <f, member_n>."""
     return np.conj(instantiate(family, level))
@@ -174,7 +181,7 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     energies = []
     coeffs_top = None
     for d, n in ladder.levels:
-        c = _stored(family, (d, n)).conj() @ _fit_dim(f, d)
+        c = _pairings(_stored(family, (d, n)), _fit_dim(f, d))
         energies.append(float(np.sum(np.abs(c) ** 2)))
         coeffs_top = c
     verdict = tail_diagnostic(energies, ladder.counts())
@@ -232,7 +239,7 @@ def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarra
     """Apply the truncated frame operator without materializing it; a probe
     of another length is truncated or continues by zero."""
     x = _stored(family, level)
-    return x.T @ (x.conj() @ _fit_dim(f, level[0]))
+    return x.T @ _pairings(x, _fit_dim(f, level[0]))
 
 
 def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
@@ -291,7 +298,7 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
     """Order-dependent partial sums of sum_n <f, member_n> member_n; a probe
     of another length is truncated or continues by zero."""
     x = _stored(family, level)
-    coeffs = x.conj() @ _fit_dim(f, level[0])
+    coeffs = _pairings(x, _fit_dim(f, level[0]))
     return _partial_sums(x, coeffs, ordering, window)
 
 
@@ -592,7 +599,7 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     f_d = _fit_dim(f, d)
     pf = f_d.copy()
     pf[~_kept(family, projector, d)] = 0.0
-    coeffs = _stored(family, level).conj() @ pf
+    coeffs = _pairings(_stored(family, level), pf)
     f_tilde = dual.vectors.T @ coeffs
     norm_f = np.linalg.norm(f_d)
     rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0
@@ -653,10 +660,10 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     pairings = {k: [] for k in range(len(test_set))}
     bound = 0.0
     for d, n in ladder.levels:
-        mat = _stored(family, (d, n)).conj()
-        c_f = mat @ _fit_dim(f, d)
+        x = _stored(family, (d, n))
+        c_f = _pairings(x, _fit_dim(f, d))
         for k, g in enumerate(test_set):
-            c_g = mat @ _fit_dim(np.asarray(g, dtype=complex), d)
+            c_g = _pairings(x, _fit_dim(np.asarray(g, dtype=complex), d))
             pairings[k].append(complex(np.vdot(c_g, c_f)))
     verdicts = []
     for k, g in enumerate(test_set):

@@ -18,7 +18,7 @@ from semiframe.core import (
     periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import (
-    ExponentialSystem, biorthogonality_gap, t_general,
+    ExponentialSystem, biorthogonality_gap, family_on_grid, t_general,
 )
 from semiframe.families import (
     orthonormal_family, scaled_basis_family, shared_direction_family,
@@ -384,6 +384,8 @@ def _sparse_rule(rows, positions, values):
      "declare p once: symbol or known_p, not both"),
     (lambda: TranslateSystem(raised_cosine_profile(), 1.0, ess_inf_hint=0.5),
      "ess_inf_hint needs known_p"),
+    (lambda: family_on_grid(ExponentialSystem(ConstantWeight(1), 0.5, 8)),
+     "grid families need a whole-number density b"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -407,7 +409,7 @@ def _sparse_rule(rows, positions, values):
         "sparse-rule-repeated-position", "brute-apply-periodic-grid",
         "phase-rows-uneven", "symbol-without-ess-bounds",
         "symbol-without-sample", "symbol-and-known-p",
-        "ess-inf-hint-without-known-p"])
+        "ess-inf-hint-without-known-p", "grid-family-fractional-density"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from semiframe.core import (
     TruncationLadder, VectorFamily, instantiate, instantiate_sparse,
 )
-from semiframe.exponentials import ExponentialSystem, frequency_of
+from semiframe.exponentials import (
+    ExponentialSystem, family_on_grid, frequency_of, member_of,
+)
 from semiframe.families import (
     DIFFERENCE_POWER, INTERLEAVED_HEAD, _telescoped, decaying_probe,
     interleaved_coefficients,
@@ -59,9 +63,14 @@ def _interleaved_member(idx, d):
 
 
 def _grid_member(system):
-    g, x, m = system.g_values(), system.grid(), system.m
+    """Member f at node x_i = (2i + 1) / 2M: the 2M-th root of unity at
+    (f b (2i + 1)) mod 2M, times g_i / sqrt(M)."""
+    m = system.m
+    roots = np.exp(2j * np.pi * np.arange(2 * m) / (2 * m))
+    nodes = 2 * np.arange(m) + 1
+    scaled = system.g_values() / np.sqrt(m)
     return lambda idx, d: (
-        g * np.exp(2j * np.pi * frequency_of(idx) * system.b * x) / np.sqrt(m))
+        roots[frequency_of(idx) * int(system.b) * nodes % (2 * m)] * scaled)
 
 
 def _seeded_member(seed):
@@ -121,6 +130,23 @@ def test_shared_direction_sparse_matches_dense(fam, level, member, spots):
                           for idx in idx_block]), rows)
     for (row, col), value in spots.items():
         assert x[row, col] == value
+
+
+def test_grid_members_are_exact_roots_of_unity():
+    """The flat grid family at M = 1024 against its members to 30 digits:
+    each lies within 1e-16 of exp(2 pi i f x_i) / 32, also at f = +-512,
+    where an np.exp of the full argument 2 pi f x_i misses by 1e-14."""
+    mpmath = pytest.importorskip("mpmath")
+    m = 1024
+    x = instantiate(family_on_grid(ExponentialSystem(ConstantWeight(1), 1.0, m)),
+                    (m, m + 1))
+    worst = 0.0
+    with mpmath.workdps(30):
+        for f in (0, 1, -1, 256, -256, 512, -512):
+            for i, value in enumerate(x[member_of(f) - 1].tolist()):
+                exact = mpmath.expjpi(mpmath.mpf(f * (2 * i + 1)) / m) / 32
+                worst = max(worst, float(abs(mpmath.mpc(value) - exact)))
+    assert worst <= 1e-16
 
 
 def test_member_rules_need_no_per_index_view(monkeypatch):
@@ -265,6 +291,20 @@ def _prefix_norms_loop(m_max):
 def test_prefix_norms_match_the_loop_exactly(m_max):
     assert np.array_equal(interleaved_prefix_norms(m_max),
                           _prefix_norms_loop(m_max))
+
+
+def test_prefix_norms_at_a_million_hold_no_full_length_temporaries():
+    # at 10^6 the closed form needs the 8 MB result and a few half-length
+    # coefficient arrays; full-length index, parity, gather and live arrays
+    # took the traced peak to 62 MB
+    interleaved_prefix_norms(10)
+    tracemalloc.start()
+    try:
+        interleaved_prefix_norms(10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_prefix_norm_rule_indexing():

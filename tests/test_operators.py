@@ -12,6 +12,7 @@ from semiframe.families import (
 from semiframe import operators
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.muckenhoupt import ConstantWeight
+from semiframe.scenarios import registry_vector_families
 from semiframe.operators import (
     PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
     analysis, analysis_matrix, canonical_dual, dual_via_pseudoinverse, frame_action,
@@ -208,6 +209,32 @@ def test_s_apply_ordering_dependence():
     # same endpoint, different paths
     assert abs(natural.prefix_norms[-1] - flipped.prefix_norms[-1]) < 1e-12
     assert np.abs(natural.prefix_norms - flipped.prefix_norms).max() > 0.1
+
+
+def _stored_pairs():
+    """(family, level, materializer) of every registry family, dense and,
+    for a sparse rule, CSR, plus the interleaved family's CSR at
+    (1025, 2049)."""
+    out = []
+    for scenario, fam, level in registry_vector_families():
+        out.append((f"{scenario}-dense", fam, level, instantiate))
+        if not fam.dense:
+            out.append((f"{scenario}-csr", fam, level, instantiate_sparse))
+    out.append(("interleaved-2049-csr", interleaved_difference_family(),
+                (1025, 2049), instantiate_sparse))
+    return [pytest.param(fam, level, build, id=name)
+            for name, fam, level, build in out]
+
+
+@pytest.mark.parametrize("fam, level, build", _stored_pairs())
+def test_pairings_conjugate_the_probe_not_the_members(fam, level, build):
+    """<f, member_n> as conj(X @ conj(f)) keeps the bits of X.conj() @ f on
+    every stored family and three seeded probes."""
+    x = build(fam, level)
+    rng = np.random.default_rng(19)
+    for _ in range(3):
+        f = rng.normal(size=level[0]) + 1j * rng.normal(size=level[0])
+        assert np.array_equal(operators._pairings(x, f), x.conj() @ f)
 
 
 @pytest.mark.parametrize("fam, level", [
