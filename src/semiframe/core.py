@@ -112,7 +112,9 @@ class TruncationLadder:
     levels: tuple
 
     def __post_init__(self):
-        lv = tuple((int(d), int(n)) for d, n in self.levels)
+        rule = "ladder levels (d, N) need whole numbers >= 1"
+        lv = tuple((whole_number(d, 1, rule), whole_number(n, 1, rule))
+                   for d, n in self.levels)
         if len(lv) < 3:
             raise ValueError("a ladder needs at least three levels")
         for (d0, n0), (d1, n1) in zip(lv, lv[1:]):

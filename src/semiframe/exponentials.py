@@ -48,6 +48,8 @@ def defer_negatives_ordering(n_count: int) -> np.ndarray:
     the partial sums cannot settle early. Needs an odd member count so the
     frequency window is symmetric.
     """
+    n_count = whole_number(n_count, 1, "the member count must be a whole "
+                           "number >= 1")
     if n_count % 2 == 0:
         raise ValueError("use an odd member count (symmetric frequency window)")
     k = (n_count - 1) // 2
@@ -73,8 +75,10 @@ class ExponentialSystem:
     def __post_init__(self):
         if not self.b > 0:
             raise ValueError("density must be positive")
-        if self.m < 4 or self.m % 2:
-            raise ValueError("need an even grid with at least 4 cells")
+        cells = "need an even grid with at least 4 cells"
+        self.m = whole_number(self.m, 4, cells)
+        if self.m % 2:
+            raise ValueError(f"{cells}, got {self.m}")
         if not self.name:
             kind = getattr(self.weight, "descriptor", {}).get("kind", "weight")
             self.name = f"exponentials-{kind}-b{self.b:g}"

@@ -123,7 +123,7 @@ class PiecewiseWeight:
 
     def __init__(self, pieces, descriptor=None):
         self.pieces = [(Fraction(a), Fraction(b), Fraction(v)) for a, b, v in pieces]
-        if self.pieces[0][0] != 0 or self.pieces[-1][1] != 1:
+        if not self.pieces or self.pieces[0][0] != 0 or self.pieces[-1][1] != 1:
             raise ValueError("pieces must cover (0, 1)")
         for (a0, b0, _), (a1, b1, _) in zip(self.pieces, self.pieces[1:]):
             if b0 != a1 or a0 >= b0:

@@ -11,12 +11,12 @@ against. The two canonical-dual routes (restricted inverse of the projected
 frame matrix, pseudo-inverse of the analysis matrix) are kept independent
 so they can cross-check each other. Lower bounds, the restricted-inverse
 dual and the Parseval normalization all read one kept block of the frame
-matrix, held banded when its measured bandwidth is narrow and dense
-otherwise; the pseudo-inverse of the analysis matrix is taken per connected
-block, and a dense family's analysis matrix is one block. scipy is imported
-inside the functions that need it, so importing the package does not load
-it. Partial-sum traces record order-dependent behavior; the frame matrix
-itself is permutation-invariant.
+matrix, held as its diagonal when nothing lies off it and dense otherwise.
+The pseudo-inverse inverts the analysis matrix entrywise when it holds at
+most one entry per member and per kept coordinate, and takes one dense SVD
+otherwise. scipy is imported inside the functions that need it, so
+importing the package does not load it. Partial-sum traces record
+order-dependent behavior; the frame matrix itself is permutation-invariant.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .core import (
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
 PINV_CUTOFF_RATIO = 1e-10      # singular-value cutoff relative to the largest
 STABILIZATION_WINDOW = 1e-8    # last-quarter relative variation of prefix norms
-BAND_CUTOFF = 1                # widest kept block read through banded LAPACK
 ADJOINT_PROBES = 8             # seeded unit probe pairs of adjoint_gap
 
 
@@ -328,41 +327,30 @@ def _kept(family: VectorFamily, projector: Projector | None,
 class _KeptBlock:
     """The Hermitian block G = M M^H of r x N members M (CSR or dense).
 
-    G is held in LAPACK's lower banded storage when its measured bandwidth
-    is at most BAND_CUTOFF, and its eigenvalues are read through the banded
-    routines; otherwise M and G are dense and read through numpy's eigh. A
-    diagonal G scales each row of M, so G^{-1} M and G^{-1/2} M are read off
-    the diagonal, keep one entry per nonzero of M and stay CSR; under any
-    wider band they come from dense eigh of G, formed on demand, and fill in.
-    A derived block is returned through placed(), which writes a CSR block's
-    stored entries straight into the output and builds no dense copy of M.
+    A G with nothing stored off its diagonal (CSR members, each member on
+    at most one kept coordinate) is held as that diagonal g: its
+    eigenvalues are g, and G^{-p} M is M with row i scaled by g_i^{-p}, so
+    it keeps one entry per nonzero of M and stays CSR. Every other G is
+    dense, with CSR members made dense first, and is read through numpy's
+    eigh. A derived block is returned through placed(), which writes a CSR
+    block's stored entries straight into the output and builds no dense
+    copy of M.
     """
 
     def __init__(self, members):
         from scipy import sparse
 
         g = members @ members.conj().T
+        self.diagonal, self.dense, self.members = None, None, members
         if sparse.issparse(g):
-            g = g.tocoo()
-            self.bandwidth = int(np.max(g.row - g.col, initial=0))
-        else:       # the farthest subdiagonal holding a nonzero
-            self.bandwidth = next((k for k in range(len(g) - 1, 0, -1)
-                                   if np.any(np.diagonal(g, -k))), 0)
-        if self.bandwidth > BAND_CUTOFF:
-            self.band = None
-            if sparse.issparse(members):
-                # the dense route forms the product as for dense families
-                members = members.toarray()
-                g = members @ members.conj().T
-            self.dense = g
-        else:
-            self.dense = None
-            g = sparse.coo_array(g)
-            lower = g.row >= g.col
-            self.band = np.zeros((self.bandwidth + 1, members.shape[0]),
-                                 dtype=complex)
-            self.band[g.row[lower] - g.col[lower], g.col[lower]] = g.data[lower]
-        self.members = members
+            entries = g.tocoo()
+            if not entries.data[entries.row != entries.col].any():
+                self.diagonal = g.diagonal().real
+                return
+            # formed as for dense families
+            self.members = members = members.toarray()
+            g = members @ members.conj().T
+        self.dense = g
 
     def placed(self, keep: np.ndarray) -> np.ndarray:
         """M in the kept rows of a zeroed (d, N) array, d = keep.size."""
@@ -375,45 +363,31 @@ class _KeptBlock:
             out[np.flatnonzero(keep)[m.row], m.col] = m.data
         return out
 
-    def _diagonal(self) -> np.ndarray:
-        """The diagonal of a diagonal G; refuses a numerically singular G."""
-        g = self.band[0].real
-        _above_floor(float(g.min()), float(g.max()))
-        return g
-
-    def _rows_scaled(self, scale: np.ndarray) -> "_KeptBlock":
-        from scipy import sparse
-        return _KeptBlock(sparse.diags_array(scale) @ self.members)
-
     def lowest(self) -> float:
-        if self.band is None:
-            return float(np.linalg.eigh(self.dense)[0][0])
-        from scipy.linalg import eigvals_banded
-        return float(eigvals_banded(self.band, lower=True, select="i",
-                                    select_range=(0, 0))[0])
+        if self.diagonal is not None:
+            return float(self.diagonal.min())
+        return float(np.linalg.eigh(self.dense)[0][0])
 
     def extremes(self) -> tuple:
-        """Smallest and largest eigenvalue of G, from one eigenvalue call."""
-        if self.band is None:
+        """Smallest and largest eigenvalue of G, from at most one eigenvalue
+        call."""
+        w = self.diagonal
+        if w is None:
             w = np.linalg.eigvalsh(self.dense)
-        else:
-            from scipy.linalg import eigvals_banded
-            w = eigvals_banded(self.band, lower=True)
-        return float(w[0]), float(w[-1])
+        return float(w.min()), float(w.max())
 
     def inverse(self, power: float = 1.0) -> tuple:
         """(block of G^{-power} M, smallest eigenvalue of G); refuses a
         numerically singular G."""
-        if self.bandwidth == 0:
-            # G^{-power} M is M with row i scaled by g_i^{-power}
-            g = self._diagonal()
-            return self._rows_scaled(1.0 / g ** power), float(g.min())
-        m = self.members
-        if not isinstance(m, np.ndarray):
-            m = m.toarray()
-        w, v = np.linalg.eigh(m @ m.conj().T if self.dense is None else self.dense)
+        g = self.diagonal
+        if g is not None:
+            from scipy import sparse
+            lo = _above_floor(float(g.min()), float(g.max()))
+            return _KeptBlock(sparse.diags_array(1.0 / g ** power)
+                              @ self.members), lo
+        w, v = np.linalg.eigh(self.dense)
         lo = _above_floor(float(w[0]), float(w[-1]))
-        return _KeptBlock((v / w ** power) @ v.conj().T @ m), lo
+        return _KeptBlock((v / w ** power) @ v.conj().T @ self.members), lo
 
 
 def _above_floor(lo: float, hi: float) -> float:
@@ -430,8 +404,8 @@ def _restricted_spectrum(family: VectorFamily, level: tuple,
 
     Returns (keep, block): the mask of kept coordinates and the kept block
     B = Y Y^H of T, where Y = X^T[keep] holds the projected members as
-    columns (r x N), in the members' own storage; the block picks its
-    storage from B's measured bandwidth.
+    columns (r x N), in the members' own storage; B is held as its
+    diagonal or dense.
     """
     xt = _stored(family, level).T
     keep = _kept(family, projector, level[0])
@@ -481,54 +455,6 @@ def canonical_dual(family: VectorFamily, level: tuple,
     return DualFamily(duals.T, "inverse", bessel_est, 1.0 / lam, lam)
 
 
-def _connected_blocks(c) -> list:
-    """Split a sparse N x r matrix into its connected blocks.
-
-    A row and a column are linked when c holds an entry there. Blocks of
-    one shape m x n (both nonzero) come as one group (rows, cols, stack):
-    rows is K x m and cols K x n, the indices of each block's rows and
-    columns, and stack is K x m x n, the blocks' entries. Rows or columns
-    with no entry form no group.
-    """
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    n_rows, n_cols = c.shape
-    c = c.tocoo()
-    graph = sparse.coo_array((np.ones(c.nnz), (c.row, n_rows + c.col)),
-                             shape=(n_rows + n_cols,) * 2)
-    n_blocks, labels = connected_components(graph, directed=False)
-    row_of, col_of = labels[:n_rows], labels[n_rows:]
-
-    def members(label):
-        """Indices sorted by block, block sizes, first slot of each block,
-        and each index's place within its block."""
-        order = np.argsort(label, kind="stable")
-        sizes = np.bincount(label, minlength=n_blocks)
-        starts = np.cumsum(sizes) - sizes
-        place = np.empty_like(label)
-        place[order] = np.arange(label.size) - starts[label[order]]
-        return order, sizes, starts, place
-
-    row_order, m_of, row_start, row_place = members(row_of)
-    col_order, n_of, col_start, col_place = members(col_of)
-    entry_block = row_of[c.row]
-    groups = []
-    full = (m_of > 0) & (n_of > 0)
-    for m, n in np.unique(np.stack([m_of[full], n_of[full]], axis=1), axis=0):
-        blocks = np.flatnonzero((m_of == m) & (n_of == n))
-        slot = np.full(n_blocks, -1)
-        slot[blocks] = np.arange(blocks.size)
-        mine = slot[entry_block] >= 0
-        stack = np.zeros((blocks.size, m, n), dtype=complex)
-        stack[slot[entry_block[mine]], row_place[c.row[mine]],
-              col_place[c.col[mine]]] = c.data[mine]
-        rows = row_order[row_start[blocks][:, None] + np.arange(m)]
-        cols = col_order[col_start[blocks][:, None] + np.arange(n)]
-        groups.append((rows, cols, stack))
-    return groups
-
-
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
                            projector: Projector | None = None) -> DualFamily:
     """Dual members as columns of the analysis pseudo-inverse.
@@ -538,45 +464,50 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     range; its columns reproduce the restricted-inverse dual exactly.
 
     The restricted analysis matrix C (members against kept coordinates) is
-    split into its connected blocks; after permuting rows and columns C is
-    block-diagonal, so its pseudo-inverse is the block-diagonal of the
-    blocks' pseudo-inverses. A dense family's C is one block, every member
-    against every kept coordinate. Blocks of one shape share one batched
-    SVD. Singular values at or below PINV_CUTOFF_RATIO times the largest one
-    over all blocks are cut, and the Bessel estimate is the largest
-    eigenvalue of the duals' frame matrix, block-diagonal by the same split.
-    Refuses when no singular value clears the cutoff.
+    inverted entrywise when it is CSR with at most one stored entry per
+    member and per kept coordinate: its singular values are then |c|, and
+    each entry c pairs member and coordinate with the dual entry 1/c.
+    Every other C is made dense and takes one SVD. Singular values at or
+    below PINV_CUTOFF_RATIO times the largest one are cut, and the Bessel
+    estimate is the largest eigenvalue of the duals' frame matrix. Refuses
+    when no singular value clears the cutoff.
     """
     members = _stored(family, level)
     coords = np.flatnonzero(_kept(family, projector, level[0]))
     c = members[:, coords].conj()
-    if isinstance(c, np.ndarray):
-        blocks = [(np.arange(level[1])[None], np.arange(coords.size)[None],
-                   c[None])]
+    rows = np.arange(level[1])
+    entrywise = False
+    if not isinstance(c, np.ndarray):
+        c = c.tocoo()
+        entrywise = max(np.bincount(c.row).max(initial=0),
+                        np.bincount(c.col).max(initial=0)) <= 1
+        if not entrywise:
+            # members and coordinates with no entry are left out of the SVD,
+            # so their duals stay exactly zero
+            rows, cols = np.unique(c.row), np.unique(c.col)
+            c, coords = c.toarray()[np.ix_(rows, cols)], coords[cols]
+    if entrywise:
+        s = np.abs(c.data)
     else:
-        blocks = _connected_blocks(c)
-    groups = [(rows, cols, np.linalg.svd(stack, full_matrices=False))
-              for rows, cols, stack in blocks]
-    top = max((float(s.max()) for _, _, (_, s, _) in groups), default=0.0)
+        u, s, vh = np.linalg.svd(c, full_matrices=False)
+    top = float(s.max(initial=0.0))
     cutoff = PINV_CUTOFF_RATIO * top
     if not top > cutoff:
         raise SingularRestrictionError(top ** 2, cutoff ** 2)
+    cut = s > cutoff
     duals = np.zeros(level[::-1], dtype=complex)
-    bessel_est, smin = 0.0, top
-    for rows, cols, (u, s, vh) in groups:
-        cut = s > cutoff
-        # the block's pseudo-inverse V S^+ U^H, transposed: members by rows;
-        # V is divided by s, not scaled by 1/s, so a dense family's block
-        # keeps the bits of the whole-matrix formula
-        v = np.swapaxes(vh.conj(), -1, -2)
-        v_inv = np.divide(v, s[:, None, :], out=np.zeros_like(v),
-                          where=cut[:, None, :])
-        block = np.swapaxes(v_inv @ np.swapaxes(u.conj(), -1, -2), -1, -2)
-        duals[rows[:, :, None], coords[cols][:, None, :]] = block
-        frame = np.swapaxes(block, -1, -2) @ np.conj(block)
-        bessel_est = max(bessel_est, float(np.linalg.eigvalsh(frame).max()))
-        if cut.any():
-            smin = min(smin, float(s[cut].min()))
+    if entrywise:
+        # the duals' frame matrix is diagonal, |1/c|^2 at each kept entry
+        inv = 1.0 / c.data[cut]
+        duals[c.row[cut], coords[c.col[cut]]] = inv
+        bessel_est = float((inv * np.conj(inv)).real.max())
+    else:
+        # the pseudo-inverse V S^+ U^H, transposed: members by rows
+        dual_block = ((vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T).T
+        duals[rows[:, None], coords] = dual_block
+        frame = dual_block.T @ np.conj(dual_block)
+        bessel_est = float(np.linalg.eigvalsh(frame)[-1])
+    smin = float(s[cut].min())
     return DualFamily(duals, "pseudoinverse", bessel_est,
                       float(1.0 / smin ** 2), smin ** 2)
 

@@ -18,14 +18,15 @@ from semiframe.core import (
     periodic_grid, periodization_gap, periodize, tail_diagnostic,
 )
 from semiframe.exponentials import (
-    ExponentialSystem, biorthogonality_gap, family_on_grid, t_general,
+    ExponentialSystem, biorthogonality_gap, defer_negatives_ordering,
+    family_on_grid, t_general,
 )
 from semiframe.families import (
     orthonormal_family, scaled_basis_family, shared_direction_family,
 )
 from semiframe.muckenhoupt import (
-    ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, a2_estimate,
-    plateau_weight,
+    ConstantWeight, PiecewiseWeight, PowerWeight, SampledWeight, ScaledWeight,
+    a2_estimate, plateau_weight,
 )
 from semiframe.operators import (
     Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
@@ -272,6 +273,7 @@ DENSE_BASIS = VectorFamily(name="dense-basis", dense=True,
 INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
+LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
 
 
 class SymbolWithoutSample:
@@ -386,6 +388,14 @@ def _sparse_rule(rows, positions, values):
      "ess_inf_hint needs known_p"),
     (lambda: family_on_grid(ExponentialSystem(ConstantWeight(1), 0.5, 8)),
      "grid families need a whole-number density b"),
+    (lambda: ExponentialSystem(ConstantWeight(1), 1.0, None),
+     "need an even grid with at least 4 cells"),
+    (lambda: TruncationLadder(((10.5, 5), (20, 10), (40, 20))), LADDER_LEVELS),
+    (lambda: TruncationLadder(((10, np.nan), (20, 10), (40, 20))),
+     LADDER_LEVELS),
+    (lambda: PiecewiseWeight([]), "pieces must cover (0, 1)"),
+    (lambda: defer_negatives_ordering(-1),
+     "the member count must be a whole number >= 1"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -409,7 +419,10 @@ def _sparse_rule(rows, positions, values):
         "sparse-rule-repeated-position", "brute-apply-periodic-grid",
         "phase-rows-uneven", "symbol-without-ess-bounds",
         "symbol-without-sample", "symbol-and-known-p",
-        "ess-inf-hint-without-known-p", "grid-family-fractional-density"])
+        "ess-inf-hint-without-known-p", "grid-family-fractional-density",
+        "exponential-cells-none", "ladder-dimension-fractional",
+        "ladder-count-nan", "piecewise-weight-no-pieces",
+        "defer-negatives-count-negative"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
@@ -491,8 +504,8 @@ def test_bound_verdicts_cover_every_branch(ess_inf, ess_sup, symbol, bessel,
 
 def test_import_leaves_scipy_unloaded():
     # scipy is imported inside the functions that use it (CSR members, the
-    # banded helpers, the block-wise pseudo-inverse, the zherk Gram), so the
-    # package's import time does not pay for it
+    # diagonal kept block, the zherk Gram), so the package's import time
+    # does not pay for it
     code = ("import sys, semiframe; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -36,6 +36,18 @@ def test_defer_negatives_ordering():
         defer_negatives_ordering(8)
 
 
+def test_whole_float_sizes_are_read_as_ints():
+    # a whole float cell count is stored as the int it names, so the grid
+    # family and the biorthogonality gap index with it
+    whole, as_int = (ExponentialSystem(ConstantWeight(1), 1.0, m)
+                     for m in (8.0, 8))
+    assert type(whole.m) is int and whole.m == 8
+    assert np.array_equal(instantiate(family_on_grid(whole), (8, 5)),
+                          instantiate(family_on_grid(as_int), (8, 5)))
+    assert biorthogonality_gap(whole, 3) == biorthogonality_gap(as_int, 3)
+    assert list(defer_negatives_ordering(3.0)) == [0, 1, 2]
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         ExponentialSystem(ConstantWeight(1), b=0.0)

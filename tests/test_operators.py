@@ -387,7 +387,7 @@ def test_diagnostics_on_stored_members_match_dense(fam, ladder, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the banded kept block against the dense oracle
+# the diagonal and dense kept blocks against the dense oracle
 
 
 def _dense_oracle(fam, level, projector=None):
@@ -410,7 +410,7 @@ def _dense_oracle(fam, level, projector=None):
 
 def _forbid_dense_eigensolves(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense eigensolve on a narrow kept block")
+        raise AssertionError("dense eigensolve on a diagonal kept block")
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, refuse)
 
@@ -464,29 +464,30 @@ def test_diagonal_block_inverse_scales_rows(n, monkeypatch):
     monkeypatch.setattr(linalg, "solveh_banded", refuse)
     _, block = operators._restricted_spectrum(fam, level, None)
     dual_block, lam = block.inverse()
-    assert block.bandwidth == 0 and isinstance(dual_block.members, sparse.csr_array)
+    # G is held as its diagonal, and the scaled rows stay CSR
+    assert block.dense is None and block.diagonal.shape == (n,)
+    assert isinstance(dual_block.members, sparse.csr_array)
     assert lam == w[0]
     dual = canonical_dual(fam, level)
     assert np.abs(dual.vectors - duals).max() <= 1e-12
     assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
 
 
-def test_interleaved_tridiagonal_lower_bound(monkeypatch):
+def test_interleaved_tridiagonal_lower_bound():
     fam = interleaved_difference_family()
     ladder = TruncationLadder(((130, 257), (258, 513), (514, 1025)))
     oracle = []
     for level in ladder.levels:
         y = instantiate(fam, level).T
         oracle.append(np.linalg.eigvalsh(y @ y.conj().T)[0])
-    _forbid_dense_eigensolves(monkeypatch)
     per_level, _ = lower_bound(fam, ladder)
     for (_, lam), ref in zip(per_level, oracle):
         assert abs(lam - ref) <= 1e-12 * ref
 
 
 def test_interleaved_duals_read_dense_eigh_off_the_band(monkeypatch):
-    # a kept block of bandwidth 1 is held banded for its eigenvalues, but
-    # G^{-1} M and G^{-1/2} M come from dense eigh of G
+    # a tridiagonal kept block is dense: its eigenvalues, G^{-1} M and
+    # G^{-1/2} M all come from dense eigh of G
     from scipy import linalg
 
     fam, level = interleaved_difference_family(), (129, 257)
@@ -496,8 +497,6 @@ def test_interleaved_duals_read_dense_eigh_off_the_band(monkeypatch):
         raise AssertionError("banded solver on the kept block")
     for name in ("solveh_banded", "eig_banded"):
         monkeypatch.setattr(linalg, name, refuse)
-    _, block = operators._restricted_spectrum(fam, level, None)
-    assert block.bandwidth == 1 and block.band is not None
     dual = canonical_dual(fam, level)
     assert np.abs(dual.vectors - duals).max() <= 1e-12
     assert abs(dual.lower_bound - w[0]) <= 1e-12 * w[0]
@@ -728,7 +727,9 @@ def test_blockwise_pseudoinverse_matches_whole_svd(fam, level, proj):
 def test_mixed_blocks_shapes_and_zeros(monkeypatch):
     shapes = _record_svd_shapes(monkeypatch)
     pinv = dual_via_pseudoinverse(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR)
-    assert sorted(shapes) == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 3, 2)]
+    # members share e_4, e_5 and e_6, so C is made dense: the 7 members and 6
+    # coordinates holding an entry
+    assert shapes == [(7, 6)]
     # the member off the kept coordinates has a zero dual, and no dual
     # reaches the removed or untouched coordinates
     assert not pinv.vectors[4].any()
@@ -738,13 +739,14 @@ def test_mixed_blocks_shapes_and_zeros(monkeypatch):
 def test_interleaved_family_is_one_block(monkeypatch):
     shapes = _record_svd_shapes(monkeypatch)
     dual_via_pseudoinverse(interleaved_difference_family(), (129, 257))
-    assert shapes == [(1, 257, 129)]
+    assert shapes == [(257, 129)]
 
 
 def test_growing_family_sends_only_unit_blocks_to_svd(monkeypatch):
+    # one entry per member and per kept coordinate: inverted entrywise
     shapes = _record_svd_shapes(monkeypatch)
     dual_via_pseudoinverse(shared_direction_family(1.0), (1025, 1024))
-    assert shapes == [(1024, 1, 1)]
+    assert shapes == []
 
 
 def test_cutoff_is_global_over_blocks(monkeypatch):
@@ -773,8 +775,7 @@ def test_bessel_estimate_reads_the_returned_duals(monkeypatch):
         u, s, vh = svd(a, *args, **kwargs)
         return 2 * u, s, vh
     monkeypatch.setattr(np.linalg, "svd", doubled)
-    for fam, level, proj in ((shared_direction_family(1.0), (257, 256), None),
-                             (MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR),
+    for fam, level, proj in ((MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR),
                              (seeded_dense_family(3), (16, 32), None)):
         pinv = dual_via_pseudoinverse(fam, level, proj)
         v = pinv.vectors
@@ -782,6 +783,11 @@ def test_bessel_estimate_reads_the_returned_duals(monkeypatch):
         assert pinv.bessel_bound_estimate == pytest.approx(top, rel=1e-12)
         assert pinv.bessel_bound_estimate == pytest.approx(
             4 * pinv.bessel_bound_theoretical, rel=1e-12)
+    # the entrywise route takes no SVD; its estimate is read off the duals
+    pinv = dual_via_pseudoinverse(shared_direction_family(1.0), (257, 256))
+    v = pinv.vectors
+    top = np.linalg.eigvalsh(v.T @ np.conj(v))[-1]
+    assert pinv.bessel_bound_estimate == pytest.approx(top, rel=1e-12)
 
 
 def test_seeded_dense_keeps_the_dense_svd_bit_for_bit():
