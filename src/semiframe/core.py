@@ -28,7 +28,6 @@ DIVERGENCE_EXPONENT = 0.1      # fitted log-log slope above this means growth
 DIVERGENCE_R2 = 0.99           # fit quality required to declare divergence
 CONTRACTION_RATIO = 0.95       # difference ratios below this allow extrapolation
 LADDER_R2 = 0.9                # relaxed: value ladders outgrow any power law
-PHASE_BLOCK = 2 ** 16          # phase entries one block of an explicit sum holds
 
 
 def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
@@ -49,52 +48,45 @@ def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
     return np.sum(np.stack(block), axis=0) if len(block) > 1 else block[0]
 
 
-def phase_blocks(rows: np.ndarray, cols: np.ndarray, order: int):
-    """exp(2 pi i r c / order) over evenly spaced integer rows r and integer
-    columns c, in blocks (rows_slice, block) of at most PHASE_BLOCK entries
-    (or one row), read off the order-th roots of unity at (r c) mod order so
-    no argument grows.
-
-    No entry takes a division: row r0 + k stride of a block holds
-    (r0 c) mod order + (k stride c) mod order, the second term one offset
-    table shared by every block and the first advanced from block to block
-    by addition, so the sum indexes the roots laid out twice."""
-    if rows.size > 2 and np.any(np.diff(rows) != rows[1] - rows[0]):
-        raise ValueError("phase rows must be evenly spaced")
-    if rows.size == 0:
-        return
-    cols = cols % order
+def root_tables(first: int, count: int, cols: np.ndarray,
+                order: int) -> tuple:
+    """(coarse, fine) tables of exact order-th roots of unity for the rows
+    r = first + k, k < count, against integer columns c, read off one roots
+    array at residues mod order. With k = B k1 + k2 and B = ceil(sqrt(count)),
+    coarse[k1, c] is the root at (first + B k1) c and fine[k2, c] the one at
+    k2 c, so exp(2 pi i r c / order) = coarse[k1, c] fine[k2, c]."""
     roots = np.exp(2j * np.pi * np.arange(order) / order)
-    twice = np.concatenate([roots, roots])
-    step = max(1, PHASE_BLOCK // max(cols.size, 1))
-    stride = (rows[1] - rows[0]) % order if rows.size > 1 else 0
-    offsets = _offset_table(min(step, rows.size), stride * cols % order, order)
-    idx = np.empty_like(offsets)
-    base = rows[0] % order * cols % order
-    jump = step * stride % order * cols % order
-    for lo in range(0, rows.size, step):
-        at = np.add(offsets[:rows.size - lo], base, out=idx[:rows.size - lo])
-        yield slice(lo, lo + step), np.take(twice, at)
-        _add_wrapped(base, jump, order, out=base)
+    width = math.isqrt(count - 1) + 1
+    cols = np.asarray(cols) % order
+    starts = (first + width * np.arange(-(-count // width))) % order
+
+    def table(rows):
+        at = np.multiply.outer(rows, cols)
+        return roots[np.remainder(at, order, out=at)]
+
+    return table(starts), table(np.arange(width))
 
 
-def _offset_table(n: int, shift: np.ndarray, order: int) -> np.ndarray:
-    """(k shift) mod order for k < n, built by doubling: the rows k..2k-1 are
-    the rows 0..k-1 plus (k shift) mod order."""
-    table = np.zeros((n, shift.size), dtype=np.int64)
-    k = 1
-    while k < n:
-        part = table[k:2 * k]
-        _add_wrapped(table[:part.shape[0]], k * shift % order, order, out=part)
-        k *= 2
-    return table
+def column_sums(coarse: np.ndarray, fine: np.ndarray,
+                weights: np.ndarray) -> np.ndarray:
+    """sum_k exp(2 pi i r c / order) weights[k] per column c, over the rows
+    r = first + k of root_tables(first, weights.size, ...): one matrix
+    product and one sum over coarse rows, the padded rows weighted 0."""
+    padded = np.zeros(len(coarse) * len(fine), dtype=complex)
+    padded[:weights.size] = weights
+    return np.sum(coarse * (padded.reshape(len(coarse), -1) @ fine), axis=0)
 
 
-def _add_wrapped(a, b, order: int, out=None) -> np.ndarray:
-    """(a + b) mod order for a and b in [0, order), by one subtraction."""
-    out = np.add(a, b, out=out)
-    out -= order * (out >= order)
-    return out
+def modulation_round_trip(first: int, count: int, cols: np.ndarray,
+                          order: int, weights: np.ndarray) -> np.ndarray:
+    """sum_c exp(-2 pi i r c / order) sum_k exp(2 pi i r_k c / order) w_k at
+    the rows r = first + k, k < count: every row meets every column, as two
+    matrix products through root_tables."""
+    coarse, fine = root_tables(first, count, cols, order)
+    sums = column_sums(coarse, fine, weights)
+    back = np.conjugate(coarse, out=coarse)
+    back *= sums
+    return (back @ fine.conj().T).ravel()[:count]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, Classification, ResidueCoefficients, VectorFamily,
-    bound_verdicts, essential_bounds, frame_verdict, phase_blocks,
+    bound_verdicts, column_sums, essential_bounds, frame_verdict, root_tables,
     whole_count, whole_number,
 )
 from .muckenhoupt import (
@@ -195,15 +195,17 @@ def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
 
 
 def _dual_gram(system: ExponentialSystem, n_max: int) -> np.ndarray:
-    """<dual_j, member_k> over |j|, |k| <= n_max, summed over blocks of nodes
-    x_i = (2i + 1) / 2M (rows) by frequencies (columns), where
-    exp(2 pi i n x_i) is the 2M-th root of unity at n (2i + 1) mod 2M."""
-    g, dual = system.g_values(), canonical_dual_values(system)
-    ns = np.arange(-n_max, n_max + 1)
-    gram = np.zeros((ns.size, ns.size), dtype=complex)
-    for at, exps in phase_blocks(2 * np.arange(system.m) + 1, ns, 2 * system.m):
-        gram += (dual[at, None] * exps).T @ (g[at, None] * exps).conj()
-    return gram / system.m
+    """<dual_j, member_k> over |j|, |k| <= n_max: (1/M) sum_i u_i
+    exp(2 pi i (j - k) x_i) with u = dual conj(g), a function of j - k alone.
+    Every difference d meets every node x_i = (2i + 1) / 2M as
+    exp(2 pi i d i / M) exp(pi i d / M), with the nodes as root_tables rows."""
+    m = system.m
+    u = canonical_dual_values(system) * np.conj(system.g_values())
+    diffs = np.arange(-2 * n_max, 2 * n_max + 1)
+    sums = column_sums(*root_tables(0, m, diffs, m), u)
+    sums *= np.exp(1j * np.pi * diffs / m) / m
+    ns = np.arange(2 * n_max + 1)
+    return sums[np.subtract.outer(ns, ns) + 2 * n_max]
 
 
 # ---------------------------------------------------------------------------

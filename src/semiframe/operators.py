@@ -366,7 +366,7 @@ class _KeptBlock:
     def lowest(self) -> float:
         if self.diagonal is not None:
             return float(self.diagonal.min())
-        return float(np.linalg.eigh(self.dense)[0][0])
+        return float(np.linalg.eigvalsh(self.dense)[0])
 
     def extremes(self) -> tuple:
         """Smallest and largest eigenvalue of G, from at most one eigenvalue

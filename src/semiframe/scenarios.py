@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (
     TruncationLadder, covering_shifts, default_ladder, line_grid,
-    periodization_gap, periodize, phase_blocks, tail_diagnostic,
+    modulation_round_trip, periodization_gap, periodize, tail_diagnostic,
 )
 from .families import (
     INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
@@ -393,16 +393,14 @@ def _run_plateau_exp(seed=DEFAULT_SEED):
 
 
 def _even_frequency_direct(system, f_values):
-    """Member-by-member frame sum at density 2 over one full residue band;
-    at x_i = (2i + 1) / 2M, exp(2 pi i 2n x_i) = exp(2 pi i n (2i + 1) / M)."""
+    """Frame sum at density 2 over every member of one full residue band: at
+    x_i = (2i + 1) / 2M, exp(2 pi i 2n x_i) = exp(2 pi i n / M) exp(2 pi i 2n
+    i / M), and the first factor cancels against its conjugate."""
     m = system.m
     g = system.g_values()
     h = np.conj(g) * np.asarray(f_values, dtype=complex)
-    out = np.zeros(m, dtype=complex)
-    for _, phases in phase_blocks(np.arange(-m // 4, m // 4),
-                                  2 * np.arange(m) + 1, m):
-        out += phases.T @ ((phases.conj() @ h) / m)
-    return g * out
+    out = modulation_round_trip(0, m, -2 * np.arange(-m // 4, m // 4), m, h)
+    return g * (out / m)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .core import (
     NO, UNDECIDED, YES, Classification, GridFunction, ResidueCoefficients,
     bound_verdicts, covering_shifts, essential_bounds, frame_verdict,
-    line_grid, pairwise_sum, periodize, phase_blocks, whole_count,
+    line_grid, modulation_round_trip, pairwise_sum, periodize, whole_count,
     whole_number,
 )
 from .muckenhoupt import plateau_weight
@@ -123,7 +123,13 @@ class TranslateSystem:
 
 def unit_indicator_profile() -> FourierProfile:
     def fn(g):
-        return np.exp(-1j * np.pi * g) * np.sinc(g)
+        # exp(-i pi g) sinc(g) from one sin and one cos, sinc(0) = 1
+        y = np.pi * np.asarray(g, dtype=float)
+        s = np.sin(y)
+        r = np.divide(s, y, out=np.ones_like(y), where=y != 0)
+        out = np.empty(y.shape, dtype=complex)
+        out.real, out.imag = np.cos(y) * r, -s * r
+        return out
 
     def energy(g):
         return np.sinc(g) ** 2
@@ -397,7 +403,7 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
                 n_max: int) -> GridFunction:
     """Same operator by explicit coefficient quadrature and modulation sum,
     truncated at shifts |n| <= n_max. Slow by design (cross-check route):
-    each block of shifts meets every line node, with no fold by residue."""
+    every shift meets every line node, with no fold by residue and no FFT."""
     if f_hat_grid.kind != "line":
         raise ValueError(LINE_GRID)
     n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
@@ -407,11 +413,8 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     nodes = f_hat_grid.nodes()
     phi_vals = system.profile(nodes)
     w = f_hat_grid.values * np.conj(phi_vals)
-    j = f_hat_grid.index0 + np.arange(f_hat_grid.size)
-    synth = np.zeros(f_hat_grid.size, dtype=complex)
-    for _, phases in phase_blocks(np.arange(-n_max, n_max + 1), j, m):
-        coeffs = h * (phases @ w)
-        synth += np.conj(np.conj(coeffs) @ phases)
+    synth = h * modulation_round_trip(f_hat_grid.index0, f_hat_grid.size,
+                                      np.arange(-n_max, n_max + 1), m, w)
     return line_grid(phi_vals * synth, h)
 
 

@@ -163,26 +163,53 @@ def test_periodize_requires_lattice_period():
         periodize(periodic_grid(np.ones(8)), 1.0, 4)
 
 
-@pytest.mark.parametrize("rows, cols, order", [
-    (np.arange(-300, 301), np.arange(-700, 701), 1024),     # many row blocks
-    (np.arange(-24, 25), 2 * np.arange(300) + 1, 600),      # one block
-    (np.arange(3), np.arange(-2 ** 17, 2 ** 17), 97),       # rows longer than a block
-    (2 * np.arange(300) + 1, np.arange(-400, 401), 600),   # stride 2, four blocks
-    (np.arange(300, -301, -1), np.arange(-700, 701), 1024), # descending rows
-    (np.array([-5]), np.arange(-700, 701), 1024),           # a single row
-    (np.arange(-100, 101), np.arange(-2 ** 12, 2 ** 12), 4096),  # last block one row
-], ids=["many", "one", "long-rows", "stride-2", "descending", "single-row",
-        "partial-last-block"])
-def test_phase_blocks_are_roots_of_unity_in_capped_blocks(rows, cols, order):
-    seen = []
-    for at, block in core.phase_blocks(rows, cols, order):
-        assert block.shape == (rows[at].size, cols.size)
-        assert block.size <= core.PHASE_BLOCK or block.shape[0] == 1
-        expect = np.exp(2j * np.pi * (np.multiply.outer(rows[at], cols) % order)
-                        / order)
-        assert np.array_equal(block, expect)
-        seen.extend(rows[at])
-    assert np.array_equal(seen, rows)
+@pytest.mark.parametrize("first, count, cols, order", [
+    (-300, 601, np.arange(-700, 701), 1024),           # many coarse rows
+    (-24, 49, 2 * np.arange(300) + 1, 600),            # a square count, no padding
+    (0, 3, np.arange(-2 ** 17, 2 ** 17), 97),          # rows far shorter than columns
+    (-400, 801, 2 * np.arange(300) + 1, 600),          # odd columns 2i + 1
+    (-5, 1, np.arange(-700, 701), 1024),               # a single row
+    (-100, 201, np.arange(-2 ** 12, 2 ** 12), 4096),   # last coarse row padded
+    (-48, 97, np.arange(-500, 501), 1000),             # a prime count
+], ids=["many", "one", "long-rows", "stride-2", "single-row",
+        "partial-last-block", "prime-count"])
+def test_phase_blocks_are_roots_of_unity_in_capped_blocks(first, count, cols,
+                                                          order):
+    # the two root tables of an explicit phase sum hold ceil(sqrt(count))
+    # rows or fewer each, every entry an exact root of unity, and their
+    # products give the phase of every row first + k, k < count
+    coarse, fine = core.root_tables(first, count, cols, order)
+    width = math.isqrt(count - 1) + 1
+    assert fine.shape == (width, cols.size)
+    assert coarse.shape == (-(-count // width), cols.size)
+    assert coarse.shape[0] <= width
+
+    def exact(rows):
+        return np.exp(2j * np.pi * (np.multiply.outer(rows, cols) % order)
+                      / order)
+
+    assert np.array_equal(coarse, exact(first + width * np.arange(len(coarse))))
+    assert np.array_equal(fine, exact(np.arange(width)))
+    # each of the three roots carries its argument's rounding, about 2 pi ulp
+    k = np.arange(count)
+    assert np.abs(coarse[k // width] * fine[k % width]
+                  - exact(first + k)).max() <= 4e-15
+
+
+@pytest.mark.parametrize("first, count", [(-3, 1), (-48, 97), (-100, 201)],
+                         ids=["one-row", "prime-count", "padded-last-row"])
+def test_modulation_round_trip_matches_dense_phases(first, count):
+    # every row r = first + k meets every column, against one np.exp table
+    cols, order = np.arange(-60, 61), 1000
+    w = RNG.normal(size=count) + 1j * RNG.normal(size=count)
+    phases = np.exp(2j * np.pi * np.outer(first + np.arange(count), cols)
+                    / order)
+    sums = w @ phases
+    got = core.column_sums(*core.root_tables(first, count, cols, order), w)
+    assert np.abs(got - sums).max() <= 1e-13 * np.abs(sums).max()
+    back = phases.conj() @ sums
+    got = core.modulation_round_trip(first, count, cols, order, w)
+    assert np.abs(got - back).max() <= 1e-13 * np.abs(back).max()
 
 
 def _explicit_brute_apply():
@@ -202,7 +229,7 @@ def _explicit_gram():
                          ids=["brute_apply", "biorthogonality_gap"])
 def test_explicit_phase_sums_hold_a_bounded_block(make):
     # the whole phase table would take 67 MB (513 shifts x 8193 nodes) and
-    # 51 MB per array (49 frequencies x 65536 nodes)
+    # 102 MB (97 frequency differences x 65536 nodes)
     call = make()
     tracemalloc.start()
     try:
@@ -373,8 +400,6 @@ def _sparse_rule(rows, positions, values):
      "a member names one position twice"),
     (lambda: brute_apply(INDICATOR, periodic_grid(np.ones(65)), 4),
      "expect f sampled on a symmetric line grid"),
-    (lambda: list(core.phase_blocks(np.array([0, 1, 3]), np.arange(4), 8)),
-     "phase rows must be evenly spaced"),
     (lambda: TranslateSystem(raised_cosine_profile(), 1.0,
                              symbol=ScaledWeight(ConstantWeight(1), 2)),
      "ScaledWeight declares no essential bounds (ess_bounds)"),
@@ -417,7 +442,7 @@ def _sparse_rule(rows, positions, values):
         "dense-rule-short-rows", "sparse-rule-unequal-lengths",
         "sparse-rule-row-past-n", "sparse-rule-float-positions",
         "sparse-rule-repeated-position", "brute-apply-periodic-grid",
-        "phase-rows-uneven", "symbol-without-ess-bounds",
+        "symbol-without-ess-bounds",
         "symbol-without-sample", "symbol-and-known-p",
         "ess-inf-hint-without-known-p", "grid-family-fractional-density",
         "exponential-cells-none", "ladder-dimension-fractional",

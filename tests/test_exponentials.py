@@ -113,18 +113,22 @@ def test_biorthogonality_at_critical_density():
 
 
 def test_biorthogonality_gram_matches_dense_exponentials():
-    # 81 frequencies on 4096 nodes span several blocks of nodes; the dense
-    # route takes every phase exp(2 pi i n x_i) from np.exp at once
-    m, n_max = 4096, 40
-    assert m * (2 * n_max + 1) >= 4 * core.PHASE_BLOCK
-    system = ExponentialSystem(plateau_weight(4, power=2), 1.0, m)
-    exps = np.exp(2j * np.pi * np.outer(np.arange(-n_max, n_max + 1),
-                                        system.grid()))
-    expect = ((canonical_dual_values(system) * exps)
-              @ (system.g_values() * exps).conj().T) / m
-    got = exponentials._dual_gram(system, n_max)
-    assert np.abs(got - expect).max() <= 1e-13
-    assert biorthogonality_gap(system, n_max) <= 1e-15
+    # 4000 nodes span several coarse rows and a padded last one, 4096 fill
+    # 64 coarse rows exactly (cell counts are even, so none is prime), and
+    # n_max = 0 leaves one frequency difference; the dense route takes every
+    # phase exp(2 pi i n x_i) from np.exp at once
+    for m, n_max in ((4000, 40), (4096, 40), (4096, 0)):
+        if m == 4000:
+            coarse, fine = core.root_tables(0, m, np.arange(4 * n_max + 1), m)
+            assert 1 < len(coarse) and len(coarse) * len(fine) > m
+        system = ExponentialSystem(plateau_weight(4, power=2), 1.0, m)
+        exps = np.exp(2j * np.pi * np.outer(np.arange(-n_max, n_max + 1),
+                                            system.grid()))
+        expect = ((canonical_dual_values(system) * exps)
+                  @ (system.g_values() * exps).conj().T) / m
+        got = exponentials._dual_gram(system, n_max)
+        assert np.abs(got - expect).max() <= 1e-13
+        assert biorthogonality_gap(system, n_max) <= 1e-15
 
 
 def test_t_mult_equals_t_general_when_undersampled():

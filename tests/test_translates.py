@@ -37,6 +37,18 @@ def test_indicator_profile_values():
     assert abs(abs(prof(0.5)) - 2.0 / np.pi) < 1e-15
 
 
+def test_indicator_profile_is_the_complex_exp_form_bit_for_bit():
+    # the profile takes one sin and one cos per point; it must equal
+    # exp(-i pi g) sinc(g) exactly at g = 0 and on the nodes i/m + n that the
+    # cross bracket visits at m = 256 and |n| <= 4000
+    fn = unit_indicator_profile().fn
+    gamma = np.arange(256) / 256
+    for lo in range(-4000, 4001, 1000):
+        n = np.arange(lo, min(lo + 1000, 4001))
+        g = np.concatenate([[0.0], (gamma[None, :] + n[:, None]).ravel()])
+        assert np.array_equal(fn(g), np.exp(-1j * np.pi * g) * np.sinc(g))
+
+
 def test_pphi_indicator_is_flat():
     grid, rep = pphi(INDICATOR, m=128, tail_terms=2000)
     assert np.abs(grid.values - 1.0).max() < 1e-6
@@ -169,10 +181,11 @@ def test_walnut_matches_brute_on_trig_probe():
 
 
 def test_brute_apply_matches_complex_exp_formula():
-    # the second case's 401 shifts meet 2049 nodes: several row blocks
-    for m, n_max, cover, blocks in ((256, 64, 1.0, 1), (512, 200, 2.0, 4)):
+    # 513 and 2049 nodes span several coarse rows and a padded last one; one
+    # shift and a prime count of 509 nodes take the edges of the row split
+    for m, n_max, cover in ((256, 64, 1.0), (512, 200, 2.0), (256, 0, 1.0),
+                            (256, 48, 254 / 256)):
         nodes = line_window(COSINE, m=m, cover=cover)
-        assert (2 * n_max + 1) * nodes.size >= blocks * core.PHASE_BLOCK
         rng = np.random.default_rng(7)
         f_vals = (rng.normal(size=nodes.size)
                   + 1j * rng.normal(size=nodes.size)) * COSINE.profile(nodes)
@@ -181,6 +194,11 @@ def test_brute_apply_matches_complex_exp_formula():
         phi = COSINE.profile(nodes)
         j = fg.index0 + np.arange(fg.size)
         ns = np.arange(-n_max, n_max + 1)
+        if n_max in (64, 200):
+            coarse, fine = core.root_tables(fg.index0, fg.size, ns, m)
+            assert 1 < len(coarse) and len(coarse) * len(fine) > fg.size
+        if n_max == 48:
+            assert fg.size == 509
         phases = np.exp(2j * np.pi * np.outer(ns, j) / m)
         coeffs = fg.step * (phases @ (f_vals * np.conj(phi)))
         expect = phi * (np.conj(phases).T @ coeffs)
