@@ -21,24 +21,19 @@ from .muckenhoupt import (
     ConstantWeight, PowerWeight, a2_estimate, plateau_candidates,
     plateau_weight,
 )
-from .operators import (
-    canonical_dual, dual_via_pseudoinverse, projector_for, reconstruct,
-)
+from .operators import canonical_dual, dual_via_pseudoinverse, reconstruct
 from .report import (
     _sanitize, write_registry_csv, write_registry_json, write_report_csv,
     write_report_json,
 )
 from .translates import (
-    TranslateSystem, classify_translates, plateau_band_system, pphi,
-    raised_cosine_profile, unit_indicator_profile,
+    DEFAULT_GRID, DEFAULT_TAIL, TranslateSystem, classify_translates,
+    plateau_band_system, pphi, raised_cosine_profile, unit_indicator_profile,
 )
 from .exponentials import ExponentialSystem, classify_exponentials
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE = 0, 1, 2, 64
 
-DEFAULT_GRID = 4096
-DEFAULT_TAIL = 2000
-DEFAULT_SEED = 42
 ROUTE_GAP_TOL = 1e-9           # dual: inverse against pseudo-inverse route
 RECONSTRUCTION_TOL = 1e-6      # reconstruct: relative error, or its gap to 1
 
@@ -150,9 +145,8 @@ def _cmd_dual(args) -> int:
     power = {"diana": 0.0, "stoeva": 1.0}[args.family]
     fam = shared_direction_family(power, name=args.family)
     level = (args.count + 1, args.count)
-    proj = projector_for(fam)
-    d1 = canonical_dual(fam, level, proj)
-    d2 = dual_via_pseudoinverse(fam, level, proj)
+    d1 = canonical_dual(fam, level)
+    d2 = dual_via_pseudoinverse(fam, level)
     gap = float(np.abs(d1.vectors - d2.vectors).max())
     print(f"dual members of {args.family} at {level}")
     print(f"  route gap (inverse vs pseudo-inverse): {gap!r}")
@@ -175,8 +169,7 @@ def _cmd_reconstruct(args) -> int:
         (n + 1, n)
         for n in (args.count // 2, args.count, 2 * args.count,
                   4 * args.count)))
-    proj = projector_for(fam)
-    dual = canonical_dual(fam, level, proj)
+    dual = canonical_dual(fam, level)
     if args.probe == "orthogonal":
         f = np.zeros(level[0], dtype=complex)
         f[0] = 1.0
@@ -185,7 +178,7 @@ def _cmd_reconstruct(args) -> int:
         f = rng.normal(size=level[0]) + 1j * rng.normal(size=level[0])
         f[0] = 0.0
         f /= np.linalg.norm(f)
-    res = reconstruct(f, fam, dual, level, proj, ladder=ladder)
+    res = reconstruct(f, fam, dual, level, ladder=ladder)
     print(f"reconstruction through the canonical dual of {args.family}")
     print(f"  relative error vs probe     : {res.rel_error!r}")
     print(f"  relative error vs projection: {res.in_span_error!r}")
@@ -220,7 +213,7 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("scenario", help="run a registered scenario")
     s.add_argument("name", help="scenario name, or 'all'")
-    s.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    s.add_argument("--seed", type=int, default=scenarios.DEFAULT_SEED)
     s.add_argument("--out", default=None, help="write the report here")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.set_defaults(fn=_cmd_scenario)
@@ -263,7 +256,7 @@ def build_parser() -> _Parser:
     r.add_argument("--probe", choices=("in-span", "orthogonal"),
                    default="in-span")
     r.add_argument("--count", type=int, default=256)
-    r.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    r.add_argument("--seed", type=int, default=scenarios.DEFAULT_SEED)
     r.set_defaults(fn=_cmd_reconstruct)
 
     a = sub.add_parser("a2test", help="interval-average class test")

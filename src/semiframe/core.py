@@ -67,23 +67,16 @@ def root_tables(first: int, count: int, cols: np.ndarray,
     return table(starts), table(np.arange(width))
 
 
-def column_sums(coarse: np.ndarray, fine: np.ndarray,
-                weights: np.ndarray) -> np.ndarray:
-    """sum_k exp(2 pi i r c / order) weights[k] per column c, over the rows
-    r = first + k of root_tables(first, weights.size, ...): one matrix
-    product and one sum over coarse rows, the padded rows weighted 0."""
-    padded = np.zeros(len(coarse) * len(fine), dtype=complex)
-    padded[:weights.size] = weights
-    return np.sum(coarse * (padded.reshape(len(coarse), -1) @ fine), axis=0)
-
-
 def modulation_round_trip(first: int, count: int, cols: np.ndarray,
                           order: int, weights: np.ndarray) -> np.ndarray:
     """sum_c exp(-2 pi i r c / order) sum_k exp(2 pi i r_k c / order) w_k at
     the rows r = first + k, k < count: every row meets every column, as two
-    matrix products through root_tables."""
+    matrix products through root_tables. The inner sum per column is one
+    product and one sum over coarse rows, the padded rows weighted 0."""
     coarse, fine = root_tables(first, count, cols, order)
-    sums = column_sums(coarse, fine, weights)
+    padded = np.zeros(len(coarse) * len(fine), dtype=complex)
+    padded[:count] = weights
+    sums = np.sum(coarse * (padded.reshape(len(coarse), -1) @ fine), axis=0)
     back = np.conjugate(coarse, out=coarse)
     back *= sums
     return (back @ fine.conj().T).ravel()[:count]

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, Classification, ResidueCoefficients, VectorFamily,
-    bound_verdicts, column_sums, essential_bounds, frame_verdict, root_tables,
-    whole_count, whole_number,
+    bound_verdicts, essential_bounds, frame_verdict, whole_count,
+    whole_number,
 )
 from .muckenhoupt import (
     IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
@@ -90,6 +90,16 @@ class ExponentialSystem:
         return np.sqrt(np.asarray(self.weight.sample(self.grid()), dtype=float))
 
 
+def _probe(system: ExponentialSystem, f_values) -> np.ndarray:
+    """f_values as a complex array of one value per cell; refuses any other
+    shape."""
+    f = np.asarray(f_values, dtype=complex)
+    if f.shape != (system.m,):
+        raise ValueError(f"a probe needs one value per cell, shape "
+                         f"({system.m},), got {f.shape}")
+    return f
+
+
 def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     """The system as a vector family on its own grid (dimension = cells).
 
@@ -130,7 +140,7 @@ def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
     if system.b != 1.0:
         raise ValueError("full-window FFT analysis needs b = 1")
     m = system.m
-    h = np.asarray(f_values, dtype=complex) * np.conj(system.g_values())
+    h = _probe(system, f_values) * np.conj(system.g_values())
     raw = np.fft.fft(h) / m
     # twist for n = 0..M-1 interpreted as signed frequencies mod M:
     # exp(-i pi n_signed / M) = exp(-i pi n / M) * (-1 adjustments) handled
@@ -171,10 +181,13 @@ def reconstruct_exponentials(system: ExponentialSystem,
     Exact on the grid up to roundoff: the full DFT window inverts the
     twisted transform, and the dual weight cancels the analysis weight.
     """
-    coeffs = analysis_exponentials(system, f_values)
+    f = _probe(system, f_values)
+    norm = np.linalg.norm(f)
+    if norm == 0:
+        raise ValueError("zero probe")
+    coeffs = analysis_exponentials(system, f)
     rec = synthesis_exponentials(system, coeffs, canonical_dual_values(system))
-    f = np.asarray(f_values, dtype=complex)
-    return float(np.linalg.norm(rec - f) / np.linalg.norm(f))
+    return float(np.linalg.norm(rec - f) / norm)
 
 
 def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
@@ -195,17 +208,14 @@ def biorthogonality_gap(system: ExponentialSystem, n_max: int) -> float:
 
 
 def _dual_gram(system: ExponentialSystem, n_max: int) -> np.ndarray:
-    """<dual_j, member_k> over |j|, |k| <= n_max: (1/M) sum_i u_i
-    exp(2 pi i (j - k) x_i) with u = dual conj(g), a function of j - k alone.
-    Every difference d meets every node x_i = (2i + 1) / 2M as
-    exp(2 pi i d i / M) exp(pi i d / M), with the nodes as root_tables rows."""
-    m = system.m
-    u = canonical_dual_values(system) * np.conj(system.g_values())
-    diffs = np.arange(-2 * n_max, 2 * n_max + 1)
-    sums = column_sums(*root_tables(0, m, diffs, m), u)
-    sums *= np.exp(1j * np.pi * diffs / m) / m
+    """<dual_j, member_k> over |j|, |k| <= n_max: (1/M) sum_i dual_i
+    conj(g_i) exp(-2 pi i (k - j) x_i), the analysis coefficient of the
+    dual generator at k - j mod M. Past M/2 that coefficient is read at
+    k - j - M, which only flips its sign, on an entry that is zero up to
+    rounding (the dual cancels the weight)."""
+    coeffs = analysis_exponentials(system, canonical_dual_values(system))
     ns = np.arange(2 * n_max + 1)
-    return sums[np.subtract.outer(ns, ns) + 2 * n_max]
+    return coeffs.values[(ns[None, :] - ns[:, None]) % system.m]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +227,7 @@ def t_mult(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
     if system.b > 1.0:
         raise ValueError("multiplication form needs b <= 1")
     w = np.asarray(system.weight.sample(system.grid()), dtype=float)
-    return (w / system.b) * np.asarray(f_values, dtype=complex)
+    return (w / system.b) * _probe(system, f_values)
 
 
 def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
@@ -231,7 +241,7 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
     shift = whole_count(m / system.b,
                         "cell count must be divisible by the fold step M/b")
     g = system.g_values()
-    h = np.conj(g) * np.asarray(f_values, dtype=complex)
+    h = np.conj(g) * _probe(system, f_values)
     out = np.zeros(m, dtype=complex)
     k_max = int(math.ceil(system.b))
     for k in range(-k_max, k_max + 1):

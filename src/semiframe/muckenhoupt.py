@@ -14,6 +14,7 @@ dyadic_level kernel, so it visits only the intervals that can exceed 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,17 +36,18 @@ class ConstantWeight:
     """omega(x) = c."""
 
     def __init__(self, c):
-        if not c > 0:
-            raise ValueError("weight values must be positive")
+        if not 0 < c <= sys.float_info.max:
+            raise ValueError("weight values must be positive and finite, "
+                             f"got {c!r}")
         self.c = Fraction(c) if not isinstance(c, float) else c
         self.descriptor = {"kind": "constant", "value": float(c)}
 
     def average_power(self, q: int, a, b):
         return self.c ** q
 
-    def dyadic_level(self, level: int, q: int):
+    def dyadic_level(self, level: int):
         """Every interval has the ratio of (0, 1); the first one attains it."""
-        r = float(a2_ratio(self, 0, 1, q))
+        r = float(a2_ratio(self, 0, 1))
         return (r, 0) if r > 1.0 else (1.0, None)
 
     def sample(self, x):
@@ -59,12 +61,12 @@ class _LevelArrays:
     """Weights whose average_power takes array endpoints evaluate a whole
     dyadic level in one numpy call."""
 
-    def dyadic_level(self, level: int, q: int):
+    def dyadic_level(self, level: int):
         n = 2 ** level
         j = np.arange(n)
         a, b = j / n, (j + 1) / n
-        mean = self.average_power(q, a, b)
-        mean_rec = self.average_power(-q, a, b)
+        mean = self.average_power(1, a, b)
+        mean_rec = self.average_power(-1, a, b)
         with np.errstate(invalid="ignore"):
             r = np.where((mean == math.inf) | (mean_rec == math.inf),
                          math.inf, mean * mean_rec)
@@ -91,6 +93,8 @@ class PowerWeight(_LevelArrays):
         """Closed-form average over (a, b); a and b may be arrays."""
         p = q * self.alpha
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
+            raise ValueError("need 0 <= a < b <= 1")
         # float_power calls the C library's pow for every element, as Python's
         # float ** does; numpy's ** on arrays may differ from it in the last bit
         with np.errstate(divide="ignore"):
@@ -144,14 +148,14 @@ class PiecewiseWeight:
                 total += (v ** q) * (right - left)
         return total / (b - a)
 
-    def dyadic_level(self, level: int, q: int):
+    def dyadic_level(self, level: int):
         """Exact ratios on the intervals that hold an interior breakpoint;
         every other interval lies inside one piece, where the ratio is 1."""
         n, best = 2 ** level, (1.0, None)
         inner = {math.floor(b * n) for _, b, _ in self.pieces[:-1]
                  if (b * n).denominator != 1}
         for j in sorted(inner):
-            r = float(a2_ratio(self, Fraction(j, n), Fraction(j + 1, n), q))
+            r = float(a2_ratio(self, Fraction(j, n), Fraction(j + 1, n)))
             if r > best[0]:
                 best = (r, j)
         return best
@@ -278,8 +282,10 @@ def plateau_weight(k_max: int, power: int = 1) -> PiecewiseWeight:
     plateaus grow without bound while any uniform sampling grid sees almost
     none of them.
     """
-    if not MIN_PLATEAUS <= k_max <= MAX_PLATEAUS:
-        raise ValueError(f"k_max must lie in [{MIN_PLATEAUS}, {MAX_PLATEAUS}]")
+    rule = f"k_max must be a whole number in [{MIN_PLATEAUS}, {MAX_PLATEAUS}]"
+    k_max = whole_number(k_max, MIN_PLATEAUS, rule)
+    if k_max > MAX_PLATEAUS:
+        raise ValueError(f"{rule}, got {k_max}")
     pts = plateau_breakpoints(k_max)
     pieces = [(pts[k - 2], pts[k - 1], Fraction(k ** (power * k)))
               for k in range(2, k_max + 1)]
@@ -333,12 +339,11 @@ def _interval_label(a, b) -> str:
     return f"({af:.6e}, {bf:.6e})"
 
 
-def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
-                q: int = 1) -> A2Report:
-    """Estimate the A2 constant of omega^q and classify the weight.
+def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH) -> A2Report:
+    """Estimate the A2 constant of the weight and classify it.
 
     Visits only the dyadic subintervals of (0, 1) that can exceed 1, down to
-    the given depth, through the weight's dyadic_level(level, q) kernel: the
+    the given depth, through the weight's dyadic_level(level) kernel: the
     largest ratio of a level and the first j attaining it. Any
     caller-supplied candidate intervals (k, a, b) come first. A candidate
     ladder whose ratios keep growing, or any ratio above A2_BOUND, forces
@@ -356,7 +361,7 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     if candidates:
         ladder = []
         for k, a, b in candidates:
-            r = a2_ratio(weight, a, b, q=q)
+            r = a2_ratio(weight, a, b)
             ladder.append(float(r))
             witnesses.append((f"candidate-{k}", _interval_label(a, b), float(r)))
         if len(ladder) >= 3:
@@ -369,7 +374,7 @@ def a2_estimate(weight, candidates=None, depth: int = DYADIC_DEPTH,
     sup_by_level = []
     best = (1.0, None)
     for level in range(depth + 1):
-        sup, j = weight.dyadic_level(level, q)
+        sup, j = weight.dyadic_level(level)
         sup_by_level.append(sup)
         if sup > best[0]:
             best = (sup, _interval_label(j / 2 ** level, (j + 1) / 2 ** level))

@@ -82,9 +82,12 @@ class Projector:
                              f"integers, got {self.flagged}")
 
     def kept(self, d: int) -> np.ndarray:
-        """Mask of the coordinates below d that the projector keeps."""
+        """Mask of the coordinates below d that the projector keeps; refuses
+        a projector that keeps none of them."""
         keep = np.ones(d, dtype=bool)
         keep[[j for j in self.flagged if j < d]] = False
+        if not keep.any():
+            raise ValueError(f"the projector keeps no coordinate below d={d}")
         return keep
 
 
@@ -312,18 +315,6 @@ def projector_for(family: VectorFamily) -> Projector:
     return Projector(tuple(sorted(set(family.perp_directions or ()))))
 
 
-def _kept(family: VectorFamily, projector: Projector | None,
-          d: int) -> np.ndarray:
-    """Coordinates below d kept by the projector, or by the family's
-    declared one when none is given."""
-    if projector is None:
-        projector = projector_for(family)
-    keep = projector.kept(d)
-    if not keep.any():
-        raise ValueError(f"the projector keeps no coordinate below d={d}")
-    return keep
-
-
 class _KeptBlock:
     """The Hermitian block G = M M^H of r x N members M (CSR or dense).
 
@@ -398,9 +389,8 @@ def _above_floor(lo: float, hi: float) -> float:
     return lo
 
 
-def _restricted_spectrum(family: VectorFamily, level: tuple,
-                         projector: Projector | None) -> tuple:
-    """The frame matrix restricted to the projector's range.
+def _restricted_spectrum(family: VectorFamily, level: tuple) -> tuple:
+    """The frame matrix restricted to the family projector's range.
 
     Returns (keep, block): the mask of kept coordinates and the kept block
     B = Y Y^H of T, where Y = X^T[keep] holds the projected members as
@@ -408,12 +398,11 @@ def _restricted_spectrum(family: VectorFamily, level: tuple,
     diagonal or dense.
     """
     xt = _stored(family, level).T
-    keep = _kept(family, projector, level[0])
+    keep = projector_for(family).kept(level[0])
     return keep, _KeptBlock(xt[keep])
 
 
-def lower_bound(family: VectorFamily, ladder: TruncationLadder,
-                projector: Projector | None = None):
+def lower_bound(family: VectorFamily, ladder: TruncationLadder):
     """Smallest eigenvalue of the projected frame matrix, per ladder level.
 
     Returns (per_level, verdict): per_level is a list of ((d, N), lambda_min)
@@ -422,7 +411,7 @@ def lower_bound(family: VectorFamily, ladder: TruncationLadder,
     """
     per_level = []
     for level in ladder.levels:
-        _, block = _restricted_spectrum(family, level, projector)
+        _, block = _restricted_spectrum(family, level)
         per_level.append((level, block.lowest()))
     values = [lam for _, lam in per_level]
     verdict = tail_diagnostic(values, ladder.counts(), rel_tol=1e-10)
@@ -433,8 +422,7 @@ def lower_bound(family: VectorFamily, ladder: TruncationLadder,
 # canonical duals
 
 
-def canonical_dual(family: VectorFamily, level: tuple,
-                   projector: Projector | None = None) -> DualFamily:
+def canonical_dual(family: VectorFamily, level: tuple) -> DualFamily:
     """Dual members: restricted inverse of the projected frame matrix applied
     to the projected family.
 
@@ -446,7 +434,7 @@ def canonical_dual(family: VectorFamily, level: tuple,
     dual has one nonzero per member, and only those entries are written
     into the output.
     """
-    keep, block = _restricted_spectrum(family, level, projector)
+    keep, block = _restricted_spectrum(family, level)
     dual_block, lam = block.inverse()
     # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
     # is row-contiguous; zero off the kept coordinates
@@ -455,8 +443,7 @@ def canonical_dual(family: VectorFamily, level: tuple,
     return DualFamily(duals.T, "inverse", bessel_est, 1.0 / lam, lam)
 
 
-def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
-                           projector: Projector | None = None) -> DualFamily:
+def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
     """Dual members as columns of the analysis pseudo-inverse.
 
     The pseudo-inverse of the analysis matrix restricted to the admissible
@@ -473,7 +460,7 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
     when no singular value clears the cutoff.
     """
     members = _stored(family, level)
-    coords = np.flatnonzero(_kept(family, projector, level[0]))
+    coords = np.flatnonzero(projector_for(family).kept(level[0]))
     c = members[:, coords].conj()
     rows = np.arange(level[1])
     entrywise = False
@@ -513,8 +500,8 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple,
 
 
 def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
-                level: tuple, projector: Projector | None = None,
-                ladder: TruncationLadder | None = None) -> ReconstructionResult:
+                level: tuple, ladder: TruncationLadder | None = None
+                ) -> ReconstructionResult:
     """Resynthesize from analysis coefficients through a dual family.
 
     Coefficients are taken against the projected members, so the part of f
@@ -523,13 +510,16 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     measured against the original f: for f orthogonal to the admissible
     subspace it equals 1. A probe shorter than d continues by zero. When a
     ladder is supplied, the raw coefficient energy of the unprojected f is
-    tracked as a domain diagnostic.
+    tracked as a domain diagnostic. The dual must be built at the level.
     """
     d, n = level
+    if dual.vectors.shape != (n, d):
+        raise ValueError(f"the dual must be built at level {tuple(level)}, "
+                         f"not at {dual.vectors.shape[::-1]}")
     f = np.asarray(f, dtype=complex)
     f_d = _fit_dim(f, d)
     pf = f_d.copy()
-    pf[~_kept(family, projector, d)] = 0.0
+    pf[~projector_for(family).kept(d)] = 0.0
     coeffs = _pairings(_stored(family, level), pf)
     f_tilde = dual.vectors.T @ coeffs
     norm_f = np.linalg.norm(f_d)
@@ -542,15 +532,14 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     return ReconstructionResult(f_tilde, rel, in_span, tail)
 
 
-def parseval_canonical(family: VectorFamily, level: tuple,
-                       projector: Projector | None = None):
+def parseval_canonical(family: VectorFamily, level: tuple):
     """Inverse-square-root normalization of the projected family.
 
     Returns (vectors, gap) where gap is the largest deviation from 1 of the
     eigenvalues of the normalized family's frame matrix on the admissible
     subspace; the normalized family is tight there.
     """
-    keep, block = _restricted_spectrum(family, level, projector)
+    keep, block = _restricted_spectrum(family, level)
     tight, _ = block.inverse(power=0.5)
     lo, hi = tight.extremes()
     return tight.placed(keep).T, max(abs(lo - 1.0), abs(hi - 1.0))

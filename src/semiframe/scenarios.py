@@ -98,21 +98,20 @@ def _run_diana(seed=DEFAULT_SEED):
     fam = shared_direction_family(0.0, name="diana-links")
     level = (257, 256)
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256), (513, 512)))
-    proj = projector_for(fam)
     checks = []
 
-    dual = canonical_dual(fam, level, proj)
+    dual = canonical_dual(fam, level)
     known = np.zeros((level[1], level[0]), dtype=complex)
     for row, idx in enumerate(fam.indices(level[1])):
         known[row, idx - 1] = 1.0
     gap = float(np.abs(dual.vectors - known).max())
     checks.append(_check("dual-matches-shifted-basis", gap <= 1e-10, gap))
 
-    dual2 = dual_via_pseudoinverse(fam, level, proj)
+    dual2 = dual_via_pseudoinverse(fam, level)
     routes = float(np.abs(dual.vectors - dual2.vectors).max())
     checks.append(_check("dual-routes-agree", routes <= 1e-9, routes))
 
-    keep = proj.kept(level[0])
+    keep = projector_for(fam).kept(level[0])
     b = frame_matrix(fam, level).matrix[np.ix_(keep, keep)]
     rid = float(np.abs(b - np.eye(b.shape[0])).max())
     checks.append(_check("restricted-frame-matrix-is-identity",
@@ -131,13 +130,13 @@ def _run_diana(seed=DEFAULT_SEED):
     f = rng.normal(size=level[0]) + 1j * rng.normal(size=level[0])
     f[0] = 0.0
     f /= np.linalg.norm(f)
-    rec = reconstruct(f, fam, dual, level, proj)
+    rec = reconstruct(f, fam, dual, level)
     checks.append(_check("reconstruct-in-span", rec.rel_error <= 1e-10,
                          rec.rel_error))
 
     e1 = np.zeros(level[0], dtype=complex)
     e1[0] = 1.0
-    rec1 = reconstruct(e1, fam, dual, level, proj, ladder=ladder)
+    rec1 = reconstruct(e1, fam, dual, level, ladder=ladder)
     ortho_ok = abs(rec1.rel_error - 1.0) <= 1e-10 \
         and rec1.coefficient_tail.kind == "Divergent"
     checks.append(_check("orthogonal-probe-invisible", ortho_ok,
@@ -145,7 +144,7 @@ def _run_diana(seed=DEFAULT_SEED):
                          tail=rec1.coefficient_tail.kind,
                          tail_exponent=rec1.coefficient_tail.growth_exponent))
 
-    per_level, verdict = lower_bound(fam, ladder, proj)
+    per_level, verdict = lower_bound(fam, ladder)
     lam_gap = max(abs(lam - 1.0) for _, lam in per_level)
     checks.append(_check("restricted-lower-bound-one", lam_gap <= 1e-8,
                          lam_gap, verdict=verdict.kind))
@@ -170,17 +169,16 @@ def _run_stoeva(seed=DEFAULT_SEED):
     fam = shared_direction_family(1.0, name="growing-links")
     ladder = default_ladder(fam)
     level = ladder.top
-    proj = projector_for(fam)
     checks = []
 
-    dual = canonical_dual(fam, level, proj)
+    dual = canonical_dual(fam, level)
     known = np.zeros((level[1], level[0]), dtype=complex)
     for row, idx in enumerate(fam.indices(level[1])):
         known[row, idx - 1] = 1.0 / idx
     gap = float(np.abs(dual.vectors - known).max())
     checks.append(_check("dual-matches-scaled-basis", gap <= 1e-9, gap))
 
-    dual2 = dual_via_pseudoinverse(fam, level, proj)
+    dual2 = dual_via_pseudoinverse(fam, level)
     routes = float(np.abs(dual.vectors - dual2.vectors).max())
     checks.append(_check("dual-routes-agree", routes <= 1e-9, routes))
 
@@ -189,7 +187,7 @@ def _run_stoeva(seed=DEFAULT_SEED):
                          dual.bessel_bound_estimate,
                          theoretical_cap=dual.bessel_bound_theoretical))
 
-    per_level, _ = lower_bound(fam, ladder, proj)
+    per_level, _ = lower_bound(fam, ladder)
     lam_gap = max(abs(lam - 4.0) for _, lam in per_level)
     checks.append(_check("restricted-lower-bound-four", lam_gap <= 1e-8,
                          lam_gap))
@@ -214,7 +212,7 @@ def _run_stoeva(seed=DEFAULT_SEED):
     f = rng.normal(size=d_top) + 1j * rng.normal(size=d_top)
     f[0] = 0.0
     f /= np.linalg.norm(f)
-    rec = reconstruct(f, fam, dual, level, proj)
+    rec = reconstruct(f, fam, dual, level)
     checks.append(_check("reconstruct-in-span", rec.rel_error <= 1e-9,
                          rec.rel_error))
 
@@ -506,9 +504,8 @@ def _run_s_not_closed(seed=DEFAULT_SEED):
     checks.append(_check("no-upper-frame-bound", growth.kind == "Divergent",
                          tops, exponent=growth.growth_exponent))
 
-    proj = projector_for(fam)
     per_level, _ = lower_bound(
-        fam, TruncationLadder(((65, 64), (129, 128), (257, 256))), proj)
+        fam, TruncationLadder(((65, 64), (129, 128), (257, 256))))
     lam_gap = max(abs(lam - 1.0) for _, lam in per_level)
     checks.append(_check("restricted-lower-bound-one", lam_gap <= 1e-8,
                          lam_gap))

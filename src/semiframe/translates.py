@@ -26,8 +26,8 @@ from .core import (
 )
 from .muckenhoupt import plateau_weight
 
-DEFAULT_GRID = 2 ** 14
-DEFAULT_TAIL = 10_000
+DEFAULT_GRID = 4096
+DEFAULT_TAIL = 2000
 ZERO_MASK_RATIO = 1e-8          # p below this fraction of its sup counts as zero
 ALIAS_BLOCK = 64
 ORTHO_TOL = 1e-6
@@ -61,8 +61,11 @@ class FourierProfile:
                                           and self.tail[0] > 1):
             raise ValueError("a declared tail exponent must be finite and "
                              "above 1")
-        if self.support is not None and not self.support[0] < self.support[1]:
-            raise ValueError("a support window (lo, hi) needs lo < hi")
+        if self.support is not None and not (
+                np.all(np.isfinite(self.support))
+                and self.support[0] < self.support[1]):
+            raise ValueError("a support window (lo, hi) needs lo < hi, both "
+                             f"finite, got {self.support}")
 
     def __call__(self, gamma):
         return self.fn(np.asarray(gamma, dtype=float))

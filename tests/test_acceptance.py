@@ -35,8 +35,8 @@ from semiframe.muckenhoupt import (
 )
 from semiframe.operators import (
     adjoint_gap, canonical_dual, dual_via_pseudoinverse, frame_matrix,
-    lower_bound, parseval_canonical, permutation_gap, projector_for,
-    reconstruct, s_apply, w_membership,
+    lower_bound, parseval_canonical, permutation_gap, reconstruct, s_apply,
+    w_membership,
 )
 from semiframe.scenarios import _trig_poly, registry_vector_families
 from semiframe.translates import (
@@ -58,20 +58,19 @@ def test_criterion_1_shared_direction_dual_bound_reconstruction(capsys):
     fam = shared_direction_family(0.0)
     level = (257, 256)
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256)))
-    proj = projector_for(fam)
-    dual = canonical_dual(fam, level, proj)
+    dual = canonical_dual(fam, level)
 
     expected = np.zeros((level[1], level[0]), dtype=complex)
     for row in range(level[1]):
         expected[row, row + 1] = 1.0
     dual_err = float(np.abs(dual.vectors - expected).max())
 
-    per_level, verdict = lower_bound(fam, ladder, proj)
+    per_level, verdict = lower_bound(fam, ladder)
     bound_dev = max(abs(val - 1.0) for _, val in per_level)
 
     e1 = np.zeros(level[0], dtype=complex)
     e1[0] = 1.0
-    res = reconstruct(e1, fam, dual, level, proj)
+    res = reconstruct(e1, fam, dual, level)
     recon_dev = abs(res.rel_error - 1.0)
 
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,18 +20,18 @@ from semiframe.core import (
 )
 from semiframe.exponentials import (
     ExponentialSystem, biorthogonality_gap, defer_negatives_ordering,
-    family_on_grid, t_general,
+    family_on_grid, reconstruct_exponentials, t_general, t_mult,
 )
 from semiframe.families import (
     orthonormal_family, scaled_basis_family, shared_direction_family,
 )
 from semiframe.muckenhoupt import (
     ConstantWeight, PiecewiseWeight, PowerWeight, SampledWeight, ScaledWeight,
-    a2_estimate, plateau_weight,
+    a2_estimate, a2_ratio, plateau_weight,
 )
 from semiframe.operators import (
     Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
-    parseval_canonical,
+    parseval_canonical, reconstruct,
 )
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
@@ -204,10 +205,7 @@ def test_modulation_round_trip_matches_dense_phases(first, count):
     w = RNG.normal(size=count) + 1j * RNG.normal(size=count)
     phases = np.exp(2j * np.pi * np.outer(first + np.arange(count), cols)
                     / order)
-    sums = w @ phases
-    got = core.column_sums(*core.root_tables(first, count, cols, order), w)
-    assert np.abs(got - sums).max() <= 1e-13 * np.abs(sums).max()
-    back = phases.conj() @ sums
+    back = phases.conj() @ (w @ phases)
     got = core.modulation_round_trip(first, count, cols, order, w)
     assert np.abs(got - back).max() <= 1e-13 * np.abs(back).max()
 
@@ -288,18 +286,27 @@ def test_grid_csv_roundtrip(tmp_path):
     assert np.array_equal(nodes, g.nodes())
 
 
-# removes every coordinate of the diana level (9, 8)
-KEEPS_NOTHING = Projector(tuple(range(9)))
 DIANA = shared_direction_family(0.0)
+# declares every coordinate of the diana level (9, 8) as its complement
+DIANA_KEEPS_NOTHING = replace(DIANA, perp_directions=tuple(range(9)))
 DIANA_LADDER = TruncationLadder(((3, 2), (5, 4), (9, 8)))
-# members e_1..e_4 at d = 5: the projector below keeps only e_5, on which
-# every member vanishes, so no singular value clears any cutoff
-KEEPS_ONLY_E5 = Projector((0, 1, 2, 3))
 DENSE_BASIS = VectorFamily(name="dense-basis", dense=True,
                            block=lambda idx, d: np.eye(d)[idx - 1])
+
+
+def _keeps_only_e5(family):
+    """Members e_1..e_4 at d = 5 with e_1..e_4 declared as the complement:
+    only e_5 is kept, on which every member vanishes, so no singular value
+    clears any cutoff."""
+    return replace(family, perp_directions=(0, 1, 2, 3))
+
+
 INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
+WEIGHT_VALUES = "weight values must be positive and finite"
+PROBE_CELLS = "a probe needs one value per cell, shape (8,)"
+FLAT_8 = ExponentialSystem(ConstantWeight(1), 1.0, 8)
 LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
 
 
@@ -356,13 +363,13 @@ def _sparse_rule(rows, positions, values):
      "a declared tail exponent must be finite and above 1"),
     (lambda: FourierProfile("empty-support", np.sinc, support=(1.0, -1.0)),
      "a support window (lo, hi) needs lo < hi"),
-    (lambda: lower_bound(DIANA, DIANA_LADDER, KEEPS_NOTHING),
+    (lambda: lower_bound(DIANA_KEEPS_NOTHING, DIANA_LADDER),
      "the projector keeps no coordinate below d"),
-    (lambda: canonical_dual(DIANA, (9, 8), KEEPS_NOTHING),
+    (lambda: canonical_dual(DIANA_KEEPS_NOTHING, (9, 8)),
      "the projector keeps no coordinate below d"),
-    (lambda: parseval_canonical(DIANA, (9, 8), KEEPS_NOTHING),
+    (lambda: parseval_canonical(DIANA_KEEPS_NOTHING, (9, 8)),
      "the projector keeps no coordinate below d"),
-    (lambda: dual_via_pseudoinverse(DIANA, (9, 8), KEEPS_NOTHING),
+    (lambda: dual_via_pseudoinverse(DIANA_KEEPS_NOTHING, (9, 8)),
      "the projector keeps no coordinate below d"),
     (lambda: Projector((-1,)),
      "projector coordinates must be non-negative integers"),
@@ -376,9 +383,10 @@ def _sparse_rule(rows, positions, values):
                      block=lambda idx, d: np.full((idx.size, d), np.nan)),
         (4, 4)),
      "family members must be finite"),
-    (lambda: dual_via_pseudoinverse(orthonormal_family(), (5, 4), KEEPS_ONLY_E5),
+    (lambda: dual_via_pseudoinverse(_keeps_only_e5(orthonormal_family()),
+                                    (5, 4)),
      "restricted frame matrix singular"),
-    (lambda: dual_via_pseudoinverse(DENSE_BASIS, (5, 4), KEEPS_ONLY_E5),
+    (lambda: dual_via_pseudoinverse(_keeps_only_e5(DENSE_BASIS), (5, 4)),
      "restricted frame matrix singular"),
     (lambda: instantiate(_sparse_rule([0, 1], [2, 3], [1.0, 1.0]), (3, 2)),
      "positions must lie in [0, d) with d=3"),
@@ -421,6 +429,20 @@ def _sparse_rule(rows, positions, values):
     (lambda: PiecewiseWeight([]), "pieces must cover (0, 1)"),
     (lambda: defer_negatives_ordering(-1),
      "the member count must be a whole number >= 1"),
+    (lambda: ConstantWeight(np.inf), WEIGHT_VALUES),
+    (lambda: ConstantWeight(10 ** 400), WEIGHT_VALUES),
+    (lambda: a2_ratio(PowerWeight(0.5), 0.5, 0.2), "need 0 <= a < b <= 1"),
+    (lambda: reconstruct_exponentials(FLAT_8, np.zeros(8)), "zero probe"),
+    (lambda: FourierProfile("unbounded-support", np.sinc,
+                            support=(-np.inf, np.inf)),
+     "a support window (lo, hi) needs lo < hi, both finite"),
+    (lambda: plateau_weight(6.5), "k_max must be a whole number in [2, 12]"),
+    (lambda: t_mult(FLAT_8, np.ones(7)), PROBE_CELLS),
+    (lambda: t_general(FLAT_8, np.ones(16)), PROBE_CELLS),
+    (lambda: reconstruct_exponentials(FLAT_8, np.ones((8, 1))), PROBE_CELLS),
+    (lambda: reconstruct(np.ones(9), DIANA, canonical_dual(DIANA, (5, 4)),
+                         (9, 8)),
+     "the dual must be built at level (9, 8)"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -447,7 +469,12 @@ def _sparse_rule(rows, positions, values):
         "ess-inf-hint-without-known-p", "grid-family-fractional-density",
         "exponential-cells-none", "ladder-dimension-fractional",
         "ladder-count-nan", "piecewise-weight-no-pieces",
-        "defer-negatives-count-negative"])
+        "defer-negatives-count-negative", "constant-inf", "constant-huge",
+        "power-average-reversed", "exponentials-zero-probe",
+        "profile-support-infinite", "plateau-k-max-fractional",
+        "t-mult-probe-length", "t-general-probe-length",
+        "reconstruct-exponentials-probe-length",
+        "reconstruct-dual-at-another-level"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semiframe import core, exponentials
+from semiframe import exponentials
 from semiframe.exponentials import (
     ExponentialSystem, analysis_exponentials, biorthogonality_gap,
     canonical_dual_values, classify_exponentials, defer_negatives_ordering,
@@ -113,14 +113,11 @@ def test_biorthogonality_at_critical_density():
 
 
 def test_biorthogonality_gram_matches_dense_exponentials():
-    # 4000 nodes span several coarse rows and a padded last one, 4096 fill
-    # 64 coarse rows exactly (cell counts are even, so none is prime), and
-    # n_max = 0 leaves one frequency difference; the dense route takes every
-    # phase exp(2 pi i n x_i) from np.exp at once
-    for m, n_max in ((4000, 40), (4096, 40), (4096, 0)):
-        if m == 4000:
-            coarse, fine = core.root_tables(0, m, np.arange(4 * n_max + 1), m)
-            assert 1 < len(coarse) and len(coarse) * len(fine) > m
+    # the Gram is read off the dual generator's analysis coefficients at
+    # k - j mod M: at 4000 and 4096 cells, at n_max = 0 (one frequency
+    # difference), and at n_max = 31 on 64 cells, where differences past M/2
+    # wrap; the dense route takes every phase exp(2 pi i n x_i) from np.exp
+    for m, n_max in ((4000, 40), (4096, 40), (4096, 0), (64, 31)):
         system = ExponentialSystem(plateau_weight(4, power=2), 1.0, m)
         exps = np.exp(2j * np.pi * np.outer(np.arange(-n_max, n_max + 1),
                                             system.grid()))

@@ -18,8 +18,8 @@ from semiframe.families import (
 )
 from semiframe.muckenhoupt import ConstantWeight, plateau_weight
 from semiframe.operators import (
-    Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
-    permutation_gap, s_apply,
+    canonical_dual, dual_via_pseudoinverse, lower_bound, permutation_gap,
+    s_apply,
 )
 from semiframe.scenarios import registry_vector_families
 
@@ -167,18 +167,19 @@ def test_member_rules_need_no_per_index_view(monkeypatch):
     for _, fam, _ in registry_vector_families():
         ladder = TruncationLadder(tuple((fam.min_dim(n), n) for n in (3, 5, 9)))
         d, n = ladder.top
-        # the grid families live at d = 1024: keeping every 128th coordinate
-        # leaves 8 x 8 kept blocks that their 9 members span
-        projector = None if d < 128 else Projector(
-            tuple(j for j in range(d) if j % 128))
+        # the grid families live at d = 1024: declaring all but every 128th
+        # coordinate as the complement leaves 8 x 8 kept blocks that their 9
+        # members span
+        if d >= 128:
+            fam.perp_directions = tuple(j for j in range(d) if j % 128)
         instantiate(fam, (d, n))
         if not fam.dense:
             instantiate_sparse(fam, (d, n))
         s_apply(fam, np.ones(d), (d, n))
         permutation_gap(fam, (d, n), n_perms=2)
-        lower_bound(fam, ladder, projector)
-        canonical_dual(fam, (d, n), projector)
-        dual_via_pseudoinverse(fam, (d, n), projector)
+        lower_bound(fam, ladder)
+        canonical_dual(fam, (d, n))
+        dual_via_pseudoinverse(fam, (d, n))
 
 
 def test_family_without_member_rule_is_refused():

@@ -114,12 +114,12 @@ def test_lower_bound_ladder():
     assert verdict.kind == "Convergent"
 
 
-def test_lower_bound_carries_given_projector():
-    # without its declared complement the growing family needs a given
-    # projector at every level, not only at the top dimension
-    fam = _growing_without_complement()
+def test_lower_bound_reads_the_declared_complement_at_every_level():
+    # the growing family's declared complement is removed at every level,
+    # not only at the top dimension
+    fam = shared_direction_family(1.0)
     ladder = TruncationLadder(((65, 64), (129, 128), (257, 256)))
-    per_level, verdict = lower_bound(fam, ladder, Projector((0,)))
+    per_level, verdict = lower_bound(fam, ladder)
     assert all(abs(lam - 4.0) < 1e-8 for _, lam in per_level)
     assert verdict.kind == "Convergent"
 
@@ -167,18 +167,17 @@ def test_reconstruct_pads_short_probe():
 
 
 def test_pseudoinverse_and_reconstruct_carry_projector_to_level():
-    # the projector's coordinates are carried to the level, as lower_bound
-    # and canonical_dual do
+    # the family projector's coordinates are carried to the level, as
+    # lower_bound and canonical_dual do
     fam = shared_direction_family(0.0)
     level = (33, 32)
-    proj = projector_for(fam)
-    dual = canonical_dual(fam, level, proj)
-    pinv = dual_via_pseudoinverse(fam, level, proj)
+    dual = canonical_dual(fam, level)
+    pinv = dual_via_pseudoinverse(fam, level)
     assert np.abs(pinv.vectors - dual.vectors).max() < 1e-9
     rng = np.random.default_rng(5)
     f = rng.normal(size=33) + 1j * rng.normal(size=33)
     f[0] = 0.0
-    res = reconstruct(f, fam, pinv, level, proj)
+    res = reconstruct(f, fam, pinv, level)
     assert res.in_span_error <= 1e-10
 
 
@@ -390,11 +389,11 @@ def test_diagnostics_on_stored_members_match_dense(fam, ladder, monkeypatch):
 # the diagonal and dense kept blocks against the dense oracle
 
 
-def _dense_oracle(fam, level, projector=None):
+def _dense_oracle(fam, level):
     """The kept block B = Y Y^H built densely from `instantiate`, read by
     numpy's eigh, and the restricted-inverse dual, Parseval vectors and
     their frame-matrix spectra computed from it."""
-    keep = (projector or projector_for(fam)).kept(level[0])
+    keep = projector_for(fam).kept(level[0])
     y = instantiate(fam, level).T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     duals = np.zeros(level, dtype=complex)
@@ -422,31 +421,28 @@ def _growing_without_complement():
 
 
 NARROW_CASES = [
-    pytest.param(shared_direction_family(1.0), (257, 256), None, id="growing-256"),
-    pytest.param(shared_direction_family(1.0), (513, 512), None, id="growing-512"),
-    pytest.param(shared_direction_family(1.0), (1025, 1024), None,
-                 id="growing-1024"),
-    pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
-    pytest.param(_growing_without_complement(), (257, 256), Projector((0,)),
-                 id="given-projector"),
+    pytest.param(shared_direction_family(1.0), (257, 256), id="growing-256"),
+    pytest.param(shared_direction_family(1.0), (513, 512), id="growing-512"),
+    pytest.param(shared_direction_family(1.0), (1025, 1024), id="growing-1024"),
+    pytest.param(shared_direction_family(0.0), (257, 256), id="diana"),
 ]
 
 
-@pytest.mark.parametrize("fam, level, proj", NARROW_CASES)
-def test_banded_block_matches_dense_oracle(fam, level, proj, monkeypatch):
-    w, duals, bessel, tight, gap = _dense_oracle(fam, level, proj)
+@pytest.mark.parametrize("fam, level", NARROW_CASES)
+def test_banded_block_matches_dense_oracle(fam, level, monkeypatch):
+    w, duals, bessel, tight, gap = _dense_oracle(fam, level)
     _forbid_dense_eigensolves(monkeypatch)
-    dual = canonical_dual(fam, level, proj)
+    dual = canonical_dual(fam, level)
     assert np.abs(dual.vectors - duals).max() <= 1e-12
     assert abs(dual.lower_bound - w[0]) <= 1e-12 * w[0]
     assert abs(dual.bessel_bound_estimate - bessel) <= 1e-12 * bessel
     assert dual.bessel_bound_estimate <= dual.bessel_bound_theoretical + 1e-9
-    vectors, tight_gap = parseval_canonical(fam, level, proj)
+    vectors, tight_gap = parseval_canonical(fam, level)
     assert np.abs(vectors - tight).max() <= 1e-12
     assert tight_gap < 1e-9 and gap < 1e-9
     d, n = level
     ladder = TruncationLadder(((d // 2 + 1, n // 2), (d, n), (2 * d - 1, 2 * n)))
-    per_level, _ = lower_bound(fam, ladder, proj)
+    per_level, _ = lower_bound(fam, ladder)
     lam = per_level[1][1]
     assert abs(lam - w[0]) <= 1e-12 * w[0]
 
@@ -462,7 +458,7 @@ def test_diagonal_block_inverse_scales_rows(n, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("solveh_banded on a diagonal kept block")
     monkeypatch.setattr(linalg, "solveh_banded", refuse)
-    _, block = operators._restricted_spectrum(fam, level, None)
+    _, block = operators._restricted_spectrum(fam, level)
     dual_block, lam = block.inverse()
     # G is held as its diagonal, and the scaled rows stay CSR
     assert block.dense is None and block.diagonal.shape == (n,)
@@ -584,7 +580,7 @@ def test_kept_block_outputs_match_the_dense_assignment(fam, level):
     entries into the output; bit for bit the assignment of its dense copy."""
     from scipy import sparse
 
-    keep, block = operators._restricted_spectrum(fam, level, None)
+    keep, block = operators._restricted_spectrum(fam, level)
     for power, got in ((1.0, canonical_dual(fam, level).vectors),
                        (0.5, parseval_canonical(fam, level)[0])):
         derived, _ = block.inverse(power=power)
@@ -656,11 +652,11 @@ def test_dense_trace_keeps_the_copied_prefix_norms(fam, level):
 # the block-wise pseudo-inverse against the whole-matrix SVD
 
 
-def _pinv_oracle(fam, level, projector=None, cutoff_ratio=PINV_CUTOFF_RATIO):
+def _pinv_oracle(fam, level, cutoff_ratio=PINV_CUTOFF_RATIO):
     """One dense SVD of the whole restricted analysis matrix: duals, their
     frame matrix's top eigenvalue and s_min^2."""
     c = np.conj(instantiate(fam, level))
-    c[:, ~(projector or projector_for(fam)).kept(level[0])] = 0.0
+    c[:, ~projector_for(fam).kept(level[0])] = 0.0
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     keep = s > cutoff_ratio * float(s[0])
     pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T
@@ -669,24 +665,24 @@ def _pinv_oracle(fam, level, projector=None, cutoff_ratio=PINV_CUTOFF_RATIO):
     return duals, bessel, float(s[keep][-1]) ** 2
 
 
-def _sparse_family(name, table):
-    """A sparse family whose member i is table[i - 1] = {coordinate: value}."""
+def _sparse_family(name, table, perp_directions=None):
+    """A sparse family whose member i is table[i - 1] = {coordinate: value},
+    with the declared complement perp_directions."""
     def block(idx):
         members = [table[i - 1] for i in idx.tolist()]
         return (np.repeat(np.arange(idx.size), [len(m) for m in members]),
                 np.array([p for m in members for p in m], dtype=int),
                 np.array([v for m in members for v in m.values()], dtype=complex))
-    return VectorFamily(name=name, block=block)
+    return VectorFamily(name=name, block=block, perp_directions=perp_directions)
 
 
 # blocks (members x kept coordinates): 3x2 on e_5, e_6 (members 1, 3, 8);
 # 1x1 on e_1 (member 2); 2x1 on e_4 (members 4, 7); 1x2 on e_2, e_9
-# (member 6). Member 5 lives on the removed e_7 only, and no member
-# touches the kept e_3 and e_8.
+# (member 6). Member 5 lives on the declared complement e_7 only, and no
+# member touches the kept e_3 and e_8.
 MIXED_BLOCKS = _sparse_family("mixed-blocks", [
     {4: 1.0, 5: 2.0}, {0: 2.0}, {4: 0.5j, 5: -1.0}, {3: 1.0}, {6: 1.5},
-    {8: 1.0, 1: 3.0 - 1j}, {3: 2.0j}, {4: 3.0, 5: 1.0 + 1.0j}])
-MIXED_PROJECTOR = Projector((6,))
+    {8: 1.0, 1: 3.0 - 1j}, {3: 2.0j}, {4: 3.0, 5: 1.0 + 1.0j}], (6,))
 
 
 def _record_svd_shapes(monkeypatch):
@@ -701,23 +697,23 @@ def _record_svd_shapes(monkeypatch):
 
 
 PINV_CASES = [
-    pytest.param(shared_direction_family(1.0), (n + 1, n), None,
+    pytest.param(shared_direction_family(1.0), (n + 1, n),
                  id=f"growing-{n}") for n in (256, 512, 1024)] + [
-    pytest.param(shared_direction_family(0.0), (257, 256), None, id="diana"),
+    pytest.param(shared_direction_family(0.0), (257, 256), id="diana"),
     pytest.param(shared_direction_family(1.0),
-                 default_ladder(shared_direction_family(1.0)).top, None,
+                 default_ladder(shared_direction_family(1.0)).top,
                  id="stoeva-top"),
-    pytest.param(interleaved_difference_family(), (129, 257), None,
+    pytest.param(interleaved_difference_family(), (129, 257),
                  id="interleaved-one-block"),
-    pytest.param(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR, id="mixed-blocks"),
-    pytest.param(seeded_dense_family(5), (48, 96), None, id="seeded-dense"),
+    pytest.param(MIXED_BLOCKS, (9, 8), id="mixed-blocks"),
+    pytest.param(seeded_dense_family(5), (48, 96), id="seeded-dense"),
 ]
 
 
-@pytest.mark.parametrize("fam, level, proj", PINV_CASES)
-def test_blockwise_pseudoinverse_matches_whole_svd(fam, level, proj):
-    duals, bessel, lower = _pinv_oracle(fam, level, proj)
-    pinv = dual_via_pseudoinverse(fam, level, proj)
+@pytest.mark.parametrize("fam, level", PINV_CASES)
+def test_blockwise_pseudoinverse_matches_whole_svd(fam, level):
+    duals, bessel, lower = _pinv_oracle(fam, level)
+    pinv = dual_via_pseudoinverse(fam, level)
     assert np.abs(pinv.vectors - duals).max() <= 1e-12
     assert abs(pinv.bessel_bound_estimate - bessel) <= 1e-12 * bessel
     assert abs(pinv.lower_bound - lower) <= 1e-12 * lower
@@ -726,7 +722,7 @@ def test_blockwise_pseudoinverse_matches_whole_svd(fam, level, proj):
 
 def test_mixed_blocks_shapes_and_zeros(monkeypatch):
     shapes = _record_svd_shapes(monkeypatch)
-    pinv = dual_via_pseudoinverse(MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR)
+    pinv = dual_via_pseudoinverse(MIXED_BLOCKS, (9, 8))
     # members share e_4, e_5 and e_6, so C is made dense: the 7 members and 6
     # coordinates holding an entry
     assert shapes == [(7, 6)]
@@ -775,9 +771,8 @@ def test_bessel_estimate_reads_the_returned_duals(monkeypatch):
         u, s, vh = svd(a, *args, **kwargs)
         return 2 * u, s, vh
     monkeypatch.setattr(np.linalg, "svd", doubled)
-    for fam, level, proj in ((MIXED_BLOCKS, (9, 8), MIXED_PROJECTOR),
-                             (seeded_dense_family(3), (16, 32), None)):
-        pinv = dual_via_pseudoinverse(fam, level, proj)
+    for fam, level in ((MIXED_BLOCKS, (9, 8)), (seeded_dense_family(3), (16, 32))):
+        pinv = dual_via_pseudoinverse(fam, level)
         v = pinv.vectors
         top = np.linalg.eigvalsh(v.T @ np.conj(v))[-1]
         assert pinv.bessel_bound_estimate == pytest.approx(top, rel=1e-12)

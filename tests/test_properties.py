@@ -12,7 +12,7 @@ from semiframe.muckenhoupt import (
     PiecewiseWeight, ScaledWeight, a2_estimate, a2_ratio,
 )
 from semiframe.operators import frame_matrix, permutation_gap
-from test_muckenhoupt import all_interval_reports
+from test_muckenhoupt import all_interval_reports, raised
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 1000))
@@ -60,8 +60,9 @@ def test_a2_ratio_at_least_one(weight, left, width):
                           (Fraction(1, 3), Fraction(3, 8), 2),
                           (Fraction(3, 8), 1, 5)]), 10, 2)
 def test_breakpoint_scan_matches_all_intervals(weight, depth, q):
-    assert a2_estimate(weight, depth=depth, q=q) \
-        == all_interval_reports(weight, depth, q=q)[-1]
+    weight = raised(weight, q)
+    assert a2_estimate(weight, depth=depth) \
+        == all_interval_reports(weight, depth)[-1]
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,8 +3,8 @@ members.
 
 A draw is a sparse rule of one of three shapes (one position per member,
 adjacent pairs, one to three random positions per member) or a seeded
-dense family, with a coordinate projector removing up to a third of the
-coordinates. Draws whose kept block B = Y Y^H has lambda_min at or below
+dense family, declaring up to a third of the coordinates as the complement
+its projector removes. Draws whose kept block B = Y Y^H has lambda_min at or below
 1e-8 lambda_max are skipped. Every comparison holds to the one tolerance
 TOL = 64 eps kappa, kappa = lambda_max / lambda_min of B, relative to the
 largest magnitude of the numpy reference.
@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from semiframe.core import TruncationLadder, VectorFamily, instantiate
 from semiframe.families import seeded_dense_family
 from semiframe.operators import (
-    Projector, canonical_dual, dual_via_pseudoinverse, frame_action,
-    lower_bound, parseval_canonical, permutation_gap, reconstruct, s_apply,
+    canonical_dual, dual_via_pseudoinverse, frame_action, lower_bound,
+    parseval_canonical, permutation_gap, projector_for, reconstruct, s_apply,
 )
 
 EPS = np.finfo(float).eps
@@ -57,7 +57,8 @@ def families(draw):
     removed = draw(st.sets(st.integers(0, d - 1), max_size=d // 3))
     fam = (seeded_dense_family(seed) if shape == "dense" else
            _sparse_family(shape, d, count, np.random.default_rng(seed)))
-    return fam, (d, count), Projector(tuple(sorted(removed)))
+    fam.perp_directions = tuple(sorted(removed))
+    return fam, (d, count)
 
 
 def _close(got, want, tol: float):
@@ -69,10 +70,10 @@ def _close(got, want, tol: float):
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(families())
 def test_both_storages_match_numpy(case):
-    fam, level, proj = case
+    fam, level = case
     d, n = level
     x = instantiate(fam, level)
-    keep = proj.kept(d)
+    keep = projector_for(fam).kept(d)
     y = x.T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     assume(w[0] > 1e-8 * w[-1])
@@ -84,18 +85,18 @@ def test_both_storages_match_numpy(case):
     bessel = np.linalg.eigvalsh(duals.T @ np.conj(duals))[-1]
     tight = np.zeros(level, dtype=complex)
     tight[keep] = (v / np.sqrt(w)) @ v.conj().T @ y
-    inverse = canonical_dual(fam, level, proj)
-    for dual in (inverse, dual_via_pseudoinverse(fam, level, proj)):
+    inverse = canonical_dual(fam, level)
+    for dual in (inverse, dual_via_pseudoinverse(fam, level)):
         _close(dual.vectors, duals, tol)
         _close(dual.bessel_bound_estimate, bessel, tol)
         _close(dual.lower_bound, w[0], tol)
-    vectors, gap = parseval_canonical(fam, level, proj)
+    vectors, gap = parseval_canonical(fam, level)
     _close(vectors, tight.T, tol)
     assert gap <= tol
 
     counts = (max(1, n // 4), n // 2, n)
     per_level, _ = lower_bound(fam, TruncationLadder(
-        tuple((d, m) for m in counts)), proj)
+        tuple((d, m) for m in counts)))
     for (_, lam), m in zip(per_level, counts):
         y_m = y[:, :m]
         assert abs(lam - np.linalg.eigvalsh(y_m @ y_m.conj().T)[0]) <= tol * w[-1]
@@ -111,4 +112,4 @@ def test_both_storages_match_numpy(case):
     _close(trace.prefix_norms, np.linalg.norm(prefix, axis=1), tol)
     assert permutation_gap(fam, level, n_perms=3) <= tol
     pf = np.where(keep, f, 0.0)
-    _close(reconstruct(f, fam, inverse, level, proj).f_tilde, pf, tol)
+    _close(reconstruct(f, fam, inverse, level).f_tilde, pf, tol)
