@@ -36,7 +36,8 @@ class ConstantWeight:
     """omega(x) = c."""
 
     def __init__(self, c):
-        if not 0 < c <= sys.float_info.max:
+        # a positive value whose float underflows to 0 would read as 0
+        if not (0 < c <= sys.float_info.max and float(c) > 0):
             raise ValueError("weight values must be positive and finite, "
                              f"got {c!r}")
         self.c = Fraction(c) if not isinstance(c, float) else c

@@ -14,9 +14,12 @@ dual and the Parseval normalization all read one kept block of the frame
 matrix, held as its diagonal when nothing lies off it and dense otherwise.
 The pseudo-inverse inverts the analysis matrix entrywise when it holds at
 most one entry per member and per kept coordinate, and takes one dense SVD
-otherwise. scipy is imported inside the functions that need it, so
-importing the package does not load it. Partial-sum traces record
-order-dependent behavior; the frame matrix itself is permutation-invariant.
+otherwise. The duals and the Parseval members come back in the storage
+their route works in: CSR from a diagonal kept block or an entrywise
+pseudo-inverse, an (N, d) array otherwise. scipy is imported inside the
+functions that need it, so importing the package does not load it.
+Partial-sum traces record order-dependent behavior; the frame matrix itself
+is permutation-invariant.
 """
 
 from __future__ import annotations
@@ -93,11 +96,17 @@ class Projector:
 
 @dataclass
 class DualFamily:
-    vectors: np.ndarray          # row n = dual member n
+    members: object              # row n = dual member n, CSR or an ndarray
     route: str                   # "inverse" or "pseudoinverse"
     bessel_bound_estimate: float
     bessel_bound_theoretical: float
     lower_bound: float
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """The members as a dense (N, d) array, formed when read."""
+        m = self.members
+        return m if isinstance(m, np.ndarray) else m.toarray()
 
 
 @dataclass
@@ -323,9 +332,7 @@ class _KeptBlock:
     eigenvalues are g, and G^{-p} M is M with row i scaled by g_i^{-p}, so
     it keeps one entry per nonzero of M and stays CSR. Every other G is
     dense, with CSR members made dense first, and is read through numpy's
-    eigh. A derived block is returned through placed(), which writes a CSR
-    block's stored entries straight into the output and builds no dense
-    copy of M.
+    eigh. A derived block leaves through _as_members, in its own storage.
     """
 
     def __init__(self, members):
@@ -342,17 +349,6 @@ class _KeptBlock:
             self.members = members = members.toarray()
             g = members @ members.conj().T
         self.dense = g
-
-    def placed(self, keep: np.ndarray) -> np.ndarray:
-        """M in the kept rows of a zeroed (d, N) array, d = keep.size."""
-        m = self.members
-        out = np.zeros((keep.size, m.shape[1]), dtype=complex)
-        if isinstance(m, np.ndarray):
-            out[keep] = m
-        else:       # a canonical CSR block names each entry once
-            m = m.tocoo()
-            out[np.flatnonzero(keep)[m.row], m.col] = m.data
-        return out
 
     def lowest(self) -> float:
         if self.diagonal is not None:
@@ -387,6 +383,22 @@ def _above_floor(lo: float, hi: float) -> float:
     if lo <= floor:
         raise SingularRestrictionError(lo, floor)
     return lo
+
+
+def _as_members(block: _KeptBlock, keep: np.ndarray):
+    """The r x N block M as N members in dimension d = keep.size, M^T on the
+    kept coordinates and zero elsewhere: CSR for a CSR M, an (N, d) array
+    otherwise (the transpose of a row-major (d, N) array, so its own
+    transpose, the synthesis matrix, is row-major)."""
+    m = block.members
+    if isinstance(m, np.ndarray):
+        out = np.zeros((keep.size, m.shape[1]), dtype=complex)
+        out[keep] = m
+        return out.T
+    from scipy import sparse
+    m = m.tocoo()       # a canonical CSR block names each entry once
+    return sparse.csr_array((m.data, (m.col, np.flatnonzero(keep)[m.row])),
+                            shape=(m.shape[1], keep.size))
 
 
 def _restricted_spectrum(family: VectorFamily, level: tuple) -> tuple:
@@ -431,16 +443,13 @@ def canonical_dual(family: VectorFamily, level: tuple) -> DualFamily:
     offending eigenvalue. The returned Bessel bound estimate is the largest
     eigenvalue of the dual family's frame matrix; theory caps it by the
     reciprocal of the restricted lower bound. On a diagonal kept block the
-    dual has one nonzero per member, and only those entries are written
-    into the output.
+    dual has one nonzero per member and is held as CSR.
     """
     keep, block = _restricted_spectrum(family, level)
     dual_block, lam = block.inverse()
-    # built d x N and transposed, so duals.T (reconstruct's synthesis matrix)
-    # is row-contiguous; zero off the kept coordinates
-    duals = dual_block.placed(keep)
     bessel_est = dual_block.extremes()[1]
-    return DualFamily(duals.T, "inverse", bessel_est, 1.0 / lam, lam)
+    return DualFamily(_as_members(dual_block, keep), "inverse", bessel_est,
+                      1.0 / lam, lam)
 
 
 def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
@@ -453,11 +462,11 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
     The restricted analysis matrix C (members against kept coordinates) is
     inverted entrywise when it is CSR with at most one stored entry per
     member and per kept coordinate: its singular values are then |c|, and
-    each entry c pairs member and coordinate with the dual entry 1/c.
-    Every other C is made dense and takes one SVD. Singular values at or
-    below PINV_CUTOFF_RATIO times the largest one are cut, and the Bessel
-    estimate is the largest eigenvalue of the duals' frame matrix. Refuses
-    when no singular value clears the cutoff.
+    each entry c pairs member and coordinate with the dual entry 1/c, and
+    the duals are held as CSR. Every other C is made dense and takes one
+    SVD. Singular values at or below PINV_CUTOFF_RATIO times the largest
+    one are cut, and the Bessel estimate is the largest eigenvalue of the
+    duals' frame matrix. Refuses when no singular value clears the cutoff.
     """
     members = _stored(family, level)
     coords = np.flatnonzero(projector_for(family).kept(level[0]))
@@ -482,15 +491,17 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
     if not top > cutoff:
         raise SingularRestrictionError(top ** 2, cutoff ** 2)
     cut = s > cutoff
-    duals = np.zeros(level[::-1], dtype=complex)
     if entrywise:
+        from scipy import sparse
         # the duals' frame matrix is diagonal, |1/c|^2 at each kept entry
         inv = 1.0 / c.data[cut]
-        duals[c.row[cut], coords[c.col[cut]]] = inv
+        duals = sparse.csr_array((inv, (c.row[cut], coords[c.col[cut]])),
+                                 shape=level[::-1])
         bessel_est = float((inv * np.conj(inv)).real.max())
     else:
         # the pseudo-inverse V S^+ U^H, transposed: members by rows
         dual_block = ((vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T).T
+        duals = np.zeros(level[::-1], dtype=complex)
         duals[rows[:, None], coords] = dual_block
         frame = dual_block.T @ np.conj(dual_block)
         bessel_est = float(np.linalg.eigvalsh(frame)[-1])
@@ -513,15 +524,15 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     tracked as a domain diagnostic. The dual must be built at the level.
     """
     d, n = level
-    if dual.vectors.shape != (n, d):
+    if dual.members.shape != (n, d):
         raise ValueError(f"the dual must be built at level {tuple(level)}, "
-                         f"not at {dual.vectors.shape[::-1]}")
+                         f"not at {dual.members.shape[::-1]}")
     f = np.asarray(f, dtype=complex)
     f_d = _fit_dim(f, d)
     pf = f_d.copy()
     pf[~projector_for(family).kept(d)] = 0.0
     coeffs = _pairings(_stored(family, level), pf)
-    f_tilde = dual.vectors.T @ coeffs
+    f_tilde = dual.members.T @ coeffs
     norm_f = np.linalg.norm(f_d)
     rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0
     norm_pf = np.linalg.norm(pf)
@@ -535,14 +546,16 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
 def parseval_canonical(family: VectorFamily, level: tuple):
     """Inverse-square-root normalization of the projected family.
 
-    Returns (vectors, gap) where gap is the largest deviation from 1 of the
-    eigenvalues of the normalized family's frame matrix on the admissible
-    subspace; the normalized family is tight there.
+    Returns (members, gap): the normalized members as rows, stored as the
+    canonical dual's (CSR on a diagonal kept block, an (N, d) array
+    otherwise), and the largest deviation from 1 of the eigenvalues of
+    their frame matrix on the admissible subspace; the normalized family is
+    tight there.
     """
     keep, block = _restricted_spectrum(family, level)
     tight, _ = block.inverse(power=0.5)
     lo, hi = tight.extremes()
-    return tight.placed(keep).T, max(abs(lo - 1.0), abs(hi - 1.0))
+    return _as_members(tight, keep), max(abs(lo - 1.0), abs(hi - 1.0))
 
 
 # ---------------------------------------------------------------------------

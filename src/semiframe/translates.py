@@ -470,21 +470,22 @@ def reconstruct_translates(system: TranslateSystem, f_hat: Callable,
                            m: int = DEFAULT_GRID, cover: float | None = None,
                            tail_terms: int = DEFAULT_TAIL) -> TranslateReconstruction:
     """Analyze f against the translates and resynthesize through the
-    canonical dual; the error is relative l2 over the line window."""
-    dual = canonical_dual_translates(system, m, tail_terms)
-    coeffs = analysis_translates(system, f_hat, m, tail_terms)
+    canonical dual; the error is relative l2 over the line window. A probe
+    that vanishes on the window is refused before any alias sum."""
     if cover is None:
         if system.profile.support is None:
             raise ValueError("give a window for profiles without support")
         cover = max(abs(system.profile.support[0]),
                     abs(system.profile.support[1]))
     nodes = line_window(system, m, cover)
-    j = np.rint(nodes * system.step * m).astype(int)
-    rec = dual.profile(nodes) * modulation_sum(coeffs, j)
     ref = np.asarray(f_hat(nodes), dtype=complex)
     denom = np.linalg.norm(ref)
     if denom == 0:
         raise ValueError("zero probe")
+    dual = canonical_dual_translates(system, m, tail_terms)
+    coeffs = analysis_translates(system, f_hat, m, tail_terms)
+    j = np.rint(nodes * system.step * m).astype(int)
+    rec = dual.profile(nodes) * modulation_sum(coeffs, j)
     return TranslateReconstruction(
         float(np.linalg.norm(rec - ref) / denom), coeffs)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -431,6 +432,7 @@ def _sparse_rule(rows, positions, values):
      "the member count must be a whole number >= 1"),
     (lambda: ConstantWeight(np.inf), WEIGHT_VALUES),
     (lambda: ConstantWeight(10 ** 400), WEIGHT_VALUES),
+    (lambda: ConstantWeight(Fraction(1, 10 ** 400)), WEIGHT_VALUES),
     (lambda: a2_ratio(PowerWeight(0.5), 0.5, 0.2), "need 0 <= a < b <= 1"),
     (lambda: reconstruct_exponentials(FLAT_8, np.zeros(8)), "zero probe"),
     (lambda: FourierProfile("unbounded-support", np.sinc,
@@ -470,7 +472,7 @@ def _sparse_rule(rows, positions, values):
         "exponential-cells-none", "ladder-dimension-fractional",
         "ladder-count-nan", "piecewise-weight-no-pieces",
         "defer-negatives-count-negative", "constant-inf", "constant-huge",
-        "power-average-reversed", "exponentials-zero-probe",
+        "constant-underflow", "power-average-reversed", "exponentials-zero-probe",
         "profile-support-infinite", "plateau-k-max-fractional",
         "t-mult-probe-length", "t-general-probe-length",
         "reconstruct-exponentials-probe-length",

@@ -576,51 +576,61 @@ KEPT_CASES = [
 
 @pytest.mark.parametrize("fam, level", KEPT_CASES)
 def test_kept_block_outputs_match_the_dense_assignment(fam, level):
-    """canonical_dual and parseval_canonical write a CSR block's stored
-    entries into the output; bit for bit the assignment of its dense copy."""
+    """canonical_dual and parseval_canonical return a CSR block as CSR
+    members and a dense one as an array; bit for bit the assignment of the
+    block's dense copy into the kept coordinates."""
     from scipy import sparse
 
     keep, block = operators._restricted_spectrum(fam, level)
-    for power, got in ((1.0, canonical_dual(fam, level).vectors),
+    for power, got in ((1.0, canonical_dual(fam, level).members),
                        (0.5, parseval_canonical(fam, level)[0])):
         derived, _ = block.inverse(power=power)
         members = derived.members
         assert sparse.issparse(members) != fam.dense
+        assert isinstance(got, sparse.csr_array) != fam.dense
         want = np.zeros(level, dtype=complex)
         want[keep] = members if fam.dense else members.toarray()
-        assert np.array_equal(got, want.T)
+        assert np.array_equal(got if fam.dense else got.toarray(), want.T)
+
+
+def _traced_peak(call, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_reconstruct_reads_the_stored_members():
-    import tracemalloc
-
     fam = shared_direction_family(1.0)
     level = (1025, 1024)
     dual = canonical_dual(fam, level)
     f = decaying_probe(level[0])
     reconstruct(f, fam, dual, level)      # imports and first calls
-    tracemalloc.start()
-    try:
-        reconstruct(f, fam, dual, level)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     # the dense analysis matrix alone would take 16 MB
-    assert peak < 2 ** 20
+    assert _traced_peak(reconstruct, f, fam, dual, level) < 2 ** 20
+
+
+# one dense (N, d) copy of the duals at (8193, 8192) takes 1025 MiB
+LINEAR_BUDGET = 8 * 2 ** 20
 
 
 def test_canonical_dual_builds_no_second_dense_copy():
-    import tracemalloc
-
     fam = shared_direction_family(1.0)
     canonical_dual(fam, (65, 64))          # imports and first calls
-    tracemalloc.start()
-    try:
-        dual = canonical_dual(fam, (1025, 1024))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * dual.vectors.nbytes
+    peak = _traced_peak(canonical_dual, fam, (8193, 8192))
+    assert peak < LINEAR_BUDGET
+
+
+@pytest.mark.parametrize("route", [dual_via_pseudoinverse, parseval_canonical],
+                         ids=["pseudoinverse", "parseval"])
+def test_stored_dual_routes_run_in_linear_memory(route):
+    fam = shared_direction_family(1.0)
+    route(fam, (65, 64))                   # imports and first calls
+    assert _traced_peak(route, fam, (8193, 8192)) < LINEAR_BUDGET
 
 
 def _copied_trace(x, coeffs, order):

@@ -13,6 +13,7 @@ largest magnitude of the numpy reference.
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from semiframe.core import TruncationLadder, VectorFamily, instantiate
 from semiframe.families import seeded_dense_family
@@ -61,6 +62,10 @@ def families(draw):
     return fam, (d, count)
 
 
+def _dense(stored) -> np.ndarray:
+    return stored.toarray() if sparse.issparse(stored) else stored
+
+
 def _close(got, want, tol: float):
     got, want = np.asarray(got), np.asarray(want)
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -86,13 +91,25 @@ def test_both_storages_match_numpy(case):
     tight = np.zeros(level, dtype=complex)
     tight[keep] = (v / np.sqrt(w)) @ v.conj().T @ y
     inverse = canonical_dual(fam, level)
-    for dual in (inverse, dual_via_pseudoinverse(fam, level)):
+    pinv = dual_via_pseudoinverse(fam, level)
+    for dual in (inverse, pinv):
         _close(dual.vectors, duals, tol)
         _close(dual.bessel_bound_estimate, bessel, tol)
         _close(dual.lower_bound, w[0], tol)
-    vectors, gap = parseval_canonical(fam, level)
-    _close(vectors, tight.T, tol)
+    members, gap = parseval_canonical(fam, level)
+    _close(_dense(members), tight.T, tol)
     assert gap <= tol
+
+    # CSR members exactly where the kept block is diagonal (each member on
+    # at most one kept coordinate) or the pseudo-inverse is entrywise (each
+    # kept coordinate also on at most one member); an array otherwise
+    on_kept = x[:, keep] != 0
+    diagonal = not fam.dense and on_kept.sum(axis=1).max() <= 1
+    entrywise = diagonal and on_kept.sum(axis=0).max() <= 1
+    for stored, csr in ((inverse.members, diagonal), (members, diagonal),
+                        (pinv.members, entrywise)):
+        assert isinstance(stored, sparse.csr_array if csr else np.ndarray)
+    assert np.array_equal(inverse.vectors, _dense(inverse.members))
 
     counts = (max(1, n // 4), n // 2, n)
     per_level, _ = lower_bound(fam, TruncationLadder(

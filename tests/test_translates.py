@@ -269,10 +269,17 @@ def test_reconstruction_of_dual_side_probe():
     assert res.rel_error < 1e-10
 
 
-def test_reconstruction_rejects_zero_probe():
-    with pytest.raises(ValueError):
-        reconstruct_translates(COSINE, lambda xi: np.zeros(np.shape(xi)),
-                               m=64)
+def test_reconstruction_rejects_zero_probe(monkeypatch):
+    # the probe is read on the line window first; a zero probe never
+    # reaches the cross bracket or the dual's energy
+    def refuse(*args, **kwargs):
+        raise AssertionError("alias sum for a zero probe")
+    for name in ("bracket", "pphi"):
+        monkeypatch.setattr(translates, name, refuse)
+    for system in (COSINE, INDICATOR):
+        with pytest.raises(ValueError, match="zero probe"):
+            reconstruct_translates(system, lambda xi: np.zeros(np.shape(xi)),
+                                   m=64, cover=2.0)
 
 
 def test_classify_cosine_system():
