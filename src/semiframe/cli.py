@@ -23,8 +23,7 @@ from .muckenhoupt import (
 )
 from .operators import canonical_dual, dual_via_pseudoinverse, reconstruct
 from .report import (
-    _sanitize, write_registry_csv, write_registry_json, write_report_csv,
-    write_report_json,
+    _sanitize, write_registry_csv, write_registry_json, write_report_json,
 )
 from .translates import (
     DEFAULT_GRID, DEFAULT_TAIL, TranslateSystem, classify_translates,
@@ -67,7 +66,7 @@ def _emit_report(report, args) -> int:
         print(line)
     if getattr(args, "out", None):
         if args.format == "csv":
-            write_report_csv(report, args.out)
+            write_registry_csv([report], args.out)
         else:
             write_report_json(report, args.out)
         print(f"report written to {args.out}", file=sys.stderr)
@@ -141,10 +140,15 @@ def _cmd_pphi(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_dual(args) -> int:
+def _family_and_level(args) -> tuple:
+    """The named shared-direction family and its level (count + 1, count)."""
     power = {"diana": 0.0, "stoeva": 1.0}[args.family]
-    fam = shared_direction_family(power, name=args.family)
-    level = (args.count + 1, args.count)
+    return (shared_direction_family(power, name=args.family),
+            (args.count + 1, args.count))
+
+
+def _cmd_dual(args) -> int:
+    fam, level = _family_and_level(args)
     d1 = canonical_dual(fam, level)
     d2 = dual_via_pseudoinverse(fam, level)
     gap = float(np.abs(d1.vectors - d2.vectors).max())
@@ -160,9 +164,7 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    power = {"diana": 0.0, "stoeva": 1.0}[args.family]
-    fam = shared_direction_family(power, name=args.family)
-    level = (args.count + 1, args.count)
+    fam, level = _family_and_level(args)
     # the ladder runs past the family level so probes supported inside it
     # show a flat coefficient tail
     ladder = TruncationLadder(tuple(

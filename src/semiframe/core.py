@@ -289,17 +289,36 @@ def essential_bounds(weight) -> tuple:
     return bounds()
 
 
+def rising_slopes(values, sizes) -> list | None:
+    """The local log-log slopes of a positive ladder when there are 3 or
+    more, each above DIVERGENCE_EXPONENT and non-decreasing: growth faster
+    than any power, which no single log-log fit models. None otherwise."""
+    v = np.asarray(values, dtype=float)
+    if v.size < 4 or not np.all(v > 0):
+        return None
+    slopes = np.diff(np.log(v)) / np.diff(np.log(np.asarray(sizes, dtype=float)))
+    if np.all(slopes > DIVERGENCE_EXPONENT) and np.all(np.diff(slopes) >= 0):
+        return slopes.tolist()
+    return None
+
+
 def bound_verdicts(ess_inf, ess_sup, symbol=None) -> tuple:
     """(bessel, lower) verdict pairs of an operator that multiplies by one
     symbol; None marks a bound nobody declared or resolved. Bessel is No when
     tail_diagnostic calls the symbol's value_ladder(), less its filler piece,
-    Divergent over 3 or more values, else Yes for a finite sup; lower is Yes
-    for an inf above 0."""
+    Divergent over 3 or more values, or, where it reads Inconclusive, when
+    the ladder's local slopes keep rising (rising_slopes); else Yes for a
+    finite sup. Lower is Yes for an inf above 0."""
     steps = symbol.value_ladder()[:-1] if hasattr(symbol, "value_ladder") else []
-    growth = tail_diagnostic([v for _, v in steps], [i for i, _ in steps],
-                             r2_threshold=LADDER_R2) if len(steps) >= 3 else None
+    values, labels = [v for _, v in steps], [i for i, _ in steps]
+    growth = tail_diagnostic(values, labels, r2_threshold=LADDER_R2) \
+        if len(steps) >= 3 else None
+    slopes = rising_slopes(values, labels) \
+        if growth is not None and growth.kind == INCONCLUSIVE else None
     if growth is not None and growth.kind == DIVERGENT:
         bessel = (NO, {"value_ladder_exponent": growth.growth_exponent})
+    elif slopes is not None:
+        bessel = (NO, {"value_ladder_slopes": slopes})
     elif ess_sup is None:
         bessel = (UNDECIDED, {})
     else:

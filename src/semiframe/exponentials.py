@@ -133,6 +133,12 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
 # analysis / synthesis at full window, b = 1
 
 
+def _signed_frequencies(m: int) -> np.ndarray:
+    """The signed representative of each frequency n = 0..M-1 mod M."""
+    n = np.arange(m)
+    return np.where(n <= m // 2, n, n - m)
+
+
 def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
                           ) -> ResidueCoefficients:
     """Coefficients (1/M) sum f conj(g) exp(-2 pi i n x_i) for all M
@@ -142,12 +148,8 @@ def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
     m = system.m
     h = _probe(system, f_values) * np.conj(system.g_values())
     raw = np.fft.fft(h) / m
-    # twist for n = 0..M-1 interpreted as signed frequencies mod M:
-    # exp(-i pi n_signed / M) = exp(-i pi n / M) * (-1 adjustments) handled
-    # by evaluating the twist on the signed representative directly.
-    n = np.arange(m)
-    signed = np.where(n <= m // 2, n, n - m)
-    twist = np.exp(-1j * np.pi * signed / m)
+    # the midpoint twist exp(-i pi n / M), on each signed representative
+    twist = np.exp(-1j * np.pi * _signed_frequencies(m) / m)
     return ResidueCoefficients(twist * raw)
 
 
@@ -158,9 +160,7 @@ def synthesis_exponentials(system: ExponentialSystem,
     if system.b != 1.0:
         raise ValueError("full-window FFT synthesis needs b = 1")
     m = system.m
-    n = np.arange(m)
-    signed = np.where(n <= m // 2, n, n - m)
-    untwisted = coeffs.values * np.exp(1j * np.pi * signed / m)
+    untwisted = coeffs.values * np.exp(1j * np.pi * _signed_frequencies(m) / m)
     series = np.fft.ifft(untwisted) * m
     return np.asarray(weight_values, dtype=complex) * series
 

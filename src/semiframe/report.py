@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 PASS, FAIL, UNDECIDED_CHECK = "pass", "fail", "undecided"
 
@@ -135,13 +135,6 @@ def _csv_rows(report: RunReport):
         if isinstance(val, (dict, list)):
             val = json.dumps(val, sort_keys=True)
         yield [report.scenario, c.name, c.status, val]
-
-
-def write_report_csv(report: RunReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["scenario", "check", "status", "value"])
-        w.writerows(_csv_rows(report))
 
 
 def write_registry_json(reports, path) -> None:

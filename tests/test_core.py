@@ -17,7 +17,8 @@ from semiframe import core
 from semiframe.core import (
     GridFunction, TruncationLadder, VectorFamily, bound_verdicts,
     covering_shifts, instantiate, instantiate_sparse, line_grid, pairwise_sum,
-    periodic_grid, periodization_gap, periodize, tail_diagnostic,
+    periodic_grid, periodization_gap, periodize, rising_slopes,
+    tail_diagnostic,
 )
 from semiframe.exponentials import (
     ExponentialSystem, biorthogonality_gap, defer_negatives_ordering,
@@ -554,6 +555,18 @@ K6_GROWTH = ("No", {"value_ladder_exponent": 5.597800506668429})
 def test_bound_verdicts_cover_every_branch(ess_inf, ess_sup, symbol, bessel,
                                            lower):
     assert bound_verdicts(ess_inf, ess_sup, symbol) == (bessel, lower)
+
+
+def test_rising_slopes_judge_growth_faster_than_any_power():
+    # plateau_weight(8) ladders 2^2, ..., 8^8: the single log-log fit reads
+    # Inconclusive, and the six local slopes rise from log(27/4)/log 2
+    bessel, _ = bound_verdicts(1.0, 8.0 ** 8, plateau_weight(8))
+    slopes = bessel[1]["value_ladder_slopes"]
+    assert bessel[0] == "No" and len(slopes) == 6
+    assert slopes[0] == pytest.approx(math.log(27 / 4) / math.log(2))
+    assert slopes == sorted(slopes)
+    assert rising_slopes([4.0, 27.0, 256.0], [1, 2, 3]) is None   # 2 slopes
+    assert rising_slopes([1.0, 8.0, 9.0, 100.0], [1, 2, 3, 4]) is None
 
 
 def test_import_leaves_scipy_unloaded():

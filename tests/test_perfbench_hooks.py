@@ -1,10 +1,12 @@
 """The benchmark's tracer patches library names from outside; each must exist.
 
-`perfbench/tracing.py` is read here, never edited. A library change that
-deletes or renames one of its patch points would otherwise break only the
-traced benchmark run.
+`perfbench/tracing.py` and `perfbench/workloads.py` are read here, never
+edited. A library change that deletes or renames one of its patch points, or
+moves a gate the benchmark copies, would otherwise break only the benchmark
+run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,9 +14,11 @@ from pathlib import Path
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import shared_direction_family
 from semiframe.muckenhoupt import ConstantWeight
+from semiframe.scenarios import run_scenario
 from semiframe.translates import unit_indicator_profile
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -51,3 +55,18 @@ def test_patched_class_hooks_exist():
     muckenhoupt = _module("muckenhoupt")
     for cls_name in tracing.WEIGHT_CLASSES:
         assert callable(getattr(getattr(muckenhoupt, cls_name), "average_power"))
+
+
+def test_report_tolerances_copy_each_checks_declared_tol():
+    # the benchmark's hand copy of scenario thresholds, read without import
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    copied, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["REPORT_TOLERANCES"]]
+    assert len(copied) == 28
+    declared = {}
+    for name in sorted({scenario for scenario, _ in copied}):
+        for check in run_scenario(name).checks:
+            declared[(name, check.name)] = check.detail.get("tol")
+    assert {key: declared.get(key) for key in copied} == copied

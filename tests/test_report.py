@@ -5,7 +5,7 @@ import numpy as np
 
 from semiframe.report import (
     CheckResult, RunReport, _sanitize, report_to_json, write_registry_csv,
-    write_registry_json, write_report_csv, write_report_json,
+    write_registry_json, write_report_json,
 )
 
 
@@ -59,7 +59,7 @@ def test_json_is_deterministic_and_sorted(tmp_path):
     write_report_json(build(), two)
     assert one.read_bytes() == two.read_bytes()
     payload = json.loads(one.read_text())
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert list(payload) == sorted(payload)
     assert payload["outcome"] == "undecided"
 
@@ -68,7 +68,8 @@ def test_csv_writer(tmp_path):
     rep = RunReport("demo", [CheckResult("gap", True, 0.5),
                              CheckResult("shape", False, {"x": 1})])
     path = tmp_path / "out.csv"
-    write_report_csv(rep, path)
+    # one report is a registry of one: the CLI writes it this way
+    write_registry_csv([rep], path)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "scenario,check,status,value"
     assert rows[1] == "demo,gap,pass,0.5"

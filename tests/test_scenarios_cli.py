@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from semiframe import cli
-from semiframe.scenarios import run_scenario, scenario_names
+from semiframe.scenarios import _check, run_scenario, scenario_names
 
 FAST_SCENARIOS = (
     "diana",
@@ -20,6 +20,7 @@ FAST_SCENARIOS = (
 # `semiframe scenario all --seed 42`, with the gate each check declares
 # (`tol`, `floor` or `expected`) and, for a `tol` check, its number
 GOLDEN_VERDICTS = Path(__file__).parent / "golden" / "scenario_all_verdicts.json"
+GATES = ("tol", "floor", "expected")
 
 
 def _within(value, golden, tol):
@@ -49,6 +50,19 @@ def test_fast_scenarios_pass(name):
     report = run_scenario(name)
     failed = [c.name for c in report.checks if c.passed is False]
     assert report.outcome == "pass", failed
+
+
+def test_check_judges_by_exactly_one_gate():
+    assert _check("gap", 1e-12, tol=1e-10).passed is True
+    # a tol or floor applies to every entry of a dict or list value
+    assert _check("gaps", {"a": 1e-12, "b": 1e-9}, tol=1e-10).passed is False
+    spread = _check("spread", [0.2, 0.06], floor=0.05, note="kept")
+    assert spread.passed is True
+    assert spread.detail == {"note": "kept", "floor": 0.05}
+    assert _check("verdict", "No", expected="Yes").passed is False
+    for gates in ({}, {"tol": 1.0, "floor": 0.0}):
+        with pytest.raises(ValueError, match="exactly one of tol, floor"):
+            _check("gap", 0.5, **gates)
 
 
 def test_unknown_scenario_raises():
@@ -93,6 +107,10 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
     assert [(s, c["name"], c["status"]) for s, c in checks] \
         == [(g["scenario"], g["name"], g["status"]) for g in golden]
     for (_, check), gold in zip(checks, golden):
+        kind = [k for k in GATES if k in check["detail"]]
+        assert kind == [k for k in GATES if k in gold], check["name"]
+        assert {k: check["detail"][k] for k in kind} \
+            == {k: gold[k] for k in kind}, check["name"]
         if isinstance(check["value"], str) or isinstance(gold.get("value"), str):
             assert check["value"] == gold["value"], check["name"]
         if "tol" in gold:

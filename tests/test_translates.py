@@ -332,6 +332,18 @@ def test_translate_and_exponential_twins_share_bound_verdicts(k_max):
     assert band["lower_for_span"] == expo["lower_bound"]
 
 
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("k_max", range(4, 13))
+def test_plateau_ladder_is_not_bessel_on_either_side(k_max, power):
+    # the k^(power k) ladder outgrows every power, so its local log-log
+    # slopes keep rising; one log-log fit alone read Bessel Yes from k_max 7
+    band = classify_translates(plateau_band_system(k_max, power=power))
+    expo = classify_exponentials(
+        ExponentialSystem(plateau_weight(k_max, power), 1.0, 1024))
+    assert band.verdict("bessel") == "No"
+    assert expo.verdict("bessel") == "No"
+
+
 def test_system_validation():
     with pytest.raises(ValueError):
         TranslateSystem(raised_cosine_profile(), 0.0)
