@@ -20,8 +20,8 @@ from .operators import (
     parseval_canonical, projector_for, reconstruct, s_apply, w_membership,
 )
 from .families import (
-    interleaved_difference_family, orthonormal_family, scaled_basis_family,
-    seeded_dense_family, shared_direction_family,
+    interleaved_difference_family, seeded_dense_family,
+    shared_direction_family,
 )
 from .translates import (
     TranslateSystem, canonical_dual_translates, classify_translates,

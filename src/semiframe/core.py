@@ -9,9 +9,8 @@ period or on a symmetric window of the line are carried by GridFunction.
 Convergence and divergence across truncation ladders is judged by
 tail_diagnostic, which returns a ConvergenceVerdict rather than a bare bool
 so that callers can surface evidence. The translate and exponential systems
-share a Classification (per-property verdicts with their evidence),
-ResidueCoefficients (coefficients on a residue ring, read at signed indices)
-and bound_verdicts, the Bessel and lower rule on their symbol p or |g|^2.
+share a Classification (per-property verdicts with their evidence) and
+bound_verdicts, the Bessel and lower rule on their symbol p or |g|^2.
 """
 
 from __future__ import annotations
@@ -341,23 +340,6 @@ class Classification:
         return self.properties[prop][0]
 
 
-@dataclass
-class ResidueCoefficients:
-    """Coefficients on the residue ring Z / size, read at signed indices
-    |n| <= size // 2."""
-
-    values: np.ndarray          # index n mod size
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def at(self, n: int) -> complex:
-        if abs(n) > self.size // 2:
-            raise ValueError("index outside the resolved band")
-        return complex(self.values[n % self.size])
-
-
 @dataclass(frozen=True)
 class ConvergenceVerdict:
     kind: str
@@ -468,12 +450,6 @@ class GridFunction:
         return 0 if self.kind == PERIODIC else -(self.size - 1) // 2
 
     @property
-    def period(self) -> float:
-        if self.kind != PERIODIC:
-            raise ValueError("not a periodic grid")
-        return self.step * self.size
-
-    @property
     def half_width(self) -> float:
         if self.kind != LINE:
             raise ValueError("not a line grid")
@@ -496,10 +472,9 @@ class GridFunction:
 
 
 def periodic_grid(values, period: float = 1.0) -> GridFunction:
+    """M samples at i * period / M, i = 0..M-1; GridFunction refuses M < 2."""
     values = np.asarray(values)
-    if values.size < 2:
-        raise ValueError("grid needs at least two nodes")
-    return GridFunction(values, period / values.size, PERIODIC)
+    return GridFunction(values, period / max(values.size, 1), PERIODIC)
 
 
 def line_grid(values, step: float) -> GridFunction:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, Classification, ResidueCoefficients, VectorFamily,
-    bound_verdicts, essential_bounds, frame_verdict, whole_count,
+    NO, UNDECIDED, YES, Classification, VectorFamily, bound_verdicts,
+    essential_bounds, frame_verdict, line_grid, periodize, whole_count,
     whole_number,
 )
 from .muckenhoupt import (
@@ -27,17 +27,10 @@ from .muckenhoupt import (
 DEFAULT_CELLS = 2 ** 12
 
 
-def frequency_of(member_index: int) -> int:
-    """Canonical order 1, 2, 3, 4, 5, ... <-> frequencies 0, 1, -1, 2, -2, ..."""
-    if member_index < 1:
-        raise ValueError("members are numbered from 1")
-    return member_index // 2 if member_index % 2 == 0 else -(member_index // 2)
-
-
-def member_of(freq: int) -> int:
-    if freq == 0:
-        return 1
-    return 2 * freq if freq > 0 else 2 * (-freq) + 1
+def _frequencies(indices) -> np.ndarray:
+    """Frequencies of members in the canonical order: members 1, 2, 3, 4,
+    5, ... have frequencies 0, 1, -1, 2, -2, ..."""
+    return np.where(indices % 2 == 0, indices // 2, -(indices // 2))
 
 
 def defer_negatives_ordering(n_count: int) -> np.ndarray:
@@ -52,10 +45,8 @@ def defer_negatives_ordering(n_count: int) -> np.ndarray:
                            "number >= 1")
     if n_count % 2 == 0:
         raise ValueError("use an odd member count (symmetric frequency window)")
-    k = (n_count - 1) // 2
-    rows = [0] + [2 * f - 1 for f in range(1, k + 1)] \
-        + [2 * f for f in range(k, 0, -1)]
-    return np.array(rows)
+    freqs = _frequencies(np.arange(1, n_count + 1))
+    return np.lexsort((freqs, freqs < 0))
 
 
 @dataclass
@@ -118,8 +109,7 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     def block(idx, d):
         if d != m:
             raise ValueError("grid families live at dimension = cell count")
-        freqs = np.where(idx % 2 == 0, idx // 2, -(idx // 2))
-        at = np.multiply.outer(freqs * b, nodes)
+        at = np.multiply.outer(_frequencies(idx) * b, nodes)
         out = roots[np.remainder(at, 2 * m, out=at)]
         out *= scaled
         return out
@@ -140,9 +130,10 @@ def _signed_frequencies(m: int) -> np.ndarray:
 
 
 def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
-                          ) -> ResidueCoefficients:
+                          ) -> np.ndarray:
     """Coefficients (1/M) sum f conj(g) exp(-2 pi i n x_i) for all M
-    frequencies n mod M, via one FFT plus the midpoint twist. b = 1 only."""
+    frequencies n, at index n mod M, via one FFT plus the midpoint twist.
+    b = 1 only."""
     if system.b != 1.0:
         raise ValueError("full-window FFT analysis needs b = 1")
     m = system.m
@@ -150,17 +141,18 @@ def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
     raw = np.fft.fft(h) / m
     # the midpoint twist exp(-i pi n / M), on each signed representative
     twist = np.exp(-1j * np.pi * _signed_frequencies(m) / m)
-    return ResidueCoefficients(twist * raw)
+    return twist * raw
 
 
 def synthesis_exponentials(system: ExponentialSystem,
-                           coeffs: ResidueCoefficients,
+                           coeffs: np.ndarray,
                            weight_values: np.ndarray) -> np.ndarray:
-    """sum_n c_n weight_values(x) exp(2 pi i n x) over the full window."""
+    """sum_n c_n weight_values(x) exp(2 pi i n x) over the full window, with
+    c_n at index n mod M."""
     if system.b != 1.0:
         raise ValueError("full-window FFT synthesis needs b = 1")
     m = system.m
-    untwisted = coeffs.values * np.exp(1j * np.pi * _signed_frequencies(m) / m)
+    untwisted = coeffs * np.exp(1j * np.pi * _signed_frequencies(m) / m)
     series = np.fft.ifft(untwisted) * m
     return np.asarray(weight_values, dtype=complex) * series
 
@@ -215,7 +207,7 @@ def _dual_gram(system: ExponentialSystem, n_max: int) -> np.ndarray:
     rounding (the dual cancels the weight)."""
     coeffs = analysis_exponentials(system, canonical_dual_values(system))
     ns = np.arange(2 * n_max + 1)
-    return coeffs.values[(ns[None, :] - ns[:, None]) % system.m]
+    return coeffs[(ns[None, :] - ns[:, None]) % system.m]
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +227,20 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
     with zero extension outside (0, 1).
 
     For b <= 1 only the k = 0 term survives and this reduces to t_mult.
-    The fold step M / b must be an integer so shifted copies land on nodes.
+    The fold step M / b must be an integer so shifted copies land on nodes;
+    core.periodize folds them.
     """
     m = system.m
-    shift = whole_count(m / system.b,
-                        "cell count must be divisible by the fold step M/b")
+    # a fold step past M lands no second copy on the interval, and folding
+    # by M instead keeps the folded grid at M nodes
+    period = min(whole_count(m / system.b, "cell count must be divisible by "
+                             "the fold step M/b"), m)
     g = system.g_values()
-    h = np.conj(g) * _probe(system, f_values)
-    out = np.zeros(m, dtype=complex)
-    k_max = int(math.ceil(system.b))
-    for k in range(-k_max, k_max + 1):
-        lo, hi = max(0, k * shift), min(m, m + k * shift)
-        if lo < hi:
-            out[lo:hi] += h[lo - k * shift:hi - k * shift]
-    return (g / system.b) * out
+    # conj(g) f on the line nodes -M/2..M/2-1, and 0 at M/2 for a symmetric
+    # window; node i of the interval is line node i - M/2
+    h = np.append(np.conj(g) * _probe(system, f_values), 0.0)
+    folded = periodize(line_grid(h, 1.0), period, math.ceil(system.b))
+    return (g / system.b) * folded.values[(np.arange(m) - m // 2) % period]
 
 
 # ---------------------------------------------------------------------------

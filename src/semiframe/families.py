@@ -1,4 +1,4 @@
-"""Concrete vector families used by the scenario registry and the tests.
+"""Concrete vector families used by the scenario registry and the benchmark.
 
 Index conventions: members are numbered from each family's start index and
 live against the standard basis e_1, e_2, ... (1-based labels, 0-based
@@ -27,18 +27,6 @@ def _powers(indices: np.ndarray, power: float) -> np.ndarray:
     return np.array([float(n) ** power for n in indices.tolist()])
 
 
-def _diagonal(indices: np.ndarray, values: np.ndarray) -> tuple:
-    """COO triplets of the members values[r] e_{indices[r]}."""
-    return np.arange(indices.size), indices - 1, values
-
-
-def orthonormal_family() -> VectorFamily:
-    return VectorFamily(
-        name="orthonormal", start_index=1, min_dim=lambda n: n,
-        block=lambda idx: _diagonal(idx, np.ones(idx.size)),
-        perp_directions=None)
-
-
 def shared_direction_family(power: float = 0.0, name: str | None = None) -> VectorFamily:
     """Members n^power (e_1 + e_n) for n >= 2.
 
@@ -57,14 +45,6 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
         name=name or f"shared-direction-p{power:g}",
         start_index=2, min_dim=lambda n: n + 1, block=block,
         perp_directions=(0,))
-
-
-def scaled_basis_family(power: float) -> VectorFamily:
-    """Members n^power e_n; diagonal, so every diagnostic has a closed form."""
-    return VectorFamily(
-        name=f"scaled-basis-p{power:g}", start_index=1, min_dim=lambda n: n,
-        block=lambda idx: _diagonal(idx, _powers(idx, power)),
-        perp_directions=None)
 
 
 def seeded_dense_family(seed: int) -> VectorFamily:

@@ -109,7 +109,14 @@ class PowerWeight(_LevelArrays):
         return out if out.ndim else float(out)
 
     def sample(self, x):
-        return np.asarray(x, dtype=float) ** self.alpha
+        """x^alpha on [0, 1], or on (0, 1] when alpha < 0; refuses any other
+        point."""
+        x = np.asarray(x, dtype=float)
+        domain = (x > 0.0 if self.alpha < 0 else x >= 0.0) & (x <= 1.0)
+        if not np.all(domain):
+            raise ValueError(f"x^{self.alpha:g} is sampled on "
+                             f"{'(0, 1]' if self.alpha < 0 else '[0, 1]'} only")
+        return x ** self.alpha
 
     def ess_bounds(self):
         if self.alpha > 0:

@@ -55,17 +55,6 @@ class SingularRestrictionError(ValueError):
 # matrices
 
 
-@dataclass
-class FrameMatrix:
-    """Accumulated rank-one sum; Hermitian up to roundoff by construction."""
-
-    matrix: np.ndarray
-    hermiticity_gap: float
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector onto the modelled closure of the analysis domain.
@@ -199,12 +188,11 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     return coeffs_top, verdict
 
 
-def frame_matrix(family: VectorFamily, level: tuple) -> FrameMatrix:
-    """Sum of rank-one terms member_n (x) conj(member_n)."""
+def frame_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
+    """Sum of rank-one terms member_n (x) conj(member_n), as a dense (d, d)
+    array; Hermitian up to roundoff by construction."""
     x = instantiate(family, level)
-    t = x.T @ np.conj(x)
-    gap = float(np.abs(t - t.conj().T).max())
-    return FrameMatrix(t, gap)
+    return x.T @ np.conj(x)
 
 
 def _whole(name: str, values) -> np.ndarray:
@@ -628,7 +616,9 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
         ly = np.log(norms_full[m_lo - 1:])
         lx -= lx.mean()
         ly -= ly.mean()
-        exponent = float(lx @ ly / (lx @ lx))
+        # pairwise sums, not BLAS dot products, whose order moves with the
+        # BLAS thread count
+        exponent = float(np.sum(lx * ly) / np.sum(lx * lx))
     else:
         counts = ladder.counts()
         sups = []

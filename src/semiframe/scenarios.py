@@ -17,7 +17,7 @@ from .core import (
 from .families import (
     INTERLEAVED_HEAD, decaying_probe, interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
-    seeded_dense_family, shared_direction_family,
+    shared_direction_family,
 )
 from .operators import (
     adjoint_gap, analysis, analysis_matrix, canonical_dual,
@@ -137,7 +137,7 @@ def _run_diana(seed=DEFAULT_SEED):
     checks.append(_dual_routes_check(fam, level, dual))
 
     keep = projector_for(fam).kept(level[0])
-    b = frame_matrix(fam, level).matrix[np.ix_(keep, keep)]
+    b = frame_matrix(fam, level)[np.ix_(keep, keep)]
     checks.append(_check("restricted-frame-matrix-is-identity",
                          float(np.abs(b - np.eye(b.shape[0])).max()),
                          tol=1e-10))
@@ -631,22 +631,3 @@ def run_scenario(name: str, seed: int = DEFAULT_SEED) -> RunReport:
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; see scenario_names()")
     return SCENARIOS[name](seed=seed)
-
-
-def registry_vector_families() -> list:
-    """(scenario, family, level) triples for sweeps over materialized
-    families; grid scenarios reuse their generating systems."""
-    esys_flat = ExponentialSystem(ConstantWeight(1), 1.0, 1024,
-                                  name="flat-exponentials")
-    esys_plateau = ExponentialSystem(plateau_weight(6, power=2), 1.0, 1024,
-                                     name="plateau-exponentials")
-    return [
-        ("diana", shared_direction_family(0.0, name="diana-links"),
-         (257, 256)),
-        ("stoeva", shared_direction_family(1.0, name="growing-links"),
-         (257, 256)),
-        ("interleaved-chi", interleaved_difference_family(), (258, 513)),
-        ("ordering-sensitivity", family_on_grid(esys_flat), (1024, 513)),
-        ("plateau-exp", family_on_grid(esys_plateau), (1024, 513)),
-        ("seeded", seeded_dense_family(11), (64, 128)),
-    ]

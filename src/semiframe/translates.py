@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, Classification, GridFunction, ResidueCoefficients,
-    bound_verdicts, covering_shifts, essential_bounds, frame_verdict,
-    line_grid, modulation_round_trip, pairwise_sum, periodize, whole_count,
-    whole_number,
+    NO, UNDECIDED, YES, Classification, GridFunction, bound_verdicts,
+    covering_shifts, essential_bounds, frame_verdict, line_grid,
+    modulation_round_trip, pairwise_sum, periodic_grid, periodize,
+    whole_count, whole_number,
 )
 from .muckenhoupt import plateau_weight
 
@@ -334,8 +334,7 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     live = p > tau
     inf_live = float(p[live].min()) if live.any() else 0.0
     report = PphiReport(inf_live, sup, 1.0 - live.mean(), gap, extr)
-    grid = GridFunction(p, 1.0 / p.size, "periodic")
-    return grid, report
+    return periodic_grid(p), report
 
 
 def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
@@ -347,27 +346,26 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
     """
     gamma = _lattice(m)
     vals, _, _ = _alias_series(system, gamma, tail_terms, f_fn=f_hat)
-    return GridFunction(vals, 1.0 / gamma.size, "periodic")
+    return periodic_grid(vals)
 
 
 def analysis_translates(system: TranslateSystem, f_hat: Callable,
                         m: int = DEFAULT_GRID, tail_terms: int = DEFAULT_TAIL
-                        ) -> ResidueCoefficients:
-    """Coefficients <f, phi(. - n a)> for n on the residue ring, as Fourier
-    coefficients of the aliased cross-energy.
+                        ) -> np.ndarray:
+    """Coefficients <f, phi(. - n a)> for n on the residue ring Z / m, at
+    index n mod m, as Fourier coefficients of the aliased cross-energy.
 
     Exact for f whose bracket is a trigonometric polynomial of degree below
     m/2; otherwise accurate to the bracket's aliasing error.
     """
     b = bracket(system, f_hat, m, tail_terms)
-    return ResidueCoefficients(np.fft.ifft(b.values))
+    return np.fft.ifft(b.values)
 
 
-def modulation_sum(coeffs: ResidueCoefficients, line_indices: np.ndarray
-                   ) -> np.ndarray:
-    """sum_n c_n exp(-2 pi i n a xi) on lattice nodes xi with a*xi = j/m."""
-    spectrum = np.fft.fft(coeffs.values)
-    return spectrum[np.mod(line_indices, coeffs.size)]
+def modulation_sum(coeffs: np.ndarray, line_indices: np.ndarray) -> np.ndarray:
+    """sum_n c_n exp(-2 pi i n a xi) on lattice nodes xi with a*xi = j/m,
+    for the m coefficients c_n at index n mod m."""
+    return np.fft.fft(coeffs)[np.mod(line_indices, coeffs.size)]
 
 
 def line_window(system: TranslateSystem, m: int, cover: float) -> np.ndarray:
@@ -463,7 +461,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
 @dataclass
 class TranslateReconstruction:
     rel_error: float
-    coeffs: ResidueCoefficients
+    coeffs: np.ndarray          # <f, phi(. - n a)> at index n mod m
 
 
 def reconstruct_translates(system: TranslateSystem, f_hat: Callable,

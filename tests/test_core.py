@@ -24,9 +24,7 @@ from semiframe.exponentials import (
     ExponentialSystem, biorthogonality_gap, defer_negatives_ordering,
     family_on_grid, reconstruct_exponentials, t_general, t_mult,
 )
-from semiframe.families import (
-    orthonormal_family, scaled_basis_family, shared_direction_family,
-)
+from semiframe.families import shared_direction_family
 from semiframe.muckenhoupt import (
     ConstantWeight, PiecewiseWeight, PowerWeight, SampledWeight, ScaledWeight,
     a2_estimate, a2_ratio, plateau_weight,
@@ -41,6 +39,8 @@ from semiframe.translates import (
     raised_cosine_symbol, reconstruct_translates, unit_indicator_profile,
     walnut_apply,
 )
+
+from helpers import orthonormal_family, scaled_basis_family
 
 RNG = np.random.default_rng(2024)
 
@@ -120,7 +120,7 @@ def test_tail_diagnostic_repeated_value_warns_nothing():
 def test_periodic_grid_nodes_and_quadrature():
     g = periodic_grid(np.exp(2j * np.pi * np.arange(8) / 8))
     assert np.allclose(g.nodes(), np.arange(8) / 8)
-    assert g.period == 1.0
+    assert g.step * g.size == 1.0
     # integer-frequency exponentials integrate to zero exactly on the grid
     assert abs(g.quadrature()) < 1e-15
 
@@ -446,6 +446,11 @@ def _sparse_rule(rows, positions, values):
     (lambda: reconstruct(np.ones(9), DIANA, canonical_dual(DIANA, (5, 4)),
                          (9, 8)),
      "the dual must be built at level (9, 8)"),
+    (lambda: PowerWeight(-0.5).sample([0.0]),
+     "x^-0.5 is sampled on (0, 1] only"),
+    (lambda: PowerWeight(0.5).sample([-0.25]),
+     "x^0.5 is sampled on [0, 1] only"),
+    (lambda: PowerWeight(0.6).sample([1.5]), "x^0.6 is sampled on [0, 1] only"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -477,7 +482,8 @@ def _sparse_rule(rows, positions, values):
         "profile-support-infinite", "plateau-k-max-fractional",
         "t-mult-probe-length", "t-general-probe-length",
         "reconstruct-exponentials-probe-length",
-        "reconstruct-dual-at-another-level"])
+        "reconstruct-dual-at-another-level", "power-negative-alpha-at-zero",
+        "power-below-zero", "power-above-one"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

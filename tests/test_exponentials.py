@@ -5,13 +5,15 @@ from semiframe import exponentials
 from semiframe.exponentials import (
     ExponentialSystem, analysis_exponentials, biorthogonality_gap,
     canonical_dual_values, classify_exponentials, defer_negatives_ordering,
-    family_on_grid, frequency_of, member_of, reconstruct_exponentials,
-    synthesis_exponentials, t_general, t_mult,
+    family_on_grid, reconstruct_exponentials, synthesis_exponentials,
+    t_general, t_mult,
 )
 from semiframe.core import instantiate
 from semiframe.muckenhoupt import (
     ConstantWeight, PowerWeight, SampledWeight, ScaledWeight, plateau_weight,
 )
+
+from helpers import frequency_of, member_of
 
 RNG = np.random.default_rng(99)
 
@@ -21,17 +23,21 @@ def _random_probe(m):
 
 
 def test_frequency_member_correspondence():
-    assert [frequency_of(k) for k in range(1, 8)] == [0, 1, -1, 2, -2, 3, -3]
-    for f in range(-20, 21):
-        assert frequency_of(member_of(f)) == f
-    with pytest.raises(ValueError):
-        frequency_of(0)
+    """The library's one vectorized frequency map against the scalar
+    oracle, both ways."""
+    members = np.arange(1, 42)
+    freqs = exponentials._frequencies(members)
+    assert freqs[:7].tolist() == [0, 1, -1, 2, -2, 3, -3]
+    assert freqs.tolist() == [frequency_of(int(k)) for k in members]
+    assert [member_of(int(f)) for f in freqs] == members.tolist()
 
 
 def test_defer_negatives_ordering():
     assert list(defer_negatives_ordering(7)) == [0, 1, 3, 5, 6, 4, 2]
     order = defer_negatives_ordering(101)
     assert sorted(order) == list(range(101))
+    assert [frequency_of(int(r) + 1) for r in order] == \
+        list(range(51)) + list(range(-50, 0))
     with pytest.raises(ValueError):
         defer_negatives_ordering(8)
 
@@ -68,11 +74,10 @@ def test_analysis_matches_direct_quadrature():
     coeffs = analysis_exponentials(system, f)
     x = system.grid()
     g = system.g_values()
+    assert coeffs.shape == (m,)
     for n in range(-5, 6):
         direct = np.sum(f * np.conj(g) * np.exp(-2j * np.pi * n * x)) / m
-        assert abs(coeffs.at(n) - direct) < 1e-13
-    with pytest.raises(ValueError):
-        coeffs.at(m)
+        assert abs(coeffs[n % m] - direct) < 1e-13
 
 
 def test_analysis_requires_critical_density():
@@ -153,6 +158,36 @@ def test_t_general_oversampled_against_direct_fold():
     assert np.abs(out - expect).max() < 1e-15
     with pytest.raises(ValueError):
         t_mult(system, f)
+
+
+def _shifted_copies(system, f):
+    """t_general as a loop over the shifted copies of conj(g) f, each added
+    over the nodes it lands on."""
+    m, b = system.m, system.b
+    shift = round(m / b)
+    g = system.g_values()
+    h = np.conj(g) * f
+    out = np.zeros(m, dtype=complex)
+    for k in range(-int(np.ceil(b)), int(np.ceil(b)) + 1):
+        lo, hi = max(0, k * shift), min(m, m + k * shift)
+        if lo < hi:
+            out[lo:hi] += h[lo - k * shift:hi - k * shift]
+    return (g / b) * out
+
+
+@pytest.mark.parametrize("b, m", [(2.0, 64), (2.0, 1024), (1.5, 48),
+                                  (4.0, 64)])
+def test_t_general_folds_like_shifted_copies(b, m):
+    """The fold through core.periodize against the loop over shifted
+    copies: bit for bit where at most two copies meet per node (b <= 2),
+    to rounding where more meet (b <= 1 is t_mult's test above)."""
+    system = ExponentialSystem(plateau_weight(4, power=2), b, m)
+    f = _random_probe(m)
+    got, want = t_general(system, f), _shifted_copies(system, f)
+    if b <= 2:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_family_on_grid_rows():

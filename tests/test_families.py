@@ -6,22 +6,23 @@ import pytest
 from semiframe.core import (
     TruncationLadder, VectorFamily, instantiate, instantiate_sparse,
 )
-from semiframe.exponentials import (
-    ExponentialSystem, family_on_grid, frequency_of, member_of,
-)
+from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import (
     DIFFERENCE_POWER, INTERLEAVED_HEAD, _telescoped, decaying_probe,
     interleaved_coefficients,
     interleaved_difference_family, interleaved_prefix_norms,
-    orthonormal_family, scaled_basis_family, seeded_dense_family,
-    shared_direction_family,
+    seeded_dense_family, shared_direction_family,
 )
 from semiframe.muckenhoupt import ConstantWeight, plateau_weight
 from semiframe.operators import (
     canonical_dual, dual_via_pseudoinverse, lower_bound, permutation_gap,
     s_apply,
 )
-from semiframe.scenarios import registry_vector_families
+
+from helpers import (
+    frequency_of, member_of, orthonormal_family, registry_vector_families,
+    scaled_basis_family,
+)
 
 DENSE_MEMBERS = 119            # covers coordinate indices up to 60
 DENSE_DIM = 64

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,18 +11,21 @@ from semiframe.core import (
     instantiate_sparse, tail_diagnostic,
 )
 from semiframe.families import (
-    decaying_probe, interleaved_difference_family, orthonormal_family,
-    scaled_basis_family, seeded_dense_family, shared_direction_family,
+    decaying_probe, interleaved_difference_family, seeded_dense_family,
+    shared_direction_family,
 )
 from semiframe import operators
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.muckenhoupt import ConstantWeight
-from semiframe.scenarios import registry_vector_families
 from semiframe.operators import (
     PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
     analysis, analysis_matrix, canonical_dual, dual_via_pseudoinverse, frame_action,
     frame_matrix, lower_bound, parseval_canonical, permutation_gap,
     projector_for, reconstruct, s_apply, synthesis, w_membership,
+)
+
+from helpers import (
+    orthonormal_family, registry_vector_families, scaled_basis_family,
 )
 
 LINK_LEVEL = (65, 64)
@@ -67,15 +75,15 @@ def test_adjoint_gap_small():
 def test_frame_matrix_diagonal_oracle():
     t = frame_matrix(scaled_basis_family(-0.5), (6, 6))
     expect = np.diag(1.0 / np.arange(1, 7))
-    assert np.abs(t.matrix - expect).max() < 1e-15
-    assert t.hermiticity_gap == 0.0
-    assert abs(t.min_eigenvalue() - 1.0 / 6) < 1e-14
+    assert np.abs(t - expect).max() < 1e-15
+    assert np.array_equal(t, t.conj().T)
+    assert abs(np.linalg.eigvalsh(t)[0] - 1.0 / 6) < 1e-14
 
 
 def test_frame_action_matches_matrix():
     fam = seeded_dense_family(5)
     f = np.arange(1.0, 17.0) + 0j
-    t = frame_matrix(fam, (16, 24)).matrix
+    t = frame_matrix(fam, (16, 24))
     assert np.abs(frame_action(fam, f, (16, 24)) - t @ f).max() < 1e-12
 
 
@@ -276,6 +284,35 @@ def test_w_membership_split_domains():
     assert rep.in_W_domain.kind == "Divergent"
     assert 0.15 <= rep.prefix_exponent <= 0.25
     assert rep.prefix_sups[-1][1] > rep.prefix_sups[0][1]
+
+
+# interleaved-chi's membership split, printed whole
+_INTERLEAVED_MEMBERSHIP = """
+import numpy as np
+from semiframe.core import TruncationLadder
+from semiframe.families import decaying_probe, interleaved_difference_family
+from semiframe.operators import w_membership
+ladder = TruncationLadder(((130, 257), (258, 513), (514, 1025), (1026, 2049)))
+e5 = np.zeros(1026, dtype=complex)
+e5[4] = 1.0
+print(repr(w_membership(
+    interleaved_difference_family(), decaying_probe(1026),
+    [e5, decaying_probe(1026, power=-3.0)], ladder,
+    rule_counts=np.array([10 ** 4, 10 ** 5, 10 ** 6]))))
+"""
+
+
+def test_w_membership_is_the_same_at_one_and_two_blas_threads():
+    """The prefix-norm slope sums its 875001 terms pairwise, so the report
+    does not move with the BLAS thread count."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = [subprocess.run(
+        [sys.executable, "-c", _INTERLEAVED_MEMBERSHIP],
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+             "OMP_NUM_THREADS": threads},
+        check=True, capture_output=True, text=True).stdout
+        for threads in ("1", "2")]
+    assert reports[0] == reports[1]
 
 
 # ---------------------------------------------------------------------------
