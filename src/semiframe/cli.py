@@ -21,7 +21,7 @@ from .muckenhoupt import (
     ConstantWeight, PowerWeight, a2_estimate, plateau_candidates,
     plateau_weight,
 )
-from .operators import canonical_dual, dual_via_pseudoinverse, reconstruct
+from .operators import canonical_dual, reconstruct
 from .report import (
     _sanitize, write_registry_csv, write_registry_json, write_report_json,
 )
@@ -33,7 +33,6 @@ from .exponentials import ExponentialSystem, classify_exponentials
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNDECIDED, EXIT_USAGE = 0, 1, 2, 64
 
-ROUTE_GAP_TOL = 1e-9           # dual: inverse against pseudo-inverse route
 RECONSTRUCTION_TOL = 1e-6      # reconstruct: relative error, or its gap to 1
 
 
@@ -150,17 +149,16 @@ def _family_and_level(args) -> tuple:
 def _cmd_dual(args) -> int:
     fam, level = _family_and_level(args)
     d1 = canonical_dual(fam, level)
-    d2 = dual_via_pseudoinverse(fam, level)
-    gap = float(np.abs(d1.vectors - d2.vectors).max())
+    routes = scenarios._dual_routes_check(fam, level, d1)
     print(f"dual members of {args.family} at {level}")
-    print(f"  route gap (inverse vs pseudo-inverse): {gap!r}")
+    print(f"  route gap (inverse vs pseudo-inverse): {routes.value!r}")
     print(f"  dual Bessel bound estimate           : {d1.bessel_bound_estimate!r}")
     print(f"  restricted lower bound               : {d1.lower_bound!r}")
     if args.out:
         np.savetxt(args.out, np.column_stack(
             [d1.vectors.real, d1.vectors.imag]), delimiter=",")
         print(f"dual vectors written to {args.out}", file=sys.stderr)
-    return EXIT_PASS if gap <= ROUTE_GAP_TOL else EXIT_FAIL
+    return EXIT_PASS if routes.passed else EXIT_FAIL
 
 
 def _cmd_reconstruct(args) -> int:
@@ -176,10 +174,7 @@ def _cmd_reconstruct(args) -> int:
         f = np.zeros(level[0], dtype=complex)
         f[0] = 1.0
     else:
-        rng = np.random.default_rng(args.seed)
-        f = rng.normal(size=level[0]) + 1j * rng.normal(size=level[0])
-        f[0] = 0.0
-        f /= np.linalg.norm(f)
+        f = scenarios._span_probe(args.seed, level[0])
     res = reconstruct(f, fam, dual, level, ladder=ladder)
     print(f"reconstruction through the canonical dual of {args.family}")
     print(f"  relative error vs probe     : {res.rel_error!r}")

@@ -30,10 +30,15 @@ LADDER_R2 = 0.9                # relaxed: value ladders outgrow any power law
 
 
 def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Deterministic pairwise reduction of equal-shaped arrays.
+    """Sum of equal-shaped arrays, added in their order.
 
-    numpy's add.reduce is already pairwise within an array; stacking chunks
-    and reducing keeps one fixed summation tree regardless of caller batching.
+    The chunks are stacked 64 at a time behind the running total and reduced
+    along the stack axis, which numpy adds one row after another: for chunks
+    of two or more entries the result is bit for bit t = t + c in chunk
+    order, so its rounding error grows with the number of chunks. (The
+    entries of one-entry chunks lie contiguously, and numpy sums those
+    pairwise.) The list order alone fixes every rounding, however its chunks
+    were computed.
     """
     stack = [np.asarray(c) for c in chunks]
     if not stack:

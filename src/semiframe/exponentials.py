@@ -123,10 +123,11 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
 # analysis / synthesis at full window, b = 1
 
 
-def _signed_frequencies(m: int) -> np.ndarray:
-    """The signed representative of each frequency n = 0..M-1 mod M."""
+def _twist(m: int) -> np.ndarray:
+    """The midpoint twist exp(-i pi n / M) at each frequency n = 0..M-1 mod
+    M, taken on its signed representative."""
     n = np.arange(m)
-    return np.where(n <= m // 2, n, n - m)
+    return np.exp(-1j * np.pi * np.where(n <= m // 2, n, n - m) / m)
 
 
 def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
@@ -138,10 +139,7 @@ def analysis_exponentials(system: ExponentialSystem, f_values: np.ndarray
         raise ValueError("full-window FFT analysis needs b = 1")
     m = system.m
     h = _probe(system, f_values) * np.conj(system.g_values())
-    raw = np.fft.fft(h) / m
-    # the midpoint twist exp(-i pi n / M), on each signed representative
-    twist = np.exp(-1j * np.pi * _signed_frequencies(m) / m)
-    return twist * raw
+    return _twist(m) * (np.fft.fft(h) / m)
 
 
 def synthesis_exponentials(system: ExponentialSystem,
@@ -151,9 +149,7 @@ def synthesis_exponentials(system: ExponentialSystem,
     c_n at index n mod M."""
     if system.b != 1.0:
         raise ValueError("full-window FFT synthesis needs b = 1")
-    m = system.m
-    untwisted = coeffs * np.exp(1j * np.pi * _signed_frequencies(m) / m)
-    series = np.fft.ifft(untwisted) * m
+    series = np.fft.ifft(coeffs * np.conj(_twist(system.m))) * system.m
     return np.asarray(weight_values, dtype=complex) * series
 
 

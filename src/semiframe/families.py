@@ -4,9 +4,10 @@ Index conventions: members are numbered from each family's start index and
 live against the standard basis e_1, e_2, ... (1-based labels, 0-based
 storage). Each family declares its members once, as one rule over an array
 of indices: the sparse ones as COO triplets (rows, positions, values), the
-dense one as an (N, d) array. Non-integer powers are taken with scalar pow
-over the index list, because numpy's array power can differ from it by an
-ulp and the frame-action diagnostics magnify member ulps.
+dense one as an (N, d) array. Index powers are taken with np.float_power,
+which calls the C library's pow for every element as Python's float ** does;
+numpy's ** on arrays can differ from it by an ulp, and the frame-action
+diagnostics magnify member ulps.
 """
 
 from __future__ import annotations
@@ -22,11 +23,6 @@ DIFFERENCE_POWER = 1.6          # 8/5, scale of the difference stream
 TARGET_POWER = -2.0             # decay of the probe vector h_n = n^-2
 
 
-def _powers(indices: np.ndarray, power: float) -> np.ndarray:
-    """float(n) ** power for each index n, by Python's scalar pow."""
-    return np.array([float(n) ** power for n in indices.tolist()])
-
-
 def shared_direction_family(power: float = 0.0, name: str | None = None) -> VectorFamily:
     """Members n^power (e_1 + e_n) for n >= 2.
 
@@ -39,7 +35,7 @@ def shared_direction_family(power: float = 0.0, name: str | None = None) -> Vect
     def block(idx):
         pos = np.stack([np.zeros_like(idx), idx - 1], axis=1)
         return (np.repeat(np.arange(idx.size), 2), pos.ravel(),
-                np.repeat(_powers(idx, power), 2))
+                np.repeat(np.float_power(idx, power), 2))
 
     return VectorFamily(
         name=name or f"shared-direction-p{power:g}",
@@ -138,7 +134,7 @@ def interleaved_difference_family() -> VectorFamily:
         odd = idx % 2 == 1
         k = (idx + 1) // 2
         diff = odd & (k > 1)
-        w = _powers(k, DIFFERENCE_POWER)
+        w = np.float_power(k, DIFFERENCE_POWER)
         lead = np.where(diff, -w, np.where(odd, 1.0, np.sqrt(k)))
         pos = np.stack([np.where(diff, k - 2, k - 1), k - 1], axis=1)
         vals = np.stack([lead, w], axis=1)

@@ -59,8 +59,16 @@ class ConstantWeight:
 
 
 class _LevelArrays:
-    """Weights whose average_power takes array endpoints evaluate a whole
-    dyadic level in one numpy call."""
+    """Weights that average over array endpoints, by _average(q, a, b),
+    evaluate a whole dyadic level in one numpy call."""
+
+    def average_power(self, q: int, a, b):
+        """Average of omega^q over (a, b), 0 <= a < b <= 1, for arrays too."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
+            raise ValueError("need 0 <= a < b <= 1")
+        out = self._average(q, a, b)
+        return out if out.ndim else float(out)
 
     def dyadic_level(self, level: int):
         n = 2 ** level
@@ -90,12 +98,8 @@ class PowerWeight(_LevelArrays):
             raise ValueError("power exponent must be finite")
         self.descriptor = {"kind": "power", "alpha": self.alpha}
 
-    def average_power(self, q: int, a, b):
-        """Closed-form average over (a, b); a and b may be arrays."""
+    def _average(self, q: int, a, b):
         p = q * self.alpha
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
-            raise ValueError("need 0 <= a < b <= 1")
         # float_power calls the C library's pow for every element, as Python's
         # float ** does; numpy's ** on arrays may differ from it in the last bit
         with np.errstate(divide="ignore"):
@@ -105,8 +109,7 @@ class PowerWeight(_LevelArrays):
                 out = (np.float_power(b, p + 1) - np.float_power(a, p + 1)) \
                     / ((p + 1) * (b - a))
             at0 = math.inf if p <= -1.0 else np.float_power(b, p) / (p + 1.0)
-        out = np.where(a == 0.0, at0, out)
-        return out if out.ndim else float(out)
+        return np.where(a == 0.0, at0, out)
 
     def sample(self, x):
         """x^alpha on [0, 1], or on (0, 1] when alpha < 0; refuses any other
@@ -211,11 +214,7 @@ class SampledWeight(_LevelArrays):
             self._prefix[q] = np.concatenate([[0.0], np.cumsum(self.values ** q)])
         return self._prefix[q]
 
-    def average_power(self, q: int, a, b):
-        """Average over (a, b) from prefix sums; a and b may be arrays."""
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if not np.all((0.0 <= a) & (a < b) & (b <= 1.0)):
-            raise ValueError("need 0 <= a < b <= 1")
+    def _average(self, q: int, a, b):
         pre = self._prefix_for(q)
         xa, xb = a * self.m, b * self.m
         ia, ib = np.floor(xa).astype(int), np.ceil(xb).astype(int)
@@ -223,8 +222,7 @@ class SampledWeight(_LevelArrays):
         total = pre[ib] - pre[ia]
         total -= (xa - ia) * np.float_power(self.values[ia], q)
         total -= (ib - xb) * np.float_power(self.values[ib - 1], q)
-        out = total / (xb - xa)
-        return out if out.ndim else float(out)
+        return total / (xb - xa)
 
     def sample(self, x):
         x = np.asarray(x, dtype=float)

@@ -90,6 +90,15 @@ def _dual_routes_check(fam, level, dual):
                   float(np.abs(dual.vectors - other.vectors).max()), tol=1e-9)
 
 
+def _span_probe(seed, d: int) -> np.ndarray:
+    """Normalized complex Gaussian probe of length d from the stream seed,
+    with f[0] = 0 so that it lies in every shared-direction family's span."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=d) + 1j * rng.normal(size=d)
+    f[0] = 0.0
+    return f / np.linalg.norm(f)
+
+
 def _trig_poly(seed: int, degree: int):
     """Random 1-periodic trigonometric polynomial, Horner-evaluated so it
     stays cheap on the large 2-d blocks the alias sums feed it."""
@@ -107,6 +116,15 @@ def _trig_poly(seed: int, degree: int):
         return acc * np.exp(-2j * np.pi * degree * g)
 
     return q
+
+
+def _worst_reconstruction(system, dual, seeds, degree, **options):
+    """Largest reconstruct_translates error of system, called with options,
+    over the probes q(xi) dual(xi), one _trig_poly q of degree per seed."""
+    def probe(q):
+        return lambda xi: q(xi) * dual.profile(np.asarray(xi))
+    return max(reconstruct_translates(system, probe(_trig_poly(s, degree)),
+                                      **options).rel_error for s in seeds)
 
 
 def _defer_by_sign(coeffs: np.ndarray) -> np.ndarray:
@@ -149,11 +167,7 @@ def _run_diana(seed=DEFAULT_SEED):
         "top_gap": abs(float(eigs[-1]) - (level[1] + 1)),
         "rest_gap": float(np.abs(eigs[:-1] - 1.0).max())}, tol=1e-8))
 
-    rng = np.random.default_rng([seed, 1])
-    f = rng.normal(size=level[0]) + 1j * rng.normal(size=level[0])
-    f[0] = 0.0
-    f /= np.linalg.norm(f)
-    rec = reconstruct(f, fam, dual, level)
+    rec = reconstruct(_span_probe([seed, 1], level[0]), fam, dual, level)
     checks.append(_check("reconstruct-in-span", rec.rel_error, tol=1e-10))
 
     e1 = np.zeros(level[0], dtype=complex)
@@ -221,11 +235,7 @@ def _run_stoeva(seed=DEFAULT_SEED):
                          verdict_bad.kind, expected="Divergent",
                          exponent=verdict_bad.growth_exponent))
 
-    rng = np.random.default_rng([seed, 2])
-    f = rng.normal(size=d_top) + 1j * rng.normal(size=d_top)
-    f[0] = 0.0
-    f /= np.linalg.norm(f)
-    rec = reconstruct(f, fam, dual, level)
+    rec = reconstruct(_span_probe([seed, 2], d_top), fam, dual, level)
     checks.append(_check("reconstruct-in-span", rec.rel_error, tol=1e-9))
     checks.append(_permutation_check(fam, level, seed))
 
@@ -374,12 +384,8 @@ def _run_plateau_exp(seed=DEFAULT_SEED):
         "complete_whole_line": "No"}, prefix="band-twin")
 
     dual = canonical_dual_translates(tsys, m=4096)
-    worst_rec = 0.0
-    for j in range(3):
-        q = _trig_poly(seed + j, 31)
-        probe = lambda xi, q=q: q(xi) * dual.profile(np.asarray(xi))
-        res = reconstruct_translates(tsys, probe, m=4096, cover=1.0)
-        worst_rec = max(worst_rec, res.rel_error)
+    worst_rec = _worst_reconstruction(tsys, dual, range(seed, seed + 3), 31,
+                                      m=4096, cover=1.0)
     checks.append(_check("band-dual-reconstruction", worst_rec, tol=1e-7))
 
     return RunReport("plateau-exp", checks, parameters={
@@ -526,13 +532,8 @@ def _run_orthonormal_translates(seed=DEFAULT_SEED):
         "orthonormal_for_span": "Yes", "bessel": "Yes",
         "lower_for_span": "Yes", "frame_for_span": "Yes"})
 
-    worst = 0.0
-    for j in range(3):
-        q = _trig_poly(seed + 10 + j, 20)
-        probe = lambda xi, q=q: q(xi) * system.profile(np.asarray(xi))
-        res = reconstruct_translates(system, probe, m=256,
-                                     cover=6.0, tail_terms=2000)
-        worst = max(worst, res.rel_error)
+    worst = _worst_reconstruction(system, system, range(seed + 10, seed + 13),
+                                  20, m=256, cover=6.0, tail_terms=2000)
     checks.append(_check("self-dual-reconstruction", worst, tol=1e-6))
 
     return RunReport("orthonormal-translates", checks, parameters={
@@ -583,12 +584,8 @@ def _run_lower_translates(seed=DEFAULT_SEED):
                          tol=1e-6))
 
     dual = canonical_dual_translates(system, m=m)
-    worst_rec = 0.0
-    for j in range(3):
-        q = _trig_poly(seed + 30 + j, 25)
-        probe = lambda xi, q=q: q(xi) * dual.profile(np.asarray(xi))
-        res = reconstruct_translates(system, probe, m=m, cover=1.0)
-        worst_rec = max(worst_rec, res.rel_error)
+    worst_rec = _worst_reconstruction(system, dual, range(seed + 30, seed + 33),
+                                      25, m=m, cover=1.0)
     checks.append(_check("canonical-dual-reconstruction", worst_rec,
                          tol=1e-7))
 

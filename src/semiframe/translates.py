@@ -19,16 +19,18 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    NO, UNDECIDED, YES, Classification, GridFunction, bound_verdicts,
-    covering_shifts, essential_bounds, frame_verdict, line_grid,
-    modulation_round_trip, pairwise_sum, periodic_grid, periodize,
-    whole_count, whole_number,
+    CONVERGENT, DIVERGENT, NO, UNDECIDED, YES, Classification, GridFunction,
+    bound_verdicts, covering_shifts, essential_bounds, frame_verdict,
+    line_grid, modulation_round_trip, pairwise_sum, periodic_grid, periodize,
+    tail_diagnostic, whole_count, whole_number,
 )
 from .muckenhoupt import plateau_weight
 
 DEFAULT_GRID = 4096
 DEFAULT_TAIL = 2000
 ZERO_MASK_RATIO = 1e-8          # p below this fraction of its sup counts as zero
+LIVE_RATIO = 1e-13              # p at most this fraction of its sup is rounding
+GRID_LADDER = (256, 512, 1024, 2048, 4096)  # grids of an undeclared lower bound
 ALIAS_BLOCK = 64
 ORTHO_TOL = 1e-6
 LATTICE_STEP = "grid step must subdivide the dual period 1/a"
@@ -126,12 +128,15 @@ class TranslateSystem:
 
 def unit_indicator_profile() -> FourierProfile:
     def fn(g):
-        # exp(-i pi g) sinc(g) from one sin and one cos, sinc(0) = 1
-        y = np.pi * np.asarray(g, dtype=float)
-        s = np.sin(y)
-        r = np.divide(s, y, out=np.ones_like(y), where=y != 0)
-        out = np.empty(y.shape, dtype=complex)
-        out.real, out.imag = np.cos(y) * r, -s * r
+        # exp(-i pi g) sinc(g) from one sin and one cos of pi r, r = g - rint(g)
+        # exact: the signs (-1)^rint(g) of sin(pi g) and cos(pi g) cancel in
+        # their product, and pi r keeps its argument small; sinc(0) = 1
+        g = np.asarray(g, dtype=float)
+        r = np.pi * (g - np.rint(g))
+        s = np.sin(r)
+        sinc = np.divide(s, np.pi * g, out=np.ones_like(g), where=g != 0)
+        out = np.empty(g.shape, dtype=complex)
+        out.real, out.imag = np.cos(r) * sinc, -s * sinc
         return out
 
     def energy(g):
@@ -223,7 +228,7 @@ ALIAS_MEMORY = 2 ** 24
 
 def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
     """sum over n in [n_lo, n_hi] of term((gamma+n)/a), accumulated in blocks
-    with a deterministic pairwise reduction.
+    whose sums are added in block order (core.pairwise_sum).
 
     Blocks are independent, so they run on one thread per CPU, as far as
     ALIAS_MEMORY allows; their sums are reduced in block order, which keeps
@@ -378,6 +383,17 @@ def line_window(system: TranslateSystem, m: int, cover: float) -> np.ndarray:
     return np.arange(-j, j + 1) * h
 
 
+def _line_pairing(system: TranslateSystem, f_hat_grid: GridFunction) -> tuple:
+    """(h, m, phi_hat, f_hat conj(phi_hat)) on a line grid of step h = 1/(a m):
+    what both operator routes act on, with the lattice count m."""
+    if f_hat_grid.kind != "line":
+        raise ValueError(LINE_GRID)
+    h = f_hat_grid.step
+    m = whole_count(1.0 / (system.step * h), LATTICE_STEP)
+    phi_vals = system.profile(f_hat_grid.nodes())
+    return h, m, phi_vals, f_hat_grid.values * np.conj(phi_vals)
+
+
 def walnut_apply(system: TranslateSystem, f_hat_grid: GridFunction) -> GridFunction:
     """Frame-type operator through the folded cross-energy.
 
@@ -385,14 +401,8 @@ def walnut_apply(system: TranslateSystem, f_hat_grid: GridFunction) -> GridFunct
     on a lattice with a*step*m = 1 the bracket values are the residue fold
     of f_hat * conj(phi_hat), so no interpolation happens anywhere.
     """
-    if f_hat_grid.kind != "line":
-        raise ValueError(LINE_GRID)
+    h, m, phi_vals, w = _line_pairing(system, f_hat_grid)
     a = system.step
-    h = f_hat_grid.step
-    m = whole_count(1.0 / (a * h), LATTICE_STEP)
-    nodes = f_hat_grid.nodes()
-    phi_vals = system.profile(nodes)
-    w = f_hat_grid.values * np.conj(phi_vals)
     folded = periodize(line_grid(w, h), 1.0 / a,
                        covering_shifts(f_hat_grid, 1.0 / a))
     j = f_hat_grid.index0 + np.arange(f_hat_grid.size)
@@ -405,18 +415,19 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
     """Same operator by explicit coefficient quadrature and modulation sum,
     truncated at shifts |n| <= n_max. Slow by design (cross-check route):
     every shift meets every line node, with no fold by residue and no FFT."""
-    if f_hat_grid.kind != "line":
-        raise ValueError(LINE_GRID)
+    h, m, phi_vals, w = _line_pairing(system, f_hat_grid)
     n_max = whole_number(n_max, 0, "n_max must be a whole number >= 0")
-    a = system.step
-    h = f_hat_grid.step
-    m = whole_count(1.0 / (a * h), LATTICE_STEP)
-    nodes = f_hat_grid.nodes()
-    phi_vals = system.profile(nodes)
-    w = f_hat_grid.values * np.conj(phi_vals)
     synth = h * modulation_round_trip(f_hat_grid.index0, f_hat_grid.size,
                                       np.arange(-n_max, n_max + 1), m, w)
     return line_grid(phi_vals * synth, h)
+
+
+def _sampled_p(system: TranslateSystem, m: int, tail_terms: int) -> np.ndarray:
+    """p on the grid i/m: from the system's symbol when it declares one, from
+    pphi otherwise."""
+    if system.symbol is not None:
+        return np.asarray(system.symbol.sample(_lattice(m)), dtype=float)
+    return pphi(system, m, tail_terms)[0].values
 
 
 def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
@@ -430,11 +441,7 @@ def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     reconstruction accuracy.
     """
     a = system.step
-    gamma = _lattice(m)
-    if system.symbol is not None:
-        p = np.asarray(system.symbol.sample(gamma), dtype=float)
-    else:
-        p = pphi(system, gamma.size, tail_terms)[0].values
+    p = _sampled_p(system, m, tail_terms)
     tau = ZERO_MASK_RATIO * float(p.max())
 
     def p_at(g):
@@ -492,6 +499,34 @@ def reconstruct_translates(system: TranslateSystem, f_hat: Callable,
 # classification
 
 
+def _grid_lower(system: TranslateSystem, tail_terms: int) -> tuple:
+    """Lower verdict of a system whose symbol declares no lower bound.
+
+    On each grid of GRID_LADDER the live minimum of p is its smallest value
+    above LIVE_RATIO times its sup; tail_diagnostic on the ladder of 1/min
+    reads Divergent for No (p vanishes where the grids close in), Convergent
+    for Yes and Inconclusive for Undecided. A finest minimum next to a node
+    where p vanishes reads Undecided as well: a grid cannot tell a jump of
+    p to zero from a continuous zero whose nodes stop closing in.
+    """
+    mins = []
+    for m in GRID_LADDER:
+        p = _sampled_p(system, m, tail_terms)
+        live = p > LIVE_RATIO * p.max()
+        if not live.any():
+            return UNDECIDED, {"grid_min": mins}
+        at = np.flatnonzero(live)[np.argmin(p[live])]
+        mins.append(float(p[at]))
+    ladder = tail_diagnostic([1.0 / v for v in mins], GRID_LADDER)
+    verdict = {DIVERGENT: NO, CONVERGENT: YES}.get(ladder.kind, UNDECIDED)
+    at_edge = not (live[at - 1] and live[(at + 1) % live.size])
+    if verdict == YES and at_edge:
+        verdict = UNDECIDED
+    return verdict, {"bound": mins[-1], "grid_min": mins,
+                     "ladder": ladder.kind, "exponent": ladder.growth_exponent,
+                     "at_zero_edge": at_edge}
+
+
 def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
                         tail_terms: int = DEFAULT_TAIL) -> Classification:
     """Classify the translate family relative to the closure of its span.
@@ -500,27 +535,25 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     means Bessel, bounded away from zero on its support means the lower
     inequality holds on the span closure, both together mean frame for the
     span, identically 1 means the translates are orthonormal there. Bessel
-    and lower come from core.bound_verdicts on the symbol's bounds, or on
-    the grid's where a grid half as fine agrees and no symbol declares one.
+    and lower come from core.bound_verdicts on the symbol's bounds. Where
+    no symbol declares the sup, the grid's counts when a grid half as fine
+    agrees; where none declares the inf, _grid_lower judges p's minimum on
+    a ladder of grids.
     Whole-line completeness is reported as a side note: a vanishing stretch
     of p or a compactly supported profile already rules it out.
     """
     p_grid, rep = pphi(system, m, tail_terms)
     inf, sup = (None, None) if system.symbol is None \
         else essential_bounds(system.symbol)
-    grid_sup, grid_inf = sup is None, inf is None
+    grid_sup = sup is None
     if grid_sup and rep.ess_sup <= 1.02 * float(p_grid.values[::2].max()):
         sup = rep.ess_sup
-    live_vals = p_grid.values[p_grid.values > ZERO_MASK_RATIO * rep.ess_sup]
-    coarse_inf = float(live_vals[::2].min()) if live_vals.size > 1 else rep.ess_inf
-    if grid_inf and rep.ess_inf > 0 and rep.ess_inf >= 0.5 * coarse_inf:
-        inf = rep.ess_inf
     props = dict(zip(("bessel", "lower_for_span"),
                      bound_verdicts(inf, sup, system.symbol)))
     if grid_sup:
         props["bessel"][1].update(bound=rep.ess_sup, tail_gap=rep.tail_gap)
-    if grid_inf and inf is None:
-        props["lower_for_span"] = (UNDECIDED, {"grid_inf": rep.ess_inf})
+    if inf is None:
+        props["lower_for_span"] = _grid_lower(system, tail_terms)
 
     props["frame_for_span"] = (
         frame_verdict(props["bessel"][0], props["lower_for_span"][0]),

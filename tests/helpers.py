@@ -10,7 +10,7 @@ import numpy as np
 from semiframe.core import VectorFamily
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import (
-    _powers, interleaved_difference_family, seeded_dense_family,
+    interleaved_difference_family, seeded_dense_family,
     shared_direction_family,
 )
 from semiframe.muckenhoupt import ConstantWeight, plateau_weight
@@ -32,7 +32,7 @@ def scaled_basis_family(power: float) -> VectorFamily:
     """Members n^power e_n; diagonal, so every diagnostic has a closed form."""
     return VectorFamily(
         name=f"scaled-basis-p{power:g}", start_index=1, min_dim=lambda n: n,
-        block=lambda idx: _diagonal(idx, _powers(idx, power)),
+        block=lambda idx: _diagonal(idx, np.float_power(idx, power)),
         perp_directions=None)
 
 

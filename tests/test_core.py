@@ -57,6 +57,21 @@ def test_pairwise_sum_accuracy():
     assert abs(got - exact) < 1e-10
 
 
+def test_pairwise_sum_adds_chunks_in_order():
+    # chunks of two or more entries are added in their order, t = t + c, in
+    # blocks of 64 or not; the alias sums' bit-identity across worker counts
+    # rests on it
+    for size, count in ((2, 1), (3, 64), (5, 65), (16384, 3), (7, 700)):
+        scales = 10.0 ** RNG.integers(-8, 8, size=count)
+        for imag in (0.0, 1j):          # float chunks, then complex ones
+            chunks = [s * (RNG.normal(size=size) + imag * RNG.normal(size=size))
+                      for s in scales]
+            total = chunks[0].copy()
+            for c in chunks[1:]:
+                total = total + c
+            assert np.array_equal(pairwise_sum(chunks), total)
+
+
 def test_pairwise_sum_batching_invariance():
     parts = [RNG.normal(size=5) for _ in range(200)]
     whole = pairwise_sum(parts)

@@ -38,15 +38,42 @@ def test_indicator_profile_values():
 
 
 def test_indicator_profile_is_the_complex_exp_form_bit_for_bit():
-    # the profile takes one sin and one cos per point; it must equal
-    # exp(-i pi g) sinc(g) exactly at g = 0 and on the nodes i/m + n that the
-    # cross bracket visits at m = 256 and |n| <= 4000
+    # the profile takes one sin and one cos per point; it must equal the
+    # reduced form exp(-i pi r) sin(pi r) / (pi g), r = g - rint(g), exactly
+    # at g = 0 and on the nodes i/m + n that the cross bracket visits at
+    # m = 256 and |n| <= 4000
     fn = unit_indicator_profile().fn
     gamma = np.arange(256) / 256
     for lo in range(-4000, 4001, 1000):
         n = np.arange(lo, min(lo + 1000, 4001))
         g = np.concatenate([[0.0], (gamma[None, :] + n[:, None]).ravel()])
-        assert np.array_equal(fn(g), np.exp(-1j * np.pi * g) * np.sinc(g))
+        y = np.pi * (g - np.rint(g))
+        with np.errstate(invalid="ignore"):
+            reduced = np.exp(-1j * y) * (np.sin(y) / (np.pi * g))
+        reduced[g == 0] = 1.0
+        assert np.array_equal(fn(g), reduced)
+
+
+def test_indicator_profile_is_accurate_far_out():
+    # exp(-i pi g) sinc(g) against 40-digit mpmath on 601 points of the
+    # lattice j/256 with |g| <= 8000 and 8 seeded points off it, each error
+    # relative to the envelope 1/(pi |g|); taking sin and cos of the rounded
+    # pi g read 2.8e-12 here, the exact reduction g - rint(g) reads 2.0e-16
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(609)
+    g = np.concatenate([np.rint(np.linspace(-8000, 8000, 601) * 256) / 256,
+                        rng.uniform(-8000, 8000, 8)])
+    got = unit_indicator_profile().fn(g)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for x, v in zip(g.tolist(), got.tolist()):
+            if x == 0:
+                err = abs(v - 1.0)
+            else:
+                exact = mpmath.expjpi(-x) * mpmath.sinpi(x) / (mpmath.pi * x)
+                err = float(abs(mpmath.mpc(v) - exact) * mpmath.pi * abs(x))
+            worst = max(worst, err)
+    assert worst <= 1e-15
 
 
 def test_pphi_indicator_is_flat():
@@ -288,6 +315,32 @@ def test_classify_cosine_system():
     assert cls.verdict("frame_for_span") == "Yes"
     assert cls.verdict("orthonormal_for_span") == "No"
     assert cls.verdict("complete_whole_line") == "No"
+
+
+@pytest.mark.parametrize("step", [0.5, 0.4, 0.3])
+def test_grid_lower_bound_is_not_faked_by_a_vanishing_symbol(step):
+    # p vanishes continuously: a zero of order 4 at 1/2 for step 0.5, and
+    # zero stretches entered continuously for 0.4 and 0.3, so its essential
+    # inf on its support is 0; the masked grid minimum read Yes at 2.7e-8,
+    # 3.6e-8 and 5.3e-8. At 0.3 the nearest live node stops moving from
+    # m = 1024 on, so the ladder alone stabilizes there
+    cls = classify_translates(TranslateSystem(raised_cosine_profile(), step))
+    verdict, evidence = cls.properties["lower_for_span"]
+    assert verdict != "Yes"
+    assert cls.verdict("frame_for_span") != "Yes"
+    if step == 0.5:
+        assert verdict == "No"
+        assert abs(evidence["exponent"] - 4.0) < 0.01
+
+
+def test_grid_lower_bound_holds_where_p_stays_positive():
+    for system, bound in ((TranslateSystem(raised_cosine_profile(), 1.0), 0.5),
+                          (INDICATOR, 1.0)):
+        verdict, evidence = classify_translates(
+            system, m=256).properties["lower_for_span"]
+        assert verdict == "Yes"
+        assert abs(evidence["bound"] - bound) < 1e-12
+        assert evidence["ladder"] == "Convergent"
 
 
 def test_classify_indicator_orthonormal():
