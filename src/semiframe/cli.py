@@ -60,18 +60,6 @@ def _weight(args):
     return ConstantWeight(1)
 
 
-def _emit_report(report, args) -> int:
-    for line in report.lines():
-        print(line)
-    if getattr(args, "out", None):
-        if args.format == "csv":
-            write_registry_csv([report], args.out)
-        else:
-            write_report_json(report, args.out)
-        print(f"report written to {args.out}", file=sys.stderr)
-    return report.exit_code()
-
-
 def _cmd_list(args) -> int:
     for name in scenarios.scenario_names():
         print(name)
@@ -80,33 +68,31 @@ def _cmd_list(args) -> int:
 
 def _cmd_scenario(args) -> int:
     t0 = time.perf_counter()
-    if args.name == "all":
-        code = EXIT_PASS
-        reports = []
-        for name in scenarios.scenario_names():
-            report = scenarios.run_scenario(name, seed=args.seed)
-            print(f"== {name} ==")
-            sub = argparse.Namespace(out=None, format=args.format)
-            code = max(code, _emit_report(report, sub))
-            reports.append(report)
-        if args.out:
-            if args.format == "csv":
-                write_registry_csv(reports, args.out)
-            else:
-                write_registry_json(reports, args.out)
-            print(f"report written to {args.out}", file=sys.stderr)
-        print(f"registry sweep in {time.perf_counter() - t0:.1f}s",
-              file=sys.stderr)
-        return code
-    if args.name not in scenarios.scenario_names():
-        known = ", ".join(scenarios.scenario_names())
-        print(f"unknown scenario {args.name!r}; choose from: {known} (or all)",
-              file=sys.stderr)
+    names = scenarios.scenario_names()
+    sweep = args.name == "all"
+    if not sweep and args.name not in names:
+        print(f"unknown scenario {args.name!r}; choose from: "
+              f"{', '.join(names)} (or all)", file=sys.stderr)
         return EXIT_USAGE
-    report = scenarios.run_scenario(args.name, seed=args.seed)
-    code = _emit_report(report, args)
-    print(f"{args.name} in {time.perf_counter() - t0:.1f}s", file=sys.stderr)
-    return code
+    reports = []
+    for name in names if sweep else [args.name]:
+        report = scenarios.run_scenario(name, seed=args.seed)
+        if sweep:
+            print(f"== {name} ==")
+        for line in report.lines():
+            print(line)
+        reports.append(report)
+    if args.out:
+        if args.format == "csv":
+            write_registry_csv(reports, args.out)
+        elif sweep:
+            write_registry_json(reports, args.out)
+        else:
+            write_report_json(reports[0], args.out)
+        print(f"report written to {args.out}", file=sys.stderr)
+    print(f"{'registry sweep' if sweep else args.name} in "
+          f"{time.perf_counter() - t0:.1f}s", file=sys.stderr)
+    return max(r.exit_code() for r in reports)
 
 
 def _cmd_classify(args) -> int:

@@ -249,16 +249,16 @@ def instantiate(family: VectorFamily, level: tuple) -> np.ndarray:
     return _members(family, family.indices(n_count), d)
 
 
-def instantiate_sparse(family: VectorFamily, level: tuple):
-    """The first N members at dimension d as rows of a CSR array.
+def instantiate_stored(family: VectorFamily, level: tuple):
+    """The first N members at dimension d in the family's own storage: a
+    CSR array for a sparse rule, instantiate's array for a dense one.
 
-    Only for families with a sparse rule; scipy is imported here so that
-    importing the package does not load it.
+    scipy is imported here so that importing the package does not load it.
     """
+    if family.dense:
+        return instantiate(family, level)
     from scipy import sparse
 
-    if family.dense:
-        raise ValueError(f"family {family.name!r} declares no sparse rule")
     d, n_count = _checked_level(family, level)
     rows, pos, vals = _coo(family, family.indices(n_count), d)
     return sparse.csr_array((vals, (rows, pos)), shape=(n_count, d))

@@ -32,32 +32,6 @@ NOT_IN_A2 = "NotInA2"
 UNDECIDED_A2 = "Inconclusive"
 
 
-class ConstantWeight:
-    """omega(x) = c."""
-
-    def __init__(self, c):
-        # a positive value whose float underflows to 0 would read as 0
-        if not (0 < c <= sys.float_info.max and float(c) > 0):
-            raise ValueError("weight values must be positive and finite, "
-                             f"got {c!r}")
-        self.c = Fraction(c) if not isinstance(c, float) else c
-        self.descriptor = {"kind": "constant", "value": float(c)}
-
-    def average_power(self, q: int, a, b):
-        return self.c ** q
-
-    def dyadic_level(self, level: int):
-        """Every interval has the ratio of (0, 1); the first one attains it."""
-        r = float(a2_ratio(self, 0, 1))
-        return (r, 0) if r > 1.0 else (1.0, None)
-
-    def sample(self, x):
-        return np.full(np.shape(np.asarray(x)), float(self.c))
-
-    def ess_bounds(self):
-        return float(self.c), float(self.c)
-
-
 class _LevelArrays:
     """Weights that average over array endpoints, by _average(q, a, b),
     evaluate a whole dyadic level in one numpy call."""
@@ -137,14 +111,18 @@ class PiecewiseWeight:
     """
 
     def __init__(self, pieces, descriptor=None):
+        pieces = list(pieces)
+        for _, _, v in pieces:
+            # a positive value whose float underflows to 0 would read as 0
+            if not (0 < v <= sys.float_info.max and float(v) > 0):
+                raise ValueError("weight values must be positive and finite, "
+                                 f"got {v!r}")
         self.pieces = [(Fraction(a), Fraction(b), Fraction(v)) for a, b, v in pieces]
         if not self.pieces or self.pieces[0][0] != 0 or self.pieces[-1][1] != 1:
             raise ValueError("pieces must cover (0, 1)")
         for (a0, b0, _), (a1, b1, _) in zip(self.pieces, self.pieces[1:]):
             if b0 != a1 or a0 >= b0:
                 raise ValueError("pieces must be increasing and contiguous")
-        if not all(v > 0 for _, _, v in self.pieces):
-            raise ValueError("weight values must be positive")
         self.descriptor = descriptor or {"kind": "piecewise",
                                          "pieces": len(self.pieces)}
 
@@ -191,6 +169,14 @@ class PiecewiseWeight:
     def value_ladder(self) -> list:
         """(label, value) per piece, the exact supremum ladder by piece."""
         return [(i, float(v)) for i, (_, _, v) in enumerate(self.pieces, start=1)]
+
+
+class ConstantWeight(PiecewiseWeight):
+    """omega(x) = c, one piece."""
+
+    def __init__(self, c):
+        super().__init__([(0, 1, c)])
+        self.descriptor = {"kind": "constant", "value": float(c)}
 
 
 class SampledWeight(_LevelArrays):

@@ -31,7 +31,7 @@ import numpy as np
 from .core import (
     CONVERGENT, DIVERGENT, INCONCLUSIVE,
     ConvergenceVerdict, TruncationLadder, VectorFamily,
-    instantiate, instantiate_sparse, tail_diagnostic,
+    instantiate, instantiate_stored, tail_diagnostic,
 )
 
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
@@ -53,34 +53,6 @@ class SingularRestrictionError(ValueError):
 
 # ---------------------------------------------------------------------------
 # matrices
-
-
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector onto the modelled closure of the analysis domain.
-
-    Held as the sorted 0-based coordinates it removes; projector_for takes
-    them from the family's declared orthogonal complement. Coordinates do
-    not depend on the dimension, so at dimension d the projector removes
-    those below d and keeps every other coordinate.
-    """
-
-    flagged: tuple
-
-    def __post_init__(self):
-        if any(not isinstance(j, (int, np.integer)) or j < 0
-               for j in self.flagged):
-            raise ValueError("projector coordinates must be non-negative "
-                             f"integers, got {self.flagged}")
-
-    def kept(self, d: int) -> np.ndarray:
-        """Mask of the coordinates below d that the projector keeps; refuses
-        a projector that keeps none of them."""
-        keep = np.ones(d, dtype=bool)
-        keep[[j for j in self.flagged if j < d]] = False
-        if not keep.any():
-            raise ValueError(f"the projector keeps no coordinate below d={d}")
-        return keep
 
 
 @dataclass
@@ -113,14 +85,6 @@ class ReconstructionResult:
     rel_error: float             # against the original input
     in_span_error: float | None  # against the projected input, None if it vanishes
     coefficient_tail: ConvergenceVerdict | None
-
-
-def _stored(family: VectorFamily, level: tuple):
-    """The members at the level as rows in the family's own storage: CSR
-    for a sparse rule, an ndarray for a dense one."""
-    if family.dense:
-        return instantiate(family, level)
-    return instantiate_sparse(family, level)
 
 
 def _pairings(x, f: np.ndarray) -> np.ndarray:
@@ -181,7 +145,7 @@ def analysis(family: VectorFamily, f: np.ndarray, ladder: TruncationLadder):
     energies = []
     coeffs_top = None
     for d, n in ladder.levels:
-        c = _pairings(_stored(family, (d, n)), _fit_dim(f, d))
+        c = _pairings(instantiate_stored(family, (d, n)), _fit_dim(f, d))
         energies.append(float(np.sum(np.abs(c) ** 2)))
         coeffs_top = c
     verdict = tail_diagnostic(energies, ladder.counts())
@@ -222,7 +186,7 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
     seeded row permutations; the accumulated sum is order-free, so only
     roundoff shows up here; n_perms must be a whole number >= 1."""
     n_perms = int(_whole("n_perms", n_perms))
-    x = _stored(family, level)
+    x = instantiate_stored(family, level)
     base = _gram(x)
     scale = max(1.0, float(abs(base).max()))
     rng = np.random.default_rng(seed)
@@ -237,7 +201,7 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
 def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarray:
     """Apply the truncated frame operator without materializing it; a probe
     of another length is truncated or continues by zero."""
-    x = _stored(family, level)
+    x = instantiate_stored(family, level)
     return x.T @ _pairings(x, _fit_dim(f, level[0]))
 
 
@@ -296,7 +260,7 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
             window: float = STABILIZATION_WINDOW):
     """Order-dependent partial sums of sum_n <f, member_n> member_n; a probe
     of another length is truncated or continues by zero."""
-    x = _stored(family, level)
+    x = instantiate_stored(family, level)
     coeffs = _pairings(x, _fit_dim(f, level[0]))
     return _partial_sums(x, coeffs, ordering, window)
 
@@ -305,11 +269,22 @@ def s_apply(family: VectorFamily, f: np.ndarray, level: tuple,
 # projectors
 
 
-def projector_for(family: VectorFamily) -> Projector:
-    """Projector onto the modelled analysis-domain closure: the family's
-    declared orthogonal complement removed, or the identity when the family
-    declares none."""
-    return Projector(tuple(sorted(set(family.perp_directions or ()))))
+def projector_for(family: VectorFamily, d: int) -> np.ndarray:
+    """The orthogonal projector onto the modelled analysis-domain closure at
+    dimension d, as the mask of the coordinates it keeps: the family's
+    declared orthogonal complement removed, or every coordinate when the
+    family declares none. The complement is 0-based coordinates independent
+    of d; those at or above d do not apply. Refuses a projector that keeps
+    no coordinate below d."""
+    flagged = tuple(family.perp_directions or ())
+    if any(not isinstance(j, (int, np.integer)) or j < 0 for j in flagged):
+        raise ValueError("projector coordinates must be non-negative "
+                         f"integers, got {flagged}")
+    keep = np.ones(d, dtype=bool)
+    keep[[j for j in flagged if j < d]] = False
+    if not keep.any():
+        raise ValueError(f"the projector keeps no coordinate below d={d}")
+    return keep
 
 
 class _KeptBlock:
@@ -392,8 +367,8 @@ def _restricted_spectrum(family: VectorFamily, level: tuple) -> tuple:
     columns (r x N), in the members' own storage; B is held as its
     diagonal or dense.
     """
-    xt = _stored(family, level).T
-    keep = projector_for(family).kept(level[0])
+    xt = instantiate_stored(family, level).T
+    keep = projector_for(family, level[0])
     return keep, _KeptBlock(xt[keep])
 
 
@@ -451,8 +426,8 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
     one are cut, and the Bessel estimate is the largest eigenvalue of the
     duals' frame matrix. Refuses when no singular value clears the cutoff.
     """
-    members = _stored(family, level)
-    coords = np.flatnonzero(projector_for(family).kept(level[0]))
+    members = instantiate_stored(family, level)
+    coords = np.flatnonzero(projector_for(family, level[0]))
     c = members[:, coords].conj()
     rows = np.arange(level[1])
     entrywise = False
@@ -513,8 +488,8 @@ def reconstruct(f: np.ndarray, family: VectorFamily, dual: DualFamily,
     f = np.asarray(f, dtype=complex)
     f_d = _fit_dim(f, d)
     pf = f_d.copy()
-    pf[~projector_for(family).kept(d)] = 0.0
-    coeffs = _pairings(_stored(family, level), pf)
+    pf[~projector_for(family, d)] = 0.0
+    coeffs = _pairings(instantiate_stored(family, level), pf)
     f_tilde = dual.members.T @ coeffs
     norm_f = np.linalg.norm(f_d)
     rel = float(np.linalg.norm(f_tilde - f_d) / norm_f) if norm_f > 0 else 0.0
@@ -576,7 +551,7 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     pairings = {k: [] for k in range(len(test_set))}
     bound = 0.0
     for d, n in ladder.levels:
-        x = _stored(family, (d, n))
+        x = instantiate_stored(family, (d, n))
         c_f = _pairings(x, _fit_dim(f, d))
         for k, g in enumerate(test_set):
             c_g = _pairings(x, _fit_dim(np.asarray(g, dtype=complex), d))

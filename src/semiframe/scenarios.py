@@ -154,7 +154,7 @@ def _run_diana(seed=DEFAULT_SEED):
                          float(np.abs(dual.vectors - known).max()), tol=1e-10))
     checks.append(_dual_routes_check(fam, level, dual))
 
-    keep = projector_for(fam).kept(level[0])
+    keep = projector_for(fam, level[0])
     b = frame_matrix(fam, level)[np.ix_(keep, keep)]
     checks.append(_check("restricted-frame-matrix-is-identity",
                          float(np.abs(b - np.eye(b.shape[0])).max()),

@@ -12,6 +12,7 @@ lattice nodes.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -269,8 +270,10 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     declared tail model and 1/a an integer sums |n| <= min(K,
     CLOSED_TAIL_TERMS) and adds the tail in closed form from there; tail_gap
     is that correction's size. Every other decaying series is summed to K
-    and 2K terms; when the two disagree, combining them removes a 1/K tail
-    model.
+    and 2K terms, with S_K split as S_{K/2} plus its ring. When S_K and
+    S_2K disagree and the two rings shrink by a near-whole power 2^r,
+    r >= 1, combining S_K and S_2K removes a K^-r tail (Richardson);
+    otherwise the plain S_2K is returned.
     """
     tail_terms = whole_number(tail_terms, 1,
                               "tail_terms must be a whole number >= 1")
@@ -291,19 +294,31 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         return vals / a, 0.0, False
     closed = self_paired and _closed_tail_ok(profile, a)
     k = min(tail_terms, CLOSED_TAIL_TERMS) if closed else tail_terms
-    s_k = _alias_blocks(term, a, gamma, -k, k)
     if closed:
         s, envelope = profile.tail
         tail = envelope(gamma / a) * a ** s * (
             hurwitz_zeta(s, k + 1 + gamma) + hurwitz_zeta(s, k + 1 - gamma))
+        s_k = _alias_blocks(term, a, gamma, -k, k)
         return (s_k + tail) / a, float(np.max(np.abs(tail))) / a, True
-    extra = _alias_blocks(term, a, gamma, k + 1, 2 * k) \
-        + _alias_blocks(term, a, gamma, -2 * k, -k - 1)
-    s_2k = s_k + extra
-    gap = float(np.max(np.abs(extra)))
+
+    def ring(lo, hi):
+        """The terms lo <= |n| <= hi."""
+        return _alias_blocks(term, a, gamma, lo, hi) \
+            + _alias_blocks(term, a, gamma, -hi, -lo)
+
+    h = k // 2
+    s_h = _alias_blocks(term, a, gamma, -h, h)
+    ring_k, ring_2k = ring(h + 1, k), ring(k + 1, 2 * k)
+    s_k = s_h + ring_k
+    s_2k = s_k + ring_2k
+    gap = float(np.max(np.abs(ring_2k)))
     scale = float(np.max(np.abs(s_2k))) + np.finfo(float).tiny
-    if gap > 1e-14 * scale:
-        return (2.0 * s_2k - s_k) / a, gap / a, True
+    prev = float(np.max(np.abs(ring_k)))
+    if gap > 1e-14 * scale and prev > 0:
+        r = math.log2(prev) - math.log2(gap)   # the quotient may overflow
+        if round(r) >= 1 and abs(r - round(r)) <= 0.25:
+            w = 2.0 ** round(r)
+            return (w * s_2k - s_k) / (w - 1.0) / a, gap / a, True
     return s_2k / a, gap / a, False
 
 

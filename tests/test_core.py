@@ -16,7 +16,7 @@ import pytest
 from semiframe import core
 from semiframe.core import (
     GridFunction, TruncationLadder, VectorFamily, bound_verdicts,
-    covering_shifts, instantiate, instantiate_sparse, line_grid, pairwise_sum,
+    covering_shifts, instantiate, instantiate_stored, line_grid, pairwise_sum,
     periodic_grid, periodization_gap, periodize, rising_slopes,
     tail_diagnostic,
 )
@@ -30,8 +30,8 @@ from semiframe.muckenhoupt import (
     a2_estimate, a2_ratio, plateau_weight,
 )
 from semiframe.operators import (
-    Projector, canonical_dual, dual_via_pseudoinverse, lower_bound,
-    parseval_canonical, reconstruct,
+    canonical_dual, dual_via_pseudoinverse, lower_bound, parseval_canonical,
+    projector_for, reconstruct,
 )
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
@@ -322,6 +322,7 @@ INDICATOR = TranslateSystem(unit_indicator_profile(), 1.0)
 HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 TAIL_TERMS = "tail_terms must be a whole number >= 1"
 WEIGHT_VALUES = "weight values must be positive and finite"
+HALF = Fraction(1, 2)
 PROBE_CELLS = "a probe needs one value per cell, shape (8,)"
 FLAT_8 = ExponentialSystem(ConstantWeight(1), 1.0, 8)
 LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
@@ -388,7 +389,7 @@ def _sparse_rule(rows, positions, values):
      "the projector keeps no coordinate below d"),
     (lambda: dual_via_pseudoinverse(DIANA_KEEPS_NOTHING, (9, 8)),
      "the projector keeps no coordinate below d"),
-    (lambda: Projector((-1,)),
+    (lambda: projector_for(replace(DIANA, perp_directions=(-1,)), 4),
      "projector coordinates must be non-negative integers"),
     (lambda: canonical_dual(scaled_basis_family(np.nan), (4, 4)),
      "family members must be finite"),
@@ -415,12 +416,12 @@ def _sparse_rule(rows, positions, values):
      "a dense block must have shape (N, d) = (2, 3), got (2, 2)"),
     (lambda: instantiate(_sparse_rule([0, 1], [0, 1], [1.0, 1.0, 1.0]), (3, 2)),
      "rows, positions and values must be flat arrays of one length"),
-    (lambda: instantiate_sparse(_sparse_rule([1, 2], [0, 1], [1.0, 1.0]), (3, 2)),
+    (lambda: instantiate_stored(_sparse_rule([1, 2], [0, 1], [1.0, 1.0]), (3, 2)),
      "rows must lie in [0, N) with N=2"),
-    (lambda: instantiate_sparse(_sparse_rule([0, 1], [0.0, 1.0], [1.0, 1.0]),
+    (lambda: instantiate_stored(_sparse_rule([0, 1], [0.0, 1.0], [1.0, 1.0]),
                                 (3, 2)),
      "rows and positions must be integers"),
-    (lambda: instantiate_sparse(_sparse_rule([0, 1, 0, 1], [0, 1, 0, 1],
+    (lambda: instantiate_stored(_sparse_rule([0, 1, 0, 1], [0, 1, 0, 1],
                                              [1.0, 1.0, 2.0, 2.0]), (3, 2)),
      "a member names one position twice"),
     (lambda: brute_apply(INDICATOR, periodic_grid(np.ones(65)), 4),
@@ -466,6 +467,14 @@ def _sparse_rule(rows, positions, values):
     (lambda: PowerWeight(0.5).sample([-0.25]),
      "x^0.5 is sampled on [0, 1] only"),
     (lambda: PowerWeight(0.6).sample([1.5]), "x^0.6 is sampled on [0, 1] only"),
+    (lambda: PiecewiseWeight([(0, HALF, 1), (HALF, 1, math.inf)]),
+     WEIGHT_VALUES),
+    (lambda: PiecewiseWeight([(0, HALF, 1), (HALF, 1, 10 ** 400)]),
+     WEIGHT_VALUES),
+    (lambda: PiecewiseWeight([(0, HALF, 1), (HALF, 1, Fraction(1, 10 ** 400))]),
+     WEIGHT_VALUES),
+    (lambda: ConstantWeight(2).average_power(1, 5, -3), "need 0 <= a < b <= 1"),
+    (lambda: a2_ratio(ConstantWeight(2), 0.7, 0.2), "need 0 <= a < b <= 1"),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -498,7 +507,9 @@ def _sparse_rule(rows, positions, values):
         "t-mult-probe-length", "t-general-probe-length",
         "reconstruct-exponentials-probe-length",
         "reconstruct-dual-at-another-level", "power-negative-alpha-at-zero",
-        "power-below-zero", "power-above-one"])
+        "power-below-zero", "power-above-one", "piecewise-inf",
+        "piecewise-huge", "piecewise-underflow", "constant-average-reversed",
+        "constant-ratio-reversed"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semiframe.core import (
-    TruncationLadder, VectorFamily, instantiate, instantiate_sparse,
+    TruncationLadder, VectorFamily, instantiate, instantiate_stored,
 )
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import (
@@ -116,7 +116,7 @@ def test_shared_direction_sparse_matches_dense(fam, level, member, spots):
     full copy."""
     d, n = level
     x = instantiate(fam, level)
-    csr = None if fam.dense else instantiate_sparse(fam, level)
+    csr = None if fam.dense else instantiate_stored(fam, level)
     assert (fam.sparse is None) == fam.dense
     for lo in range(0, n, 512):
         idx_block = fam.indices(n)[lo:lo + 512]
@@ -174,8 +174,7 @@ def test_member_rules_need_no_per_index_view(monkeypatch):
         if d >= 128:
             fam.perp_directions = tuple(j for j in range(d) if j % 128)
         instantiate(fam, (d, n))
-        if not fam.dense:
-            instantiate_sparse(fam, (d, n))
+        instantiate_stored(fam, (d, n))
         s_apply(fam, np.ones(d), (d, n))
         permutation_gap(fam, (d, n), n_perms=2)
         lower_bound(fam, ladder)

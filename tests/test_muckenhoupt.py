@@ -37,8 +37,6 @@ def raised(weight, q):
         return weight
     if isinstance(weight, PiecewiseWeight):
         return PiecewiseWeight([(a, b, v ** q) for a, b, v in weight.pieces])
-    if isinstance(weight, ConstantWeight):
-        return ConstantWeight(weight.c ** q)
     if isinstance(weight, PowerWeight):
         return PowerWeight(q * weight.alpha)
     return SampledWeight(weight.values ** q)
@@ -87,7 +85,7 @@ def all_interval_reports(weight, depth, bound=1e6):
 ORACLE_WEIGHTS = {
     "plateau-k6p2": plateau_weight(6, power=2),
     "constant-1": ConstantWeight(1),
-    # c^2 * c^-2 rounds above 1, so every interval is a witness
+    # held as an exact Fraction, so c^2 * c^-2 is 1 and no interval is a witness
     "constant-17.648": ConstantWeight(17.648),
     "power-m1.5": PowerWeight(-1.5),
     "power-m1": PowerWeight(-1.0),

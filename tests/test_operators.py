@@ -8,7 +8,7 @@ import pytest
 
 from semiframe.core import (
     TruncationLadder, VectorFamily, default_ladder, instantiate,
-    instantiate_sparse, tail_diagnostic,
+    instantiate_stored, tail_diagnostic,
 )
 from semiframe.families import (
     decaying_probe, interleaved_difference_family, seeded_dense_family,
@@ -18,7 +18,7 @@ from semiframe import operators
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.muckenhoupt import ConstantWeight
 from semiframe.operators import (
-    PINV_CUTOFF_RATIO, Projector, SingularRestrictionError, adjoint_gap,
+    PINV_CUTOFF_RATIO, SingularRestrictionError, adjoint_gap,
     analysis, analysis_matrix, canonical_dual, dual_via_pseudoinverse, frame_action,
     frame_matrix, lower_bound, parseval_canonical, permutation_gap,
     projector_for, reconstruct, s_apply, synthesis, w_membership,
@@ -102,18 +102,17 @@ def test_analysis_domain_verdicts():
 
 
 def test_projector_analytic_axis():
-    # the declared complement is held as the coordinates it removes, the
-    # same at every dimension
+    # the mask removes the declared complement, the same coordinates at
+    # every dimension
     fam = shared_direction_family(0.0)
-    assert projector_for(fam) == Projector((0,))
-    assert projector_for(fam).kept(4).tolist() == [False, True, True, True]
-    assert projector_for(fam).kept(257).sum() == 256
+    assert projector_for(fam, 4).tolist() == [False, True, True, True]
+    assert projector_for(fam, 257).sum() == 256
 
 
 def test_projector_defaults_to_identity():
     # a dense analysis domain, and a family that declares no complement
-    assert projector_for(orthonormal_family()) == Projector(())
-    assert projector_for(_growing_without_complement()) == Projector(())
+    assert projector_for(orthonormal_family(), 5).all()
+    assert projector_for(_growing_without_complement(), 5).all()
 
 
 def test_lower_bound_ladder():
@@ -226,9 +225,9 @@ def _stored_pairs():
     for scenario, fam, level in registry_vector_families():
         out.append((f"{scenario}-dense", fam, level, instantiate))
         if not fam.dense:
-            out.append((f"{scenario}-csr", fam, level, instantiate_sparse))
+            out.append((f"{scenario}-csr", fam, level, instantiate_stored))
     out.append(("interleaved-2049-csr", interleaved_difference_family(),
-                (1025, 2049), instantiate_sparse))
+                (1025, 2049), instantiate_stored))
     return [pytest.param(fam, level, build, id=name)
             for name, fam, level, build in out]
 
@@ -256,14 +255,13 @@ def test_s_apply_is_analysis_then_synthesis(fam, level, monkeypatch):
     members once."""
     f = decaying_probe(level[0], -0.6)
     order = np.random.default_rng(11).permutation(level[1])
-    stored = (instantiate(fam, level) if fam.dense
-              else instantiate_sparse(fam, level))
+    stored = instantiate_stored(fam, level)
     for ordering in (None, order):
         coeffs = stored.conj() @ f
         ref_vec, ref = synthesis(fam, coeffs, level, ordering=ordering)
         calls = []
         with monkeypatch.context() as mp:
-            for name in ("instantiate", "instantiate_sparse"):
+            for name in ("instantiate", "instantiate_stored"):
                 real = getattr(operators, name)
                 mp.setattr(operators, name, lambda *a, real=real:
                            calls.append(a) or real(*a))
@@ -414,7 +412,7 @@ def test_diagnostics_on_stored_members_match_dense(fam, ladder, monkeypatch):
             assert abs(sup - norms.max()) <= 16 * EPS * scales.max()
 
     gram = x.T @ np.conj(x)
-    stored = x if fam.dense else instantiate_sparse(fam, level)
+    stored = x if fam.dense else instantiate_stored(fam, level)
     got = operators._gram(stored)
     got = got if fam.dense else got.toarray()
     upper = np.triu(np.ones((d, d), dtype=bool))
@@ -430,7 +428,7 @@ def _dense_oracle(fam, level):
     """The kept block B = Y Y^H built densely from `instantiate`, read by
     numpy's eigh, and the restricted-inverse dual, Parseval vectors and
     their frame-matrix spectra computed from it."""
-    keep = projector_for(fam).kept(level[0])
+    keep = projector_for(fam, level[0])
     y = instantiate(fam, level).T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     duals = np.zeros(level, dtype=complex)
@@ -703,7 +701,7 @@ def _pinv_oracle(fam, level, cutoff_ratio=PINV_CUTOFF_RATIO):
     """One dense SVD of the whole restricted analysis matrix: duals, their
     frame matrix's top eigenvalue and s_min^2."""
     c = np.conj(instantiate(fam, level))
-    c[:, ~projector_for(fam).kept(level[0])] = 0.0
+    c[:, ~projector_for(fam, level[0])] = 0.0
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     keep = s > cutoff_ratio * float(s[0])
     pinv = (vh[keep].conj().T / s[keep]) @ u[:, keep].conj().T

@@ -116,6 +116,24 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
         if "tol" in gold:
             assert _within(check["value"], gold["value"], gold["tol"]), \
                 check["name"]
+    # one scenario runs through the sweep's path: its report, CSV rows and
+    # stdout lines are the sweep's entry for it
+    one = tmp_path / "diana.json"
+    assert cli.main(["scenario", "diana", "--out", str(one)]) == 0
+    one_out = capsys.readouterr().out.splitlines()
+    assert json.loads(one.read_text()) == payload[0]
+    sweep_out = out.splitlines()
+    assert one_out == sweep_out[1:sweep_out.index("== stoeva ==")]
+    rows = {}
+    for name in ("all", "diana"):
+        path = tmp_path / f"{name}.csv"
+        assert cli.main(["scenario", name, "--out", str(path),
+                         "--format", "csv"]) == 0
+        with open(path, newline="") as fh:
+            rows[name] = list(csv.reader(fh))
+    capsys.readouterr()
+    assert rows["diana"] == rows["all"][:1] + [
+        r for r in rows["all"][1:] if r[0] == "diana"]
 
 
 def test_cli_csv_output_parses(tmp_path, capsys):

@@ -78,7 +78,7 @@ def test_both_storages_match_numpy(case):
     fam, level = case
     d, n = level
     x = instantiate(fam, level)
-    keep = projector_for(fam).kept(d)
+    keep = projector_for(fam, d)
     y = x.T[keep]
     w, v = np.linalg.eigh(y @ y.conj().T)
     assume(w[0] > 1e-8 * w[-1])

@@ -402,6 +402,24 @@ def test_system_validation():
 
 
 # ---------------------------------------------------------------------------
+def _hat_p(gamma):
+    # sinc^2 aliased with step 1: (2 + cos 2 pi g) / 3
+    return (2.0 + np.cos(2 * np.pi * gamma)) / 3.0
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_pphi_hat_extrapolates_at_the_measured_order(k):
+    # the hat's summand falls like n^-4, so its tail like K^-3: removing a
+    # 1/K tail would leave pphi worse than the plain sum over |n| <= 2K
+    grid, rep = pphi(TranslateSystem(_hat_profile(), 1.0), m=1024,
+                     tail_terms=k)
+    n = np.arange(-2 * k, 2 * k + 1)
+    plain = (np.sinc(grid.nodes()[:, None] + n) ** 4).sum(axis=1)
+    want = _hat_p(grid.nodes())
+    assert rep.extrapolated
+    assert np.abs(grid.values - want).max() <= np.abs(plain - want).max() / 10
+
+
 # the alias blocks on several threads against one thread
 
 
@@ -483,9 +501,10 @@ def test_blocks_reduce_in_block_order_not_completion_order(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_error_in_a_block_surfaces(workers, monkeypatch):
-    # with K = 200 the blocks start at n = -200, -136, -72, ...
+    # with K = 200 the first sum, S_100, has blocks starting at n = -100,
+    # -36, 28 and 92
     def fn(g):
-        if g.min() == -72.0:
+        if g.min() == 28.0:
             raise ValueError("profile refuses the third block")
         return np.sinc(g) ** 2
     system = TranslateSystem(FourierProfile("third-block", fn), 1.0)
