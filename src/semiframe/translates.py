@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -259,6 +260,30 @@ def _closed_tail_ok(profile: FourierProfile, a: float) -> bool:
     return profile.tail is not None and abs(inv - round(inv)) <= 1e-12 * inv
 
 
+def _ring_order(rings, nodes, tol):
+    """The whole r >= 1 for which a pure power tail, the terms with
+    |n| + 1/2 > N summing to c N^-r, predicts both log2 ratios of successive
+    ring sizes within tol; None if no r does.
+
+    rings[i] holds the terms with nodes[i] < |n| + 1/2 <= nodes[i + 1], and
+    its size is its largest modulus. Ring i then sums c (N_i^-r -
+    N_{i+1}^-r); the predicted ratios are formed from q = N_i / N_{i+1} < 1,
+    so no power overflows.
+    """
+    sizes = [float(np.max(np.abs(x))) for x in rings]
+    if not all(0.0 < x < math.inf for x in sizes):
+        return None
+    seen = -np.diff(np.log2(sizes))     # the quotients may overflow
+    q = nodes[:-1] / nodes[1:]
+    # a prediction is at least 0.73 r - 1.4 in log2, so no larger r fits
+    for r in range(1, int(2 * seen.max()) + 4):
+        drop = np.log2(1.0 - q ** r)
+        want = -r * np.log2(q[:-1]) + drop[:-1] - drop[1:]
+        if np.all(np.abs(want - seen) <= tol):
+            return r
+    return None
+
+
 def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
                   f_fn=None):
     """Aliased series with either exact finite range or a tail correction.
@@ -269,11 +294,19 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     exactly over the few overlapping shifts. A self-paired profile with a
     declared tail model and 1/a an integer sums |n| <= min(K,
     CLOSED_TAIL_TERMS) and adds the tail in closed form from there; tail_gap
-    is that correction's size. Every other decaying series is summed to K
-    and 2K terms, with S_K split as S_{K/2} plus its ring. When S_K and
-    S_2K disagree and the two rings shrink by a near-whole power 2^r,
-    r >= 1, combining S_K and S_2K removes a K^-r tail (Richardson);
-    otherwise the plain S_2K is returned.
+    is that correction's size. Every other decaying series is summed over
+    |n| <= K, as S_{K/8} and the rings (K/8, K/4], (K/4, K/2] and (K/2, K];
+    tail_gap is the size of the outermost ring summed. Once that ring is
+    below 1e-14 of S_K, S_K is returned as it is. When the ring sizes fall
+    as a tail c N^-r does at the midpoints N = n + 1/2 (_ring_order, within
+    1/K in log2), the combination of S_{K/4}, S_{K/2} and S_K that cancels
+    c N^-r and c' N^-(r+2) is returned: at midpoints the Euler-Maclaurin
+    tail of a smooth summand has only even-derivative corrections, since
+    the +-n pairs cancel the odd ones. Otherwise, and always for K < 8, the
+    ring (K, 2K] is added too; when S_K and S_2K disagree and the two outer
+    rings shrink by a near-whole power 2^r, r >= 1, combining S_K and S_2K
+    removes a K^-r tail (Richardson), else the plain S_2K is returned.
+    extrapolated says whether a tail was added or cancelled.
     """
     tail_terms = whole_number(tail_terms, 1,
                               "tail_terms must be a whole number >= 1")
@@ -306,14 +339,28 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         return _alias_blocks(term, a, gamma, lo, hi) \
             + _alias_blocks(term, a, gamma, -hi, -lo)
 
-    h = k // 2
-    s_h = _alias_blocks(term, a, gamma, -h, h)
-    ring_k, ring_2k = ring(h + 1, k), ring(k + 1, 2 * k)
-    s_k = s_h + ring_k
+    # below K = 8, S_K is S_{K/2} and the ring (K/2, K] alone
+    edges = (k // 8, k // 4, k // 2, k) if k >= 8 else (k // 2, k)
+    inner = _alias_blocks(term, a, gamma, -edges[0], edges[0])
+    rings = [ring(lo + 1, hi) for lo, hi in zip(edges, edges[1:])]
+    sums = list(accumulate(rings, initial=inner))
+    s_k, prev = sums[-1], float(np.max(np.abs(rings[-1])))
+    if k >= 8:
+        if prev <= 1e-14 * float(np.max(np.abs(s_k))):
+            return s_k / a, prev / a, False
+        nodes = np.array(edges) + 0.5
+        r = _ring_order(rings, nodes, 1.0 / k)
+        if r is not None:
+            # S_M = S - c N^-r - c' N^-(r+2) at N = M + 1/2, solved for S
+            t = nodes[1:] / nodes[-1]
+            w = np.linalg.solve([np.ones(3), t ** -r, t ** -(r + 2.0)],
+                                [1.0, 0.0, 0.0])
+            vals = w[0] * sums[1] + w[1] * sums[2] + w[2] * s_k
+            return vals / a, prev / a, True
+    ring_2k = ring(k + 1, 2 * k)
     s_2k = s_k + ring_2k
     gap = float(np.max(np.abs(ring_2k)))
     scale = float(np.max(np.abs(s_2k))) + np.finfo(float).tiny
-    prev = float(np.max(np.abs(ring_k)))
     if gap > 1e-14 * scale and prev > 0:
         r = math.log2(prev) - math.log2(gap)   # the quotient may overflow
         if round(r) >= 1 and abs(r - round(r)) <= 0.25:
@@ -332,6 +379,15 @@ def _lattice(m) -> np.ndarray:
 
 @dataclass
 class PphiReport:
+    """Grid extrema of p, its zero fraction, and the alias tail's health.
+
+    tail_gap is the size of the last alias contribution pphi took in: the
+    closed tail where one is declared, else the outermost ring summed (the
+    ring (K/2, K] when a fit or the converged sum ends at K, the ring
+    (K, 2K] otherwise). extrapolated says whether a tail was added (closed
+    form) or cancelled (the midpoint fit or the one-step Richardson rule).
+    """
+
     ess_inf: float
     ess_sup: float
     zero_fraction: float
@@ -362,7 +418,10 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
     """Aliased cross-energy of f against the generator on the grid i/m.
 
     Shares the alias kernel and tail handling with pphi, so feeding the
-    generator's own profile reproduces the pphi values exactly.
+    generator's own profile reproduces the pphi values exactly. A decaying
+    cross pairing sums |n| <= K and cancels its tail's two leading orders
+    when the rings show a clean power law (the unit indicator at a = 1
+    does); otherwise it sums |n| <= 2K for one Richardson step.
     """
     gamma = _lattice(m)
     vals, _, _ = _alias_series(system, gamma, tail_terms, f_fn=f_hat)

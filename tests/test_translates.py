@@ -410,14 +410,125 @@ def _hat_p(gamma):
 @pytest.mark.parametrize("k", [10, 100, 1000])
 def test_pphi_hat_extrapolates_at_the_measured_order(k):
     # the hat's summand falls like n^-4, so its tail like K^-3: removing a
-    # 1/K tail would leave pphi worse than the plain sum over |n| <= 2K
+    # 1/K tail would leave pphi worse than the plain sum over |n| <= 2K.
+    # From K = 100 on the tail's two leading orders cancel to rounding from
+    # the sum over |n| <= K (7.2e-12 at K = 100 with the one-step rule)
     grid, rep = pphi(TranslateSystem(_hat_profile(), 1.0), m=1024,
                      tail_terms=k)
     n = np.arange(-2 * k, 2 * k + 1)
     plain = (np.sinc(grid.nodes()[:, None] + n) ** 4).sum(axis=1)
     want = _hat_p(grid.nodes())
+    err = np.abs(grid.values - want).max()
     assert rep.extrapolated
-    assert np.abs(grid.values - want).max() <= np.abs(plain - want).max() / 10
+    assert err <= np.abs(plain - want).max() / 10
+    if k >= 100:
+        assert err <= 1e-14
+
+
+def test_reconstruct_indicator_in_span_probe_to_rounding():
+    # the cross bracket of an in-span probe q phi_hat is q p: its fitted
+    # tail no longer leaves an O(K^-2) residual (5.3e-9 with the 2K rule)
+    res = reconstruct_translates(INDICATOR, _indicator_probe, m=256,
+                                 cover=6.0, tail_terms=2000)
+    assert res.rel_error < 1e-13
+
+
+@pytest.mark.parametrize("step, k, per_node", [
+    (1.0, 1000, 2001), (1.0, 100, 201), (0.4, 1000, 4001)])
+def test_alias_terms_per_node(step, k, per_node):
+    # a clean power-law tail is fitted from |n| <= K; at a = 0.4 the
+    # envelope is not periodic along the terms and the sum runs to 2K
+    points = []
+
+    def counted(g):
+        points.append(g.size)
+        return np.sinc(g) ** 2
+    m = 64
+    pphi(TranslateSystem(FourierProfile("counted", counted), step),
+         m=m, tail_terms=k)
+    assert sum(points) == per_node * m
+
+
+def _indicator_p(gamma, step):
+    # Poisson side of the unit indicator's autocorrelation (1 - |t|)_+
+    ks = np.arange(-int(1 / step), int(1 / step) + 1)
+    return sum((1 - abs(k) * step) * np.cos(2 * np.pi * k * gamma)
+               for k in ks if abs(k) * step < 1)
+
+
+# max|p - exact| with the 2K rule at K = 10, 100, 2000 (m = 256), rounded up
+FALLBACK_ERRORS = {0.4: (1.9e-4, 2.1e-6, 5.1e-9),
+                   0.3: (1.6e-4, 1.6e-6, 5.7e-9),
+                   0.7: (3.5e-4, 4.1e-6, 1.2e-8),
+                   1.5: (7.5e-4, 7.6e-6, 2.9e-8)}
+
+
+@pytest.mark.parametrize("step", FALLBACK_ERRORS)
+def test_indicator_off_lattice_steps_are_no_worse(step):
+    # 1/a is not an integer, so the rings show no clean power law and the
+    # sum falls back to 2K terms and one Richardson step
+    system = TranslateSystem(unit_indicator_profile(), step)
+    for k, bound in zip((10, 100, 2000), FALLBACK_ERRORS[step]):
+        grid, rep = pphi(system, m=256, tail_terms=k)
+        assert rep.extrapolated
+        err = np.abs(grid.values - _indicator_p(grid.nodes(), step)).max()
+        assert err <= bound
+
+
+def _two_k_rule(term, step, gamma, k):
+    """The 2K rule on its own: S_{K/2}, the rings (K/2, K] and (K, 2K],
+    and one Richardson step; every sum here fits in one block."""
+    def block(lo, hi):
+        ns = np.arange(lo, hi + 1)
+        return term((gamma[None, :] + ns[:, None]) / step).sum(axis=0)
+
+    def ring(lo, hi):
+        return block(lo, hi) + block(-hi, -lo)
+    h = k // 2
+    s_k = block(-h, h) + ring(h + 1, k)
+    ring_2k = ring(k + 1, 2 * k)
+    s_2k = s_k + ring_2k
+    gap, prev = np.abs(ring_2k).max(), np.abs(ring(h + 1, k)).max()
+    if gap > 1e-14 * (np.abs(s_2k).max() + np.finfo(float).tiny) and prev > 0:
+        r = np.log2(prev) - np.log2(gap)
+        if round(r) >= 1 and abs(r - round(r)) <= 0.25:
+            w = 2.0 ** round(r)
+            return (w * s_2k - s_k) / (w - 1.0) / step, gap / step
+    return s_2k / step, gap / step
+
+
+def _cross_probe(xi):
+    return INDICATOR.profile(xi) * xi / (1.0 + xi * xi)
+
+
+def test_short_sums_keep_the_2k_rule_bit_for_bit():
+    # below K = 8 there are too few rings for the fit
+    prof = unit_indicator_profile()
+    gamma = np.arange(64) / 64
+    for k in range(1, 8):
+        for step in FALLBACK_ERRORS:
+            want, gap = _two_k_rule(prof.energy, step, gamma, k)
+            grid, rep = pphi(TranslateSystem(prof, step), m=64, tail_terms=k)
+            assert np.array_equal(grid.values, want) and rep.tail_gap == gap
+        want, _ = _two_k_rule(lambda x: _cross_probe(x) * np.conj(prof.fn(x)),
+                              1.0, gamma, k)
+        got = bracket(INDICATOR, _cross_probe, m=64, tail_terms=k).values
+        assert np.array_equal(got, want)
+
+
+def test_cross_probe_off_the_span_is_no_worse():
+    # phi_hat(xi) xi / (1 + xi^2) against the plain sum over |n| <= 5 10^4,
+    # whose own tail is below 1e-15; the 2K rule read 1.1e-6, 1.2e-10 and
+    # 1.5e-15 at K = 10, 100, 2000, the last at rounding level
+    m = 64
+    gamma = np.arange(m) / m
+    oracle = np.zeros(m, dtype=complex)
+    for lo in range(-50000, 50001, 5000):
+        x = gamma[None, :] + np.arange(lo, min(lo + 5000, 50001))[:, None]
+        oracle += (_cross_probe(x) * np.conj(INDICATOR.profile(x))).sum(axis=0)
+    for k, bound in ((10, 1.1e-6), (100, 1.2e-10), (2000, 1e-14)):
+        got = bracket(INDICATOR, _cross_probe, m=m, tail_terms=k).values
+        assert np.abs(got - oracle).max() <= bound
 
 
 # the alias blocks on several threads against one thread
@@ -475,13 +586,14 @@ def test_alias_blocks_on_threads_are_bit_identical(case, monkeypatch):
 
 def test_pool_size_is_capped_by_the_memory_budget(monkeypatch):
     # at m = 2^14 a 64-row block argument is 8 MiB; a 64-CPU host still
-    # gets only the workers whose arguments fit ALIAS_MEMORY
+    # gets only the workers whose arguments fit ALIAS_MEMORY. At K = 200
+    # each half of the ring (100, 200] spans two blocks, so a pool opens
     m = 2 ** 14
     cap = translates.ALIAS_MEMORY // (translates.ALIAS_BLOCK * 8 * m)
     pools = []
     _on_workers(64, monkeypatch,
                 lambda: pphi(TranslateSystem(_hat_profile(), 1.0), m=m,
-                             tail_terms=100), pools)
+                             tail_terms=200), pools)
     assert pools and max(pools) == cap == 2
 
 
@@ -501,13 +613,13 @@ def test_blocks_reduce_in_block_order_not_completion_order(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_error_in_a_block_surfaces(workers, monkeypatch):
-    # with K = 200 the first sum, S_100, has blocks starting at n = -100,
-    # -36, 28 and 92
+    # with K = 200 the outermost ring's positive half, 101 <= n <= 200, has
+    # blocks starting at n = 101 and 165
     def fn(g):
-        if g.min() == 28.0:
-            raise ValueError("profile refuses the third block")
+        if g.min() == 165.0:
+            raise ValueError("profile refuses the second block")
         return np.sinc(g) ** 2
-    system = TranslateSystem(FourierProfile("third-block", fn), 1.0)
-    with pytest.raises(ValueError, match="refuses the third block"):
+    system = TranslateSystem(FourierProfile("second-block", fn), 1.0)
+    with pytest.raises(ValueError, match="refuses the second block"):
         _on_workers(workers, monkeypatch,
                     lambda: pphi(system, m=64, tail_terms=200))
