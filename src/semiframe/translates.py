@@ -296,16 +296,20 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     CLOSED_TAIL_TERMS) and adds the tail in closed form from there; tail_gap
     is that correction's size. Every other decaying series is summed over
     |n| <= K, as S_{K/8} and the rings (K/8, K/4], (K/4, K/2] and (K/2, K];
-    tail_gap is the size of the outermost ring summed. Once that ring is
-    below 1e-14 of S_K, S_K is returned as it is. When the ring sizes fall
-    as a tail c N^-r does at the midpoints N = n + 1/2 (_ring_order, within
-    1/K in log2), the combination of S_{K/4}, S_{K/2} and S_K that cancels
-    c N^-r and c' N^-(r+2) is returned: at midpoints the Euler-Maclaurin
-    tail of a smooth summand has only even-derivative corrections, since
-    the +-n pairs cancel the odd ones. Otherwise, and always for K < 8, the
-    ring (K, 2K] is added too; when S_K and S_2K disagree and the two outer
-    rings shrink by a near-whole power 2^r, r >= 1, combining S_K and S_2K
-    removes a K^-r tail (Richardson), else the plain S_2K is returned.
+    tail_gap is the size of the outermost ring summed. When the ring sizes
+    fall as a tail c N^-r does at the midpoints N = n + 1/2 (_ring_order,
+    within 1/K in log2), the combination of S_{K/4}, S_{K/2} and S_K that
+    cancels c N^-r and c' N^-(r+2) is returned: at midpoints the
+    Euler-Maclaurin tail of a smooth summand has only even-derivative
+    corrections, since the +-n pairs cancel the odd ones. That holds only
+    when the summand has the same expansion at +inf and -inf; one that
+    does not (a probe in |xi|, such as phi_hat / (1 + |xi|)) leaves a
+    c'' N^-(r+1) term that the fit does not cancel, and the order check
+    must then send the sum on to the fallback. Otherwise, and always for
+    K < 8, the ring (K, 2K] is added too; when S_K and S_2K disagree and
+    the two outer rings shrink by a near-whole power 2^r, r >= 1, combining
+    S_K and S_2K removes a K^-r tail (Richardson), else the plain S_2K is
+    returned.
     extrapolated says whether a tail was added or cancelled.
     """
     tail_terms = whole_number(tail_terms, 1,
@@ -346,8 +350,6 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     sums = list(accumulate(rings, initial=inner))
     s_k, prev = sums[-1], float(np.max(np.abs(rings[-1])))
     if k >= 8:
-        if prev <= 1e-14 * float(np.max(np.abs(s_k))):
-            return s_k / a, prev / a, False
         nodes = np.array(edges) + 0.5
         r = _ring_order(rings, nodes, 1.0 / k)
         if r is not None:
@@ -383,8 +385,8 @@ class PphiReport:
 
     tail_gap is the size of the last alias contribution pphi took in: the
     closed tail where one is declared, else the outermost ring summed (the
-    ring (K/2, K] when a fit or the converged sum ends at K, the ring
-    (K, 2K] otherwise). extrapolated says whether a tail was added (closed
+    ring (K/2, K] when the midpoint fit ends at K, the ring (K, 2K]
+    otherwise). extrapolated says whether a tail was added (closed
     form) or cancelled (the midpoint fit or the one-step Richardson rule).
     """
 

@@ -516,19 +516,39 @@ def test_short_sums_keep_the_2k_rule_bit_for_bit():
         assert np.array_equal(got, want)
 
 
+def _abs_probe(xi):
+    xi = np.asarray(xi, dtype=float)
+    return INDICATOR.profile(xi) / (1.0 + np.abs(xi))
+
+
 def test_cross_probe_off_the_span_is_no_worse():
     # phi_hat(xi) xi / (1 + xi^2) against the plain sum over |n| <= 5 10^4,
     # whose own tail is below 1e-15; the 2K rule read 1.1e-6, 1.2e-10 and
     # 1.5e-15 at K = 10, 100, 2000, the last at rounding level
     m = 64
     gamma = np.arange(m) / m
-    oracle = np.zeros(m, dtype=complex)
+    odd = np.zeros(m, dtype=complex)
     for lo in range(-50000, 50001, 5000):
         x = gamma[None, :] + np.arange(lo, min(lo + 5000, 50001))[:, None]
-        oracle += (_cross_probe(x) * np.conj(INDICATOR.profile(x))).sum(axis=0)
-    for k, bound in ((10, 1.1e-6), (100, 1.2e-10), (2000, 1e-14)):
-        got = bracket(INDICATOR, _cross_probe, m=m, tail_terms=k).values
-        assert np.abs(got - oracle).max() <= bound
+        odd += (_cross_probe(x) * np.conj(INDICATOR.profile(x))).sum(axis=0)
+    # phi_hat(xi) / (1 + |xi|): the summand sinc^2(x) / (1 + |x|) has
+    # different expansions at +inf and -inf, so the +-n pairs leave an odd
+    # correction that the midpoint fit does not cancel, and the order check
+    # must send the sum to the 2K rule. The exact value sums |n| <= 200 and
+    # adds each side's tail from 1/(x^2 (1 + x)) = 1/x^2 - 1/x + 1/(1 + x),
+    # which telescopes; the 2K rule read 2.75e-8 and 3.51e-12 at K = 100
+    # and 2000
+    x = gamma[None, :] + np.arange(-200, 201)[:, None]
+    absolute = (np.sinc(x) ** 2 / (1.0 + np.abs(x))).sum(axis=0)
+    for q in (201 + gamma, 201 - gamma):
+        absolute += np.sin(np.pi * gamma) ** 2 / np.pi ** 2 * (
+            hurwitz_zeta(2, q) - 1.0 / q)
+    for probe, oracle, bounds in (
+            (_cross_probe, odd, ((10, 1.1e-6), (100, 1.2e-10), (2000, 1e-14))),
+            (_abs_probe, absolute, ((100, 2.8e-8), (2000, 3.6e-12)))):
+        for k, bound in bounds:
+            got = bracket(INDICATOR, probe, m=m, tail_terms=k).values
+            assert np.abs(got - oracle).max() <= bound
 
 
 # the alias blocks on several threads against one thread
