@@ -18,8 +18,8 @@ from . import scenarios
 from .core import TruncationLadder
 from .families import shared_direction_family
 from .muckenhoupt import (
-    ConstantWeight, PowerWeight, a2_estimate, plateau_candidates,
-    plateau_weight,
+    ConstantWeight, PowerWeight, a2_estimate, plateau_weight,
+    weight_candidates,
 )
 from .operators import canonical_dual, reconstruct
 from .report import (
@@ -173,9 +173,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_a2test(args) -> int:
     weight = _weight(args)
-    candidates = plateau_candidates(args.k_max) \
-        if args.weight == "plateau" else None
-    rep = a2_estimate(weight, candidates=candidates)
+    rep = a2_estimate(weight, candidates=weight_candidates(weight))
     print(f"interval-average test: {rep.verdict}")
     print(f"  constant estimate: {rep.constant_estimate!r}")
     for label, interval, ratio in rep.witnesses[:6]:

@@ -8,7 +8,7 @@ analysis domain, closed-form prefix norms). Grid-sampled functions on a
 period or on a symmetric window of the line are carried by GridFunction.
 Convergence and divergence across truncation ladders is judged by
 tail_diagnostic, which returns a ConvergenceVerdict rather than a bare bool
-so that callers can surface evidence. The translate and exponential systems
+so that callers can surface evidence; every log-log slope is loglog_fit's. The translate and exponential systems
 share a Classification (per-property verdicts with their evidence) and
 bound_verdicts, the Bessel and lower rule on their symbol p or |g|^2.
 """
@@ -357,15 +357,18 @@ class ConvergenceVerdict:
         return self.kind == CONVERGENT
 
 
-def _loglog_fit(sizes: np.ndarray, values: np.ndarray):
-    """Least-squares slope and R^2 of log(values) against log(sizes)."""
-    x, y = np.log(sizes.astype(float)), np.log(values.astype(float))
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return float(slope), r2
+def loglog_fit(sizes, values) -> tuple:
+    """Least-squares slope and R^2 of log(values) against log(sizes), from
+    centered sums: R^2 = sxy^2 / (sxx syy), 1 when the values are flat. The
+    sums are numpy's pairwise sums, not BLAS dot products, whose order moves
+    with the BLAS thread count."""
+    x = np.log(np.asarray(sizes, dtype=float))
+    y = np.log(np.asarray(values, dtype=float))
+    x -= x.mean()
+    y -= y.mean()
+    sxx, syy, sxy = np.sum(x * x), np.sum(y * y), np.sum(x * y)
+    r2 = 1.0 if syy == 0 else float(sxy * sxy / (sxx * syy))
+    return float(sxy / sxx), r2
 
 
 def tail_diagnostic(values: Sequence, sizes: Sequence,
@@ -392,7 +395,7 @@ def tail_diagnostic(values: Sequence, sizes: Sequence,
                                   detail="stabilized")
 
     if np.all(mags > 0) and np.all(np.diff(mags) > 0):
-        slope, r2 = _loglog_fit(n, mags)
+        slope, r2 = loglog_fit(n, mags)
         if slope > DIVERGENCE_EXPONENT and r2 > r2_threshold:
             return ConvergenceVerdict(DIVERGENT, growth_exponent=slope,
                                       r_squared=r2, detail="growth fit")
@@ -502,11 +505,11 @@ def whole_number(value, least: int, precondition: str) -> int:
     """A count that must be a finite whole number >= least, as an int.
 
     Raises ValueError(precondition) for anything else: a fraction, a NaN,
-    an infinity, a value below least or a non-number.
+    an infinity, a value below least, a bool or a non-number.
     """
     if not (isinstance(value, (int, float, np.integer, np.floating))
-            and np.isfinite(value) and value >= least
-            and value == int(value)):
+            and not isinstance(value, bool) and np.isfinite(value)
+            and value >= least and value == int(value)):
         raise ValueError(f"{precondition}, got {value!r}")
     return int(value)
 
@@ -523,18 +526,15 @@ def periodize(f: GridFunction, a: float, shifts: int) -> GridFunction:
         raise ValueError("periodize expects a line grid")
     shifts = whole_number(shifts, 0, "shifts must be a whole number >= 0")
     m = whole_count(a / f.step, "period must be an integer number of grid steps")
-    out = np.zeros(m, dtype=complex)
-    j0 = f.index0
-    for k in range(-shifts, shifts + 1):
-        # residue r receives line index r + k*m
-        base = k * m - j0          # array position of line index k*m
-        lo = max(0, -base)
-        hi = min(m, f.size - base)
-        if lo < hi:
-            out[lo:hi] += f.values[base + lo:base + hi]
-    if np.isrealobj(f.values):
-        out = out.real
-    return GridFunction(out, f.step, PERIODIC)
+    span = 2 * shifts + 1
+    window = np.zeros(span * m, dtype=complex if np.iscomplexobj(f.values)
+                      else float)
+    # line index j sits at window position j + shifts*m; copy k of residue r
+    # is window row k + shifts, and grid nodes past the window are dropped
+    first = shifts * m + f.index0
+    lo, hi = max(0, -first), min(f.size, span * m - first)
+    window[first + lo:first + hi] = f.values[lo:hi]
+    return GridFunction(window.reshape(span, m).sum(axis=0), f.step, PERIODIC)
 
 
 def periodization_gap(f: GridFunction, folded: GridFunction) -> float:

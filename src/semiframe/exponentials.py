@@ -20,9 +20,7 @@ from .core import (
     essential_bounds, frame_verdict, line_grid, periodize, whole_count,
     whole_number,
 )
-from .muckenhoupt import (
-    IN_A2, NOT_IN_A2, a2_estimate, plateau_candidates,
-)
+from .muckenhoupt import IN_A2, NOT_IN_A2, a2_estimate, weight_candidates
 
 DEFAULT_CELLS = 2 ** 12
 
@@ -243,13 +241,6 @@ def t_general(system: ExponentialSystem, f_values: np.ndarray) -> np.ndarray:
 # classification
 
 
-def _weight_candidates(weight):
-    desc = getattr(weight, "descriptor", {})
-    if desc.get("kind") == "plateau":
-        return plateau_candidates(desc["k_max"])
-    return None
-
-
 def classify_exponentials(system: ExponentialSystem) -> Classification:
     """Read the frame-type inequalities off the weight's essential bounds.
 
@@ -272,7 +263,7 @@ def classify_exponentials(system: ExponentialSystem) -> Classification:
         {"from": ("bessel", "lower_bound")})
 
     if system.b == 1.0:
-        a2 = a2_estimate(system.weight, candidates=_weight_candidates(system.weight))
+        a2 = a2_estimate(system.weight, candidates=weight_candidates(system.weight))
         flag = YES if a2.verdict == IN_A2 else NO if a2.verdict == NOT_IN_A2 \
             else UNDECIDED
         props["conditional_basis"] = (flag, {"a2": a2.verdict,

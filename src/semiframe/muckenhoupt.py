@@ -301,6 +301,16 @@ def plateau_candidates(k_max: int) -> list:
     return out
 
 
+def weight_candidates(weight) -> list | None:
+    """The intervals a2_estimate tests first for a weight: a plateau
+    weight's straddling intervals (plateau_candidates of its k_max), None
+    for any other weight."""
+    desc = getattr(weight, "descriptor", {})
+    if desc.get("kind") == "plateau":
+        return plateau_candidates(desc["k_max"])
+    return None
+
+
 def plateau_ratio_closed_form(k: int, power: int = 1) -> Fraction:
     """Exact ratio on the straddling interval I_k for consecutive plateaus.
 

@@ -31,7 +31,7 @@ import numpy as np
 from .core import (
     CONVERGENT, DIVERGENT, INCONCLUSIVE,
     ConvergenceVerdict, TruncationLadder, VectorFamily,
-    instantiate, instantiate_stored, tail_diagnostic,
+    instantiate, instantiate_stored, loglog_fit, tail_diagnostic, whole_number,
 )
 
 EIG_FLOOR_RATIO = 1e-12        # eigenvalue floor relative to the largest
@@ -159,17 +159,6 @@ def frame_matrix(family: VectorFamily, level: tuple) -> np.ndarray:
     return x.T @ np.conj(x)
 
 
-def _whole(name: str, values) -> np.ndarray:
-    """A count, or an array of counts, as int64; refuses an empty one or
-    any entry that is not a whole number >= 1."""
-    a = np.asarray(values)
-    if not (a.size and a.dtype.kind in "iuf" and np.all(np.isfinite(a))
-            and np.all(a >= 1) and np.all(a == np.floor(a))):
-        raise ValueError(f"{name} must be one or more whole numbers >= 1, "
-                         f"got {values!r}")
-    return a.astype(np.int64)
-
-
 def _gram(y):
     """y^T conj(y), the frame matrix of the rows of y. A CSR y gives a
     sparse product; a dense y gives only the upper triangle, from one
@@ -185,7 +174,8 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
     """Largest relative entrywise deviation of the frame matrix under
     seeded row permutations; the accumulated sum is order-free, so only
     roundoff shows up here; n_perms must be a whole number >= 1."""
-    n_perms = int(_whole("n_perms", n_perms))
+    n_perms = whole_number(n_perms, 1, "n_perms must be one or more whole "
+                           "numbers >= 1")
     x = instantiate_stored(family, level)
     base = _gram(x)
     scale = max(1.0, float(abs(base).max()))
@@ -205,13 +195,20 @@ def frame_action(family: VectorFamily, f: np.ndarray, level: tuple) -> np.ndarra
     return x.T @ _pairings(x, _fit_dim(f, level[0]))
 
 
-def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
-                              window: float) -> tuple:
-    """Prefix sums of coeffs[i] rows[i] over i in ordering, and their norms.
-    Dense rows are weighted and added one at a time, so no reordered or
-    weighted copy of them is built; CSR rows are reordered (a copy of the
-    stored entries only) and each is scattered into the running sum."""
+def _partial_sums(rows, coeffs: np.ndarray, ordering, window: float) -> tuple:
+    """Prefix sums of coeffs[i] rows[i] over i in the ordering (None for
+    range(N)), their norms and the trace; the ordering must be an integer
+    permutation of range(N). Dense rows are weighted and added one at a
+    time, so no reordered or weighted copy of them is built; CSR rows are
+    reordered (a copy of the stored entries only) and each is scattered into
+    the running sum."""
+    coeffs = np.asarray(coeffs, dtype=complex)
     n, d = rows.shape
+    ordering = np.arange(n) if ordering is None else np.asarray(ordering)
+    if (ordering.shape != (n,) or not np.issubdtype(ordering.dtype, np.integer)
+            or not np.array_equal(np.sort(ordering), np.arange(n))):
+        raise ValueError(f"ordering must be a permutation of range(N), N={n}, "
+                         "given as integers")
     running = np.zeros(d, dtype=complex)
     norms = np.empty(n)
     if isinstance(rows, np.ndarray):
@@ -232,19 +229,6 @@ def _trace_from_weighted_rows(rows, coeffs: np.ndarray, ordering: np.ndarray,
     variation = float((tail.max() - tail.min()) / scale)
     trace = PartialSumTrace(norms, ordering, window, variation <= window, variation)
     return running, trace
-
-
-def _partial_sums(x, coeffs: np.ndarray, ordering, window: float):
-    """Partial sums of coeffs_n x_n in the given order, with trace; x is
-    CSR or dense, and the ordering an integer permutation of range(N)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    n = x.shape[0]
-    order = np.arange(n) if ordering is None else np.asarray(ordering)
-    if (order.shape != (n,) or not np.issubdtype(order.dtype, np.integer)
-            or not np.array_equal(np.sort(order), np.arange(n))):
-        raise ValueError(f"ordering must be a permutation of range(N), N={n}, "
-                         "given as integers")
-    return _trace_from_weighted_rows(x, coeffs, order, window)
 
 
 def synthesis(family: VectorFamily, coeffs: np.ndarray, level: tuple,
@@ -451,18 +435,15 @@ def dual_via_pseudoinverse(family: VectorFamily, level: tuple) -> DualFamily:
     cut = s > cutoff
     if entrywise:
         from scipy import sparse
-        # the duals' frame matrix is diagonal, |1/c|^2 at each kept entry
-        inv = 1.0 / c.data[cut]
-        duals = sparse.csr_array((inv, (c.row[cut], coords[c.col[cut]])),
-                                 shape=level[::-1])
-        bessel_est = float((inv * np.conj(inv)).real.max())
+        held = duals = sparse.csr_array(
+            (1.0 / c.data[cut], (c.row[cut], coords[c.col[cut]])),
+            shape=level[::-1])
     else:
         # the pseudo-inverse V S^+ U^H, transposed: members by rows
-        dual_block = ((vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T).T
+        held = ((vh[cut].conj().T / s[cut]) @ u[:, cut].conj().T).T
         duals = np.zeros(level[::-1], dtype=complex)
-        duals[rows[:, None], coords] = dual_block
-        frame = dual_block.T @ np.conj(dual_block)
-        bessel_est = float(np.linalg.eigvalsh(frame)[-1])
+        duals[rows[:, None], coords] = held
+    bessel_est = _KeptBlock(held.T).extremes()[1]
     smin = float(s[cut].min())
     return DualFamily(duals, "pseudoinverse", bessel_est,
                       float(1.0 / smin ** 2), smin ** 2)
@@ -573,8 +554,11 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
 
     exponent = None
     if family.prefix_norm_rule is not None:
-        counts = _whole("rule_counts", rule_counts if rule_counts is not None
-                        else ladder.counts())
+        rule = "rule_counts must be one or more whole numbers >= 1"
+        raw = np.ravel(ladder.counts() if rule_counts is None else rule_counts)
+        if not raw.size:
+            raise ValueError(f"{rule}, got {rule_counts!r}")
+        counts = np.array([whole_number(c, 1, rule) for c in raw])
         top = counts.max()
         if top < 3:
             raise ValueError("the prefix-norm fit needs a count of at least 3, "
@@ -582,13 +566,8 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
         norms_full = family.prefix_norm_rule(np.arange(1, top + 1))
         sups = [float(np.max(norms_full[:m])) for m in counts]
         m_lo = max(top // 8, 2)
-        lx = np.log(np.arange(m_lo, top + 1))
-        ly = np.log(norms_full[m_lo - 1:])
-        lx -= lx.mean()
-        ly -= ly.mean()
-        # pairwise sums, not BLAS dot products, whose order moves with the
-        # BLAS thread count
-        exponent = float(np.sum(lx * ly) / np.sum(lx * lx))
+        exponent, _ = loglog_fit(np.arange(m_lo, top + 1),
+                                 norms_full[m_lo - 1:])
     else:
         counts = ladder.counts()
         sups = []

@@ -129,14 +129,6 @@ def write_report_json(report: RunReport, path) -> None:
         fh.write(report_to_json(report))
 
 
-def _csv_rows(report: RunReport):
-    for c in report.checks:
-        val = _sanitize(c.value)
-        if isinstance(val, (dict, list)):
-            val = json.dumps(val, sort_keys=True)
-        yield [report.scenario, c.name, c.status, val]
-
-
 def write_registry_json(reports, path) -> None:
     payload = [json.loads(report_to_json(r)) for r in reports]
     with open(path, "w") as fh:
@@ -148,4 +140,8 @@ def write_registry_csv(reports, path) -> None:
         w = csv.writer(fh)
         w.writerow(["scenario", "check", "status", "value"])
         for report in reports:
-            w.writerows(_csv_rows(report))
+            for c in report.checks:
+                val = _sanitize(c.value)
+                if isinstance(val, (dict, list)):
+                    val = json.dumps(val, sort_keys=True)
+                w.writerow([report.scenario, c.name, c.status, val])

@@ -548,6 +548,21 @@ LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
     (lambda: line_window(KNOWN_P, 16, -1.0), COVER),
     (lambda: reconstruct_translates(KNOWN_P, KNOWN_P.profile.fn, m=16,
                                     cover=np.inf), COVER),
+    # bool subclasses int, so True and False would otherwise read as 1 and 0
+    (lambda: pphi(INDICATOR, m=64, tail_terms=True),
+     "tail_terms must be a whole number >= 1"),
+    (lambda: a2_estimate(ConstantWeight(1), depth=True),
+     "dyadic depth must be at least 1 and a whole number"),
+    (lambda: periodize(LATTICE_PROBE, 1.0, True),
+     "shifts must be a whole number >= 0"),
+    (lambda: periodize(LATTICE_PROBE, 1.0, False),
+     "shifts must be a whole number >= 0"),
+    (lambda: brute_apply(KNOWN_P, LATTICE_PROBE, True), N_MAX),
+    (lambda: brute_apply(KNOWN_P, LATTICE_PROBE, False), N_MAX),
+    (lambda: biorthogonality_gap(ExponentialSystem(ConstantWeight(1), 1.0, 8),
+                                 True), N_MAX),
+    (lambda: biorthogonality_gap(ExponentialSystem(ConstantWeight(1), 1.0, 8),
+                                 False), N_MAX),
 ], ids=["pphi-grid-fractional", "pphi-grid-nan", "bracket-grid-fractional",
         "bracket-grid-nan", "known-p-dual-grid-fractional",
         "brute-apply-n-max-negative", "brute-apply-n-max-fractional",
@@ -555,10 +570,46 @@ LATTICE_PROBE = line_grid(np.ones(33), 1.0 / 16)
         "biorthogonality-n-max-aliased", "a2-depth-fractional",
         "line-window-grid-0", "line-window-grid-fractional",
         "line-window-cover-inf", "line-window-cover-nan",
-        "line-window-cover-negative", "reconstruct-cover-inf"])
+        "line-window-cover-negative", "reconstruct-cover-inf",
+        "pphi-tail-terms-true", "a2-depth-true", "periodize-shifts-true",
+        "periodize-shifts-false", "brute-apply-n-max-true",
+        "brute-apply-n-max-false", "biorthogonality-n-max-true",
+        "biorthogonality-n-max-false"])
 def test_malformed_grid_sizes_and_counts_are_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
+
+
+def _fold_by_loop(f: GridFunction, m: int, shifts: int) -> np.ndarray:
+    """Direct double loop over residues r and shifted copies |k| <= shifts,
+    line index r + k*m, skipping indices off the grid."""
+    half = (f.size - 1) // 2
+    expect = np.zeros(m, dtype=complex if np.iscomplexobj(f.values) else float)
+    for r in range(m):
+        for k in range(-shifts, shifts + 1):
+            j = r + k * m
+            if -half <= j <= half:
+                expect[r] += f.values[j + half]
+    return expect
+
+
+@pytest.mark.parametrize("complex_values", [False, True],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("shifts", [0, 1])
+def test_periodize_drops_what_a_short_window_misses(shifts, complex_values):
+    # 8 nodes per period on 49 nodes, over six periods: shifts 0 and 1 keep
+    # one and three of them and drop the rest of the grid at both ends
+    step = 1.0 / 8
+    nodes = np.arange(-24, 25) * step
+    values = np.exp(-nodes ** 2) * (1.0 + nodes)
+    if complex_values:
+        values = values * np.exp(1j * nodes)
+    f = line_grid(values, step)
+    assert shifts < covering_shifts(f, 1.0)
+    folded = periodize(f, 1.0, shifts)
+    expect = _fold_by_loop(f, 8, shifts)
+    assert folded.values.dtype == expect.dtype
+    assert np.array_equal(folded.values, expect)
 
 
 def _laddered(*values):
@@ -568,7 +619,7 @@ def _laddered(*values):
 
 
 # plateau_weight(6) ladders 2^2, 3^3, ..., 6^6 over the labels 1..5
-K6_GROWTH = ("No", {"value_ladder_exponent": 5.597800506668429})
+K6_GROWTH = ("No", {"value_ladder_exponent": 5.59780050666843})
 
 
 @pytest.mark.parametrize("ess_inf, ess_sup, symbol, bessel, lower", [

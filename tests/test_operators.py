@@ -300,16 +300,45 @@ print(repr(w_membership(
 """
 
 
-def test_w_membership_is_the_same_at_one_and_two_blas_threads():
-    """The prefix-norm slope sums its 875001 terms pairwise, so the report
-    does not move with the BLAS thread count."""
+# the fitted log-log slopes of diana, stoeva and interleaved-chi
+_SCENARIO_SLOPES = """
+from semiframe.scenarios import run_scenario
+reports = {name: run_scenario(name)
+           for name in ("diana", "stoeva", "interleaved-chi")}
+for name, check in (
+        ("diana", "orthogonal-probe-invisible"),
+        ("stoeva", "no-upper-bound-harmonic-probe-escapes"),
+        ("interleaved-chi", "settled-coefficient-decay-near-minus-0.8"),
+        ("interleaved-chi", "live-coefficient-growth-exponent")):
+    c, = [c for c in reports[name].checks if c.name == check]
+    print(name, check, repr(c.value), repr(c.detail))
+"""
+
+
+def _at_one_and_two_blas_threads(script: str) -> list:
+    """The stdout of script run at OPENBLAS_NUM_THREADS=1 and =2."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    reports = [subprocess.run(
-        [sys.executable, "-c", _INTERLEAVED_MEMBERSHIP],
+    return [subprocess.run(
+        [sys.executable, "-c", script],
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
              "OMP_NUM_THREADS": threads},
         check=True, capture_output=True, text=True).stdout
         for threads in ("1", "2")]
+
+
+def test_w_membership_is_the_same_at_one_and_two_blas_threads():
+    """The prefix-norm slope sums its 875001 terms pairwise, so the report
+    does not move with the BLAS thread count."""
+    reports = _at_one_and_two_blas_threads(_INTERLEAVED_MEMBERSHIP)
+    assert reports[0] == reports[1]
+
+
+def test_fitted_slopes_are_the_same_at_one_and_two_blas_threads():
+    """Every log-log slope is core.loglog_fit's centered pairwise sums, so
+    the growth exponents of diana and stoeva and interleaved-chi's three
+    coefficient slopes do not move with the BLAS thread count."""
+    reports = _at_one_and_two_blas_threads(_SCENARIO_SLOPES)
+    assert len(reports[0].splitlines()) == 4
     assert reports[0] == reports[1]
 
 
@@ -873,7 +902,7 @@ def test_ordering_must_be_a_permutation(ordering):
         synthesis(fam, f, (16, 16), ordering=ordering)
 
 
-@pytest.mark.parametrize("n_perms", [0, -3, 2.5, np.nan])
+@pytest.mark.parametrize("n_perms", [0, -3, 2.5, np.nan, True])
 def test_permutation_gap_needs_a_whole_number_of_permutations(n_perms):
     with pytest.raises(ValueError, match=r"n_perms must be one or more whole"):
         permutation_gap(shared_direction_family(0.0), (17, 16), n_perms=n_perms)

@@ -184,6 +184,23 @@ def test_cli_classify_and_a2test(capsys):
     assert "InA2" in out
 
 
+def test_cli_tests_a_plateau_weight_on_its_straddling_intervals(capsys):
+    # the default weight is the squared plateau weight at k_max = 6
+    assert cli.main(["a2test"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "interval-average test: NotInA2"
+    assert re.findall(r"candidate-\d+", out) == [
+        f"candidate-{k}" for k in range(2, 7)]
+    assert cli.main(["a2test", "--weight", "constant"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "interval-average test: InA2"
+    assert "candidate-" not in out
+    assert cli.main(["classify", "exponentials"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^  conditional_basis +No +\{'a2': 'NotInA2'", out,
+                     flags=re.MULTILINE)
+
+
 def test_cli_precondition_violations_exit_as_usage(capsys):
     # density above one is outside the exponential classifier's contract
     assert cli.main(["classify", "exponentials", "--weight", "constant",
