@@ -32,6 +32,41 @@ def _within(value, golden, tol):
     return abs(value - golden) <= tol
 
 
+# the largest size a tol check may read where its golden number is 0 or at
+# rounding level, before it counts as having lost digits
+ROUNDING_FLOOR = 1e-14
+
+
+def _digits_kept(value, golden):
+    """Every entry of value is at most ten times the size of golden's, or
+    ROUNDING_FLOOR where that is larger. A value may move within its gate,
+    but one that grew by a decade has lost digits: the golden number is then
+    restated, with its before and after in CHANGES.md."""
+    if isinstance(golden, dict):
+        return value.keys() == golden.keys() and all(
+            _digits_kept(value[k], golden[k]) for k in golden)
+    if isinstance(golden, list):
+        return len(value) == len(golden) and all(map(_digits_kept, value, golden))
+    return abs(value) <= max(10.0 * abs(golden), ROUNDING_FLOOR)
+
+
+def test_digits_kept_allows_a_decade_or_the_rounding_floor():
+    assert _digits_kept(7e-14, 7.3e-15) and _digits_kept(-7e-14, 7.3e-15)
+    assert not _digits_kept(7.4e-14, 7.3e-15)
+    # the self-dual bracket perturbed by a relative 1e-9 is within its 1e-6
+    # gate, but not within a decade of its golden number
+    assert _within(1e-9, 7.3e-15, 1e-6) and not _digits_kept(1e-9, 7.3e-15)
+    for golden in (0.0, 4.4e-16, -6.9e-18):
+        assert _digits_kept(ROUNDING_FLOOR, golden)
+        assert not _digits_kept(2 * ROUNDING_FLOOR, golden)
+    assert _digits_kept({"a": 8.8e-12, "b": 0.0}, {"a": 8.8e-13, "b": 0.0})
+    assert not _digits_kept({"a": 8.8e-12, "b": 2e-14}, {"a": 8.8e-13, "b": 0.0})
+    assert not _digits_kept({"a": 1e-16}, {"b": 1e-16})
+    assert _digits_kept([0.02, 1e-15], [0.003, 0.0])
+    assert not _digits_kept([0.04, 1e-15], [0.003, 0.0])
+    assert not _digits_kept([1e-15], [1e-15, 1e-15])
+
+
 def test_registry_names_are_pinned():
     assert list(scenario_names()) == [
         "diana",
@@ -116,6 +151,7 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
         if "tol" in gold:
             assert _within(check["value"], gold["value"], gold["tol"]), \
                 check["name"]
+            assert _digits_kept(check["value"], gold["value"]), check["name"]
     # one scenario runs through the sweep's path: its report, CSV rows and
     # stdout lines are the sweep's entry for it
     one = tmp_path / "diana.json"
