@@ -118,7 +118,7 @@ def _cmd_pphi(args) -> int:
     print(f"  ess sup (grid) : {float(rep.ess_sup)!r}")
     print(f"  zero fraction  : {float(rep.zero_fraction)!r}")
     print(f"  tail gap       : {float(rep.tail_gap)!r}"
-          f"  (extrapolated: {rep.extrapolated})")
+          f"  (extrapolated: {rep.extrapolated}, terms: {rep.terms})")
     if args.out:
         grid.to_csv(args.out)
         print(f"grid written to {args.out}", file=sys.stderr)

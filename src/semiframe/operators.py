@@ -184,7 +184,10 @@ def permutation_gap(family: VectorFamily, level: tuple, n_perms: int = 20,
     n = level[1]
     for _ in range(n_perms):
         t = _gram(x[rng.permutation(n)])
-        worst = max(worst, float(abs(t - base).max()) / scale)
+        # a dense frame matrix is compared in place, without a temporary
+        gap = np.subtract(t, base, out=t) if isinstance(t, np.ndarray) \
+            else t - base
+        worst = max(worst, float(np.abs(gap).max()) / scale)
     return worst
 
 

@@ -521,7 +521,8 @@ def _run_orthonormal_translates(seed=DEFAULT_SEED):
     p, rep = pphi(system, m=1024, tail_terms=10 ** 4)
     checks.append(_check("aliased-energy-identically-one",
                          float(np.abs(p.values - 1.0).max()), tol=1e-5,
-                         tail_gap=rep.tail_gap, extrapolated=rep.extrapolated))
+                         tail_gap=rep.tail_gap, terms=rep.terms,
+                         extrapolated=rep.extrapolated))
 
     cls = classify_translates(system, m=1024, tail_terms=10 ** 4)
     checks += _verdict_checks(cls, {

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -195,6 +194,10 @@ HURWITZ_DIRECT = 10
 # indicator max|p - 1| is 4.4e-16 at K = 10 (m = 256, 1024; 6.7e-16 at
 # m = 16384) against 1.6e-15 to 1.9e-15 at K = 10^4
 CLOSED_TAIL_TERMS = 10
+# two successive midpoint fits of an alias sum that differ by at most this
+# fraction of their largest modulus have settled (successive fits of the
+# hat's sinc^4 differ by 3.3e-16 to 6.7e-16 once they settle)
+SETTLED = 8 * np.finfo(float).eps
 
 
 def hurwitz_zeta(s: float, q) -> np.ndarray:
@@ -290,26 +293,42 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
 
     Pairs f against the generator profile; with f_fn None (or the profile's
     own fn) the summand is the profile's real energy |phi|^2. Returns
-    (values, tail_gap, extrapolated). Compactly supported profiles sum
-    exactly over the few overlapping shifts. A self-paired profile with a
-    declared tail model and 1/a an integer sums |n| <= min(K,
-    CLOSED_TAIL_TERMS) and adds the tail in closed form from there; tail_gap
-    is that correction's size. Every other decaying series is summed over
-    |n| <= K, as S_{K/8} and the rings (K/8, K/4], (K/4, K/2] and (K/2, K];
-    tail_gap is the size of the outermost ring summed. When the ring sizes
-    fall as a tail c N^-r does at the midpoints N = n + 1/2 (_ring_order,
-    within 1/K in log2), the combination of S_{K/4}, S_{K/2} and S_K that
-    cancels c N^-r and c' N^-(r+2) is returned: at midpoints the
-    Euler-Maclaurin tail of a smooth summand has only even-derivative
-    corrections, since the +-n pairs cancel the odd ones. That holds only
-    when the summand has the same expansion at +inf and -inf; one that
-    does not (a probe in |xi|, such as phi_hat / (1 + |xi|)) leaves a
-    c'' N^-(r+1) term that the fit does not cancel, and the order check
-    must then send the sum on to the fallback. Otherwise, and always for
-    K < 8, the ring (K, 2K] is added too; when S_K and S_2K disagree and
-    the two outer rings shrink by a near-whole power 2^r, r >= 1, combining
-    S_K and S_2K removes a K^-r tail (Richardson), else the plain S_2K is
-    returned.
+    (values, tail_gap, extrapolated, terms), where terms is the largest |n|
+    summed explicitly. Compactly supported profiles sum exactly over the few
+    overlapping shifts. A self-paired profile with a declared tail model and
+    1/a an integer sums |n| <= min(K, CLOSED_TAIL_TERMS) and adds the tail
+    in closed form from there; tail_gap is that correction's size.
+
+    Every other decaying series works up the halving ladder K_j = K // 2^j
+    from the bottom; each level adds the ring (K_{j+1}, K_j], so every term
+    is evaluated once, and tail_gap is the size of the outermost ring
+    summed. At each level N >= 8 the edges N/8, N/4, N/2 and N are ladder
+    points. When the sizes of the rings between them fall as a tail c N^-r
+    does at the midpoints N = n + 1/2 (_ring_order, within 1/N in log2),
+    the combination of S_{N/4}, S_{N/2} and S_N that cancels c N^-r and
+    c' N^-(r+2) is that level's fit: at midpoints the Euler-Maclaurin tail
+    of a smooth summand has only even-derivative corrections, since the +-n
+    pairs cancel the odd ones. That holds only when the summand has the
+    same expansion at +inf and -inf; one that does not (a probe in |xi|,
+    such as phi_hat / (1 + |xi|)) leaves a c'' N^-(r+1) term that the fit
+    does not cancel, and the order check must then send the sum on to the
+    fallback.
+
+    The sum stops at the first level whose fit has the same order r as the
+    previous level's fit and differs from it by at most SETTLED times its
+    largest modulus, so K caps the terms summed. The stop assumes that the
+    clean power law the fit relies on at K already holds past the stop
+    level: terms beyond it are never evaluated. The hat's sinc^4 stops at
+    |n| <= 312 for K = 10^4 and at 250 for K = 1000 (m = 1024), and runs to
+    K at K = 100 and 200.
+    A summand whose law changes past the stop level is summed wrongly: an
+    energy sinc^4 for |xi| < 300 and sinc^2 beyond stops at 250 for
+    K = 1000 and misses the sinc^2 tail. When no level settles, the fit at
+    K is returned. Without one, and always for K < 8 (S_{K/2} and the ring
+    (K/2, K]), the ring (K, 2K] is added too; when S_K and S_2K disagree
+    and the two outer rings shrink by a near-whole power 2^r, r >= 1,
+    combining S_K and S_2K removes a K^-r tail (Richardson), else the plain
+    S_2K is returned.
     extrapolated says whether a tail was added or cancelled.
     """
     tail_terms = whole_number(tail_terms, 1,
@@ -328,7 +347,7 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         n_lo = int(np.floor(a * lo)) - 1
         n_hi = int(np.ceil(a * hi)) + 1
         vals = _alias_blocks(term, a, gamma, n_lo, n_hi)
-        return vals / a, 0.0, False
+        return vals / a, 0.0, False, max(-n_lo, n_hi)
     closed = self_paired and _closed_tail_ok(profile, a)
     k = min(tail_terms, CLOSED_TAIL_TERMS) if closed else tail_terms
     if closed:
@@ -336,29 +355,43 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         tail = envelope(gamma / a) * a ** s * (
             hurwitz_zeta(s, k + 1 + gamma) + hurwitz_zeta(s, k + 1 - gamma))
         s_k = _alias_blocks(term, a, gamma, -k, k)
-        return (s_k + tail) / a, float(np.max(np.abs(tail))) / a, True
+        return (s_k + tail) / a, float(np.max(np.abs(tail))) / a, True, k
 
     def ring(lo, hi):
         """The terms lo <= |n| <= hi."""
         return _alias_blocks(term, a, gamma, lo, hi) \
             + _alias_blocks(term, a, gamma, -hi, -lo)
 
-    # below K = 8, S_K is S_{K/2} and the ring (K/2, K] alone
-    edges = (k // 8, k // 4, k // 2, k) if k >= 8 else (k // 2, k)
-    inner = _alias_blocks(term, a, gamma, -edges[0], edges[0])
-    rings = [ring(lo + 1, hi) for lo, hi in zip(edges, edges[1:])]
-    sums = list(accumulate(rings, initial=inner))
-    s_k, prev = sums[-1], float(np.max(np.abs(rings[-1])))
-    if k >= 8:
-        nodes = np.array(edges) + 0.5
-        r = _ring_order(rings, nodes, 1.0 / k)
-        if r is not None:
-            # S_M = S - c N^-r - c' N^-(r+2) at N = M + 1/2, solved for S
-            t = nodes[1:] / nodes[-1]
-            w = np.linalg.solve([np.ones(3), t ** -r, t ** -(r + 2.0)],
-                                [1.0, 0.0, 0.0])
-            vals = w[0] * sums[1] + w[1] * sums[2] + w[2] * s_k
-            return vals / a, prev / a, True
+    ladder = [k]
+    while ladder[-1] > 0:
+        ladder.append(ladder[-1] // 2)
+    # below K = 8 there is no fit: S_{K/2} and the ring (K/2, K] alone
+    ladder = ladder[1::-1] if k < 8 else ladder[::-1]
+    sums = [_alias_blocks(term, a, gamma, -ladder[0], ladder[0])]
+    rings, fit = [None], None
+    for i, n in enumerate(ladder[1:], start=1):
+        rings.append(ring(ladder[i - 1] + 1, n))
+        sums.append(sums[-1] + rings[-1])
+        gap = float(np.max(np.abs(rings[-1])))
+        if n < 8:
+            continue
+        nodes = np.array(ladder[i - 3:i + 1]) + 0.5
+        r = _ring_order(rings[i - 2:], nodes, 1.0 / n)
+        if r is None:
+            fit = None
+            continue
+        # S_M = S - c N^-r - c' N^-(r+2) at N = M + 1/2, solved for S
+        t = nodes[1:] / nodes[-1]
+        w = np.linalg.solve([np.ones(3), t ** -r, t ** -(r + 2.0)],
+                            [1.0, 0.0, 0.0])
+        vals = w[0] * sums[i - 2] + w[1] * sums[i - 1] + w[2] * sums[i]
+        if fit is not None and fit[0] == r and np.max(np.abs(vals - fit[1])) \
+                <= SETTLED * np.max(np.abs(vals)):
+            return vals / a, gap / a, True, n
+        fit = (r, vals)
+    if fit is not None:
+        return fit[1] / a, gap / a, True, k
+    s_k, prev = sums[-1], gap
     ring_2k = ring(k + 1, 2 * k)
     s_2k = s_k + ring_2k
     gap = float(np.max(np.abs(ring_2k)))
@@ -367,8 +400,8 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         r = math.log2(prev) - math.log2(gap)   # the quotient may overflow
         if round(r) >= 1 and abs(r - round(r)) <= 0.25:
             w = 2.0 ** round(r)
-            return (w * s_2k - s_k) / (w - 1.0) / a, gap / a, True
-    return s_2k / a, gap / a, False
+            return (w * s_2k - s_k) / (w - 1.0) / a, gap / a, True, 2 * k
+    return s_2k / a, gap / a, False, 2 * k
 
 
 def _lattice(m) -> np.ndarray:
@@ -385,9 +418,13 @@ class PphiReport:
 
     tail_gap is the size of the last alias contribution pphi took in: the
     closed tail where one is declared, else the outermost ring summed (the
-    ring (K/2, K] when the midpoint fit ends at K, the ring (K, 2K]
-    otherwise). extrapolated says whether a tail was added (closed
+    ring (N/2, N] when the midpoint fit settles at level N <= K, the ring
+    (K, 2K] otherwise). extrapolated says whether a tail was added (closed
     form) or cancelled (the midpoint fit or the one-step Richardson rule).
+    terms is the largest |n| summed explicitly: min(K, CLOSED_TAIL_TERMS)
+    ahead of a closed tail, the shift window of a compact profile, the
+    level N where the midpoint fit settled (K when none settled), or 2K
+    for the one-step rule.
     """
 
     ess_inf: float
@@ -395,6 +432,7 @@ class PphiReport:
     zero_fraction: float
     tail_gap: float
     extrapolated: bool
+    terms: int
 
 
 def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
@@ -403,15 +441,21 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
 
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
+    tail_terms K caps the explicit alias terms: a decaying profile without a
+    closed tail stops at the first halving level K // 2^j whose midpoint fit
+    agrees with the level below it (_alias_series), which assumes that its
+    clean power law holds past that level; the hat's sinc^4 at m = 1024
+    stops at |n| <= 250 for K = 1000 and at 312 for K = 10^4.
+    PphiReport.terms says how far the sum went.
     """
     gamma = _lattice(m)
-    vals, gap, extr = _alias_series(system, gamma, tail_terms)
+    vals, gap, extr, terms = _alias_series(system, gamma, tail_terms)
     p = np.real(vals)
     sup = float(p.max())
     tau = ZERO_MASK_RATIO * sup
     live = p > tau
     inf_live = float(p[live].min()) if live.any() else 0.0
-    report = PphiReport(inf_live, sup, 1.0 - live.mean(), gap, extr)
+    report = PphiReport(inf_live, sup, 1.0 - live.mean(), gap, extr, terms)
     return periodic_grid(p), report
 
 
@@ -421,12 +465,15 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
 
     Shares the alias kernel and tail handling with pphi, so feeding the
     generator's own profile reproduces the pphi values exactly. A decaying
-    cross pairing sums |n| <= K and cancels its tail's two leading orders
-    when the rings show a clean power law (the unit indicator at a = 1
-    does); otherwise it sums |n| <= 2K for one Richardson step.
+    cross pairing sums at most |n| <= K and cancels its tail's two leading
+    orders when the rings show a clean power law (the unit indicator at
+    a = 1 does), stopping below K once two successive halving levels' fits
+    agree to SETTLED, on the assumption that the power law holds past that
+    level (the unit indicator's in-span brackets at K = 2000 never settle
+    and run to K); otherwise it sums |n| <= 2K for one Richardson step.
     """
     gamma = _lattice(m)
-    vals, _, _ = _alias_series(system, gamma, tail_terms, f_fn=f_hat)
+    vals = _alias_series(system, gamma, tail_terms, f_fn=f_hat)[0]
     return periodic_grid(vals)
 
 
@@ -627,7 +674,8 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     props = dict(zip(("bessel", "lower_for_span"),
                      bound_verdicts(inf, sup, system.symbol)))
     if grid_sup:
-        props["bessel"][1].update(bound=rep.ess_sup, tail_gap=rep.tail_gap)
+        props["bessel"][1].update(bound=rep.ess_sup, tail_gap=rep.tail_gap,
+                                  terms=rep.terms)
     if inf is None:
         props["lower_for_span"] = _grid_lower(system, tail_terms)
 

@@ -11,11 +11,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from semiframe.exponentials import ExponentialSystem, family_on_grid
 from semiframe.families import shared_direction_family
 from semiframe.muckenhoupt import ConstantWeight
 from semiframe.scenarios import run_scenario
-from semiframe.translates import unit_indicator_profile
+from semiframe.translates import TranslateSystem, pphi, unit_indicator_profile
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -70,3 +72,20 @@ def test_report_tolerances_copy_each_checks_declared_tol():
         for check in run_scenario(name).checks:
             declared[(name, check.name)] = check.detail.get("tol")
     assert {key: declared.get(key) for key in copied} == copied
+
+
+def test_benchmark_pphi_sweep_meets_its_tolerance(monkeypatch):
+    # the spectral workload's K sweep, as `workloads.run_spectral` checks it:
+    # a library change that breaks one of these ops fails here as well
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    workloads = importlib.import_module("workloads")
+    m = workloads.FULL.pphi_grid
+    assert m == 1024
+    for profile, exact in ((unit_indicator_profile(), np.ones_like),
+                           (workloads.hat_profile(), workloads._p_hat)):
+        for k in layers.PPHI_TAILS:
+            p, _ = pphi(TranslateSystem(profile, 1.0), m=m, tail_terms=k)
+            err = float(np.abs(p.values - exact(p.nodes())).max())
+            assert err <= workloads.pphi_tolerance(k), (profile.name, k)
+            assert k < 100 or err <= 1e-14, (profile.name, k)

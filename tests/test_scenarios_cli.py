@@ -152,6 +152,9 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
             assert _within(check["value"], gold["value"], gold["tol"]), \
                 check["name"]
             assert _digits_kept(check["value"], gold["value"]), check["name"]
+    # the closed tail sums |n| <= CLOSED_TAIL_TERMS explicitly
+    flat, = [c for s, c in checks if c["name"] == "aliased-energy-identically-one"]
+    assert flat["detail"]["terms"] == 10
     # one scenario runs through the sweep's path: its report, CSV rows and
     # stdout lines are the sweep's entry for it
     one = tmp_path / "diana.json"
@@ -267,6 +270,7 @@ def test_cli_pphi_writes_samples(tmp_path, capsys):
     path = tmp_path / "p.csv"
     assert cli.main(["pphi", "--profile", "raised-cosine", "--grid", "64",
                      "--out", str(path)]) == 0
-    capsys.readouterr()
+    # the support (-1, 1) at a = 1 overlaps the shifts |n| <= 2
+    assert "terms: 2)" in capsys.readouterr().out
     rows = path.read_text().strip().splitlines()
     assert len(rows) == 65

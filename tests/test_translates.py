@@ -110,8 +110,9 @@ def test_closed_tail_caps_the_explicit_terms():
     m = 256
     system = TranslateSystem(
         FourierProfile(prof.name, prof.fn, energy=counted, tail=prof.tail), 1.0)
-    grid, _ = pphi(system, m=m, tail_terms=10 ** 4)
+    grid, rep = pphi(system, m=m, tail_terms=10 ** 4)
     assert sum(points) == (2 * CLOSED_TAIL_TERMS + 1) * m
+    assert rep.terms == CLOSED_TAIL_TERMS
     assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
@@ -249,6 +250,7 @@ def test_canonical_dual_known_p_route():
     cls = classify_translates(system, m=512)
     assert cls.verdict("bessel") == cls.verdict("lower_for_span") == "Yes"
     assert "tail_gap" in cls.properties["bessel"][1]
+    assert cls.properties["bessel"][1]["terms"] == 2
     dual = canonical_dual_translates(system, m=128)
     # dual profile is phi / p on the support
     xi = np.array([0.0, 0.25, -0.5])
@@ -434,19 +436,57 @@ def test_reconstruct_indicator_in_span_probe_to_rounding():
 
 
 @pytest.mark.parametrize("step, k, per_node", [
-    (1.0, 1000, 2001), (1.0, 100, 201), (0.4, 1000, 4001)])
+    (1.0, 1000, 501), (1.0, 100, 201), (0.4, 1000, 4001)])
 def test_alias_terms_per_node(step, k, per_node):
-    # a clean power-law tail is fitted from |n| <= K; at a = 0.4 the
-    # envelope is not periodic along the terms and the sum runs to 2K
+    # a clean power-law tail is fitted from |n| <= K, and at K = 1000 the
+    # fits at the levels 125 and 250 already agree; at a = 0.4 the envelope
+    # is not periodic along the terms and the sum runs to 2K
     points = []
 
     def counted(g):
         points.append(g.size)
         return np.sinc(g) ** 2
     m = 64
-    pphi(TranslateSystem(FourierProfile("counted", counted), step),
-         m=m, tail_terms=k)
-    assert sum(points) == per_node * m
+    _, rep = pphi(TranslateSystem(FourierProfile("counted", counted), step),
+                  m=m, tail_terms=k)
+    assert sum(points) == per_node * m == (2 * rep.terms + 1) * m
+
+
+def test_hat_alias_sum_stops_where_its_fits_settle():
+    # K = 10^4 caps the terms: the fits at the levels 156 and 312 of the
+    # halving ladder agree, so 625 of the 20001 rows per node are summed
+    points = []
+
+    def counted(g):
+        points.append(g.size)
+        return np.sinc(g) ** 2
+    m = 1024
+    grid, rep = pphi(TranslateSystem(FourierProfile("counted", counted), 1.0),
+                     m=m, tail_terms=10 ** 4)
+    assert sum(points) <= 20001 * m / 16
+    assert sum(points) == (2 * rep.terms + 1) * m and rep.terms == 312
+    assert np.abs(grid.values - _hat_p(grid.nodes())).max() <= 1e-14
+
+
+def test_alias_sum_does_not_stop_while_its_rings_straddle_a_change_of_law():
+    # the energy is sinc^4 for |xi| < 300 and sinc^2 beyond: the levels 312,
+    # 625 and 1250 of K = 10^4 fit rings on both sides of 300, so the
+    # first clean fits are at 2500 and 5000. The exact p sums |n| <= 300
+    # and adds the sinc^2 tails sin^2(pi g) / pi^2 zeta(2, 301 +- g)
+    special = pytest.importorskip("scipy.special")
+
+    def fn(g):
+        g = np.asarray(g, dtype=float)
+        return np.where(np.abs(g) < 300, np.sinc(g) ** 2, np.sinc(g))
+    m = 64
+    gamma = np.arange(m) / m
+    x = gamma[None, :] + np.arange(-300, 301)[:, None]
+    exact = (fn(x) ** 2).sum(axis=0) + np.sin(np.pi * gamma) ** 2 / np.pi ** 2 \
+        * (special.zeta(2, 301 + gamma) + special.zeta(2, 301 - gamma))
+    grid, rep = pphi(TranslateSystem(FourierProfile("kink", fn), 1.0), m=m,
+                     tail_terms=10 ** 4)
+    assert rep.terms // 8 >= 300
+    assert np.abs(grid.values - exact).max() <= 1e-14
 
 
 def _indicator_p(gamma, step):
