@@ -13,7 +13,6 @@ lattice nodes.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,9 +46,7 @@ class FourierProfile:
     when it only decays. energy optionally gives |fn|^2 directly, so the
     self-paired alias sums skip phases that cancel. tail optionally declares
     (s, envelope) with energy(x) = envelope(x) |x|^-s, envelope 1-periodic:
-    the alias tail then has a closed form through the Hurwitz zeta. The
-    alias sums evaluate blocks on several threads, so fn and energy may be
-    called from several threads at once.
+    the alias tail then has a closed form through the Hurwitz zeta.
     """
 
     name: str
@@ -221,39 +218,14 @@ def hurwitz_zeta(s: float, q) -> np.ndarray:
     return total
 
 
-# one alias-block worker per CPU this process may run on, at most
-_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-# bytes of block arguments held by all workers at once; each worker keeps a
-# few arrays of its argument's size alive (37.5 MB for the hat profile at
-# m = 2^14), so this caps the extra peak memory of one alias sum whatever
-# the CPU count: two workers at m = 2^14, one from m = 2^15 on
-ALIAS_MEMORY = 2 ** 24
-
-
 def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
     """sum over n in [n_lo, n_hi] of term((gamma+n)/a), accumulated in blocks
-    whose sums are added in block order (core.pairwise_sum).
-
-    Blocks are independent, so they run on one thread per CPU, as far as
-    ALIAS_MEMORY allows; their sums are reduced in block order, which keeps
-    every value bit-identical to a serial run.
-    """
+    of ALIAS_BLOCK rows whose sums are added in block order
+    (core.pairwise_sum), on the calling thread."""
     ns = np.arange(n_lo, n_hi + 1)
-
-    def block_sum(start):
-        arg = (gamma[None, :] + ns[start:start + ALIAS_BLOCK, None]) / a
-        return term(arg).sum(axis=0)
-
-    starts = range(0, ns.size, ALIAS_BLOCK)
-    workers = min(_WORKERS, len(starts),
-                  max(1, ALIAS_MEMORY // (ALIAS_BLOCK * gamma.nbytes)))
-    if workers == 1:
-        return pairwise_sum([block_sum(start) for start in starts])
-    # imported on first use: it would add about 9 ms to `import semiframe`
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(workers) as pool:
-        return pairwise_sum(list(pool.map(block_sum, starts)))
+    return pairwise_sum([
+        term((gamma[None, :] + ns[start:start + ALIAS_BLOCK, None]) / a)
+        .sum(axis=0) for start in range(0, ns.size, ALIAS_BLOCK)])
 
 
 def _closed_tail_ok(profile: FourierProfile, a: float) -> bool:
@@ -305,14 +277,14 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     summed. At each level N >= 8 the edges N/8, N/4, N/2 and N are ladder
     points. When the sizes of the rings between them fall as a tail c N^-r
     does at the midpoints N = n + 1/2 (_ring_order, within 1/N in log2),
-    the combination of S_{N/4}, S_{N/2} and S_N that cancels c N^-r and
-    c' N^-(r+2) is that level's fit: at midpoints the Euler-Maclaurin tail
-    of a smooth summand has only even-derivative corrections, since the +-n
-    pairs cancel the odd ones. That holds only when the summand has the
-    same expansion at +inf and -inf; one that does not (a probe in |xi|,
-    such as phi_hat / (1 + |xi|)) leaves a c'' N^-(r+1) term that the fit
-    does not cancel, and the order check must then send the sum on to the
-    fallback.
+    the combination of S_{N/8}, S_{N/4}, S_{N/2} and S_N that cancels
+    c N^-r, c' N^-(r+2) and c'' N^-(r+4) is that level's fit: at midpoints
+    the Euler-Maclaurin tail of a smooth summand has only even-derivative
+    corrections, since the +-n pairs cancel the odd ones. That holds only
+    when the summand has the same expansion at +inf and -inf; one that
+    does not (a probe in |xi|, such as phi_hat / (1 + |xi|)) leaves an
+    N^-(r+1) term that the fit does not cancel, and the order check must
+    then send the sum on to the fallback.
 
     The sum stops at the first level whose fit has the same order r as the
     previous level's fit and differs from it by at most SETTLED times its
@@ -320,7 +292,8 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     clean power law the fit relies on at K already holds past the stop
     level: terms beyond it are never evaluated. The hat's sinc^4 stops at
     |n| <= 312 for K = 10^4 and at 250 for K = 1000 (m = 1024), and runs to
-    K at K = 100 and 200.
+    K at K = 100 and 200; the unit indicator's in-span cross brackets and
+    its bare sinc^2 stop at 500 for K = 2000.
     A summand whose law changes past the stop level is summed wrongly: an
     energy sinc^4 for |xi| < 300 and sinc^2 beyond stops at 250 for
     K = 1000 and misses the sinc^2 tail. When no level settles, the fit at
@@ -380,11 +353,12 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         if r is None:
             fit = None
             continue
-        # S_M = S - c N^-r - c' N^-(r+2) at N = M + 1/2, solved for S
-        t = nodes[1:] / nodes[-1]
-        w = np.linalg.solve([np.ones(3), t ** -r, t ** -(r + 2.0)],
-                            [1.0, 0.0, 0.0])
-        vals = w[0] * sums[i - 2] + w[1] * sums[i - 1] + w[2] * sums[i]
+        # S_M = S - c N^-r - c' N^-(r+2) - c'' N^-(r+4) at N = M + 1/2,
+        # solved for S
+        t = nodes / nodes[-1]
+        w = np.linalg.solve([np.ones(4), t ** -r, t ** -(r + 2.0),
+                             t ** -(r + 4.0)], [1.0, 0.0, 0.0, 0.0])
+        vals = sum(wj * sj for wj, sj in zip(w, sums[i - 3:i + 1]))
         if fit is not None and fit[0] == r and np.max(np.abs(vals - fit[1])) \
                 <= SETTLED * np.max(np.abs(vals)):
             return vals / a, gap / a, True, n
@@ -420,7 +394,8 @@ class PphiReport:
     closed tail where one is declared, else the outermost ring summed (the
     ring (N/2, N] when the midpoint fit settles at level N <= K, the ring
     (K, 2K] otherwise). extrapolated says whether a tail was added (closed
-    form) or cancelled (the midpoint fit or the one-step Richardson rule).
+    form) or cancelled (the three-order midpoint fit or the one-step
+    Richardson rule).
     terms is the largest |n| summed explicitly: min(K, CLOSED_TAIL_TERMS)
     ahead of a closed tail, the shift window of a compact profile, the
     level N where the midpoint fit settled (K when none settled), or 2K
@@ -445,7 +420,8 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     closed tail stops at the first halving level K // 2^j whose midpoint fit
     agrees with the level below it (_alias_series), which assumes that its
     clean power law holds past that level; the hat's sinc^4 at m = 1024
-    stops at |n| <= 250 for K = 1000 and at 312 for K = 10^4.
+    stops at |n| <= 250 for K = 1000 and at 312 for K = 10^4, and a bare
+    sinc^2 at 500 for K = 2000.
     PphiReport.terms says how far the sum went.
     """
     gamma = _lattice(m)
@@ -465,12 +441,13 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
 
     Shares the alias kernel and tail handling with pphi, so feeding the
     generator's own profile reproduces the pphi values exactly. A decaying
-    cross pairing sums at most |n| <= K and cancels its tail's two leading
-    orders when the rings show a clean power law (the unit indicator at
-    a = 1 does), stopping below K once two successive halving levels' fits
-    agree to SETTLED, on the assumption that the power law holds past that
-    level (the unit indicator's in-span brackets at K = 2000 never settle
-    and run to K); otherwise it sums |n| <= 2K for one Richardson step.
+    cross pairing sums at most |n| <= K and cancels its tail's three
+    leading orders when the rings show a clean power law (the unit
+    indicator at a = 1 does), stopping below K once two successive halving
+    levels' fits agree to SETTLED, on the assumption that the power law
+    holds past that level (the unit indicator's in-span brackets at
+    K = 2000 stop at |n| <= 500); otherwise it sums |n| <= 2K for one
+    Richardson step.
     """
     gamma = _lattice(m)
     vals = _alias_series(system, gamma, tail_terms, f_fn=f_hat)[0]

@@ -1,7 +1,3 @@
-import concurrent.futures
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -591,7 +587,7 @@ def test_cross_probe_off_the_span_is_no_worse():
             assert np.abs(got - oracle).max() <= bound
 
 
-# the alias blocks on several threads against one thread
+# rows per node, and blocks on the calling thread
 
 
 def _hat_profile():
@@ -603,76 +599,39 @@ def _indicator_probe(xi):
     return (1.0 + 0.5 * np.exp(2j * np.pi * xi)) * INDICATOR.profile(xi)
 
 
-def _on_workers(workers, monkeypatch, call, pools=None):
-    """call() with the worker count patched; the size of every thread pool
-    the alias sums open is appended to pools."""
-    class Recording(ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            if pools is not None:
-                pools.append(max_workers)
-            super().__init__(max_workers)
-    with monkeypatch.context() as mp:
-        mp.setattr(translates, "_WORKERS", workers)
-        mp.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
-        return call()
+def test_in_span_cross_bracket_stops_at_500():
+    # the bracket of q phi_hat is q p = 1 + 0.5 e^(2 pi i g). With three
+    # tail orders cancelled the fits at the levels 250 and 500 of K = 2000
+    # agree, so 1001 of the 4001 rows per node are summed; two-order fits
+    # still differ by 1.9e-14 between the levels 500 and 1000
+    points = []
+
+    def counted(xi):
+        points.append(xi.size)
+        return _indicator_probe(xi)
+    m = 256
+    got = bracket(INDICATOR, counted, m=m, tail_terms=2000)
+    want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
+    assert sum(points) == 1001 * m
+    assert np.abs(got.values - want).max() <= 1e-14
 
 
-PARALLEL_CASES = {
-    "pphi-hat": lambda: pphi(TranslateSystem(_hat_profile(), 1.0),
-                             m=128, tail_terms=1000)[0].values,
-    "pphi-indicator-off-lattice": lambda: pphi(
-        TranslateSystem(unit_indicator_profile(), 2.0 / 3.0), m=128,
-        tail_terms=1000)[0].values,
-    # step 40 overlaps 83 shifts of the support (-1, 1): two blocks
-    "pphi-raised-cosine": lambda: pphi(
-        TranslateSystem(raised_cosine_profile(), 40.0), m=128)[0].values,
-    "bracket-indicator": lambda: bracket(INDICATOR, _indicator_probe, m=128,
-                                         tail_terms=500).values,
-    "reconstruct-indicator": lambda: reconstruct_translates(
-        INDICATOR, _indicator_probe, m=128, cover=4.0,
-        tail_terms=500).coeffs,
-}
+def test_sinc_squared_energy_stops_at_500():
+    # the unit indicator's modulus without its declared energy and tail:
+    # the general route sums sinc^2, whose p is 1, and stops at 500
+    points = []
+
+    def counted(g):
+        points.append(g.size)
+        return np.sinc(g)
+    m = 256
+    grid, rep = pphi(TranslateSystem(FourierProfile("counted", counted), 1.0),
+                     m=m, tail_terms=2000)
+    assert rep.terms == 500 and sum(points) == 1001 * m
+    assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
-@pytest.mark.parametrize("case", PARALLEL_CASES)
-def test_alias_blocks_on_threads_are_bit_identical(case, monkeypatch):
-    serial, pooled = [], []
-    one = _on_workers(1, monkeypatch, PARALLEL_CASES[case], serial)
-    # four workers take the pool even on a single-CPU host
-    many = _on_workers(4, monkeypatch, PARALLEL_CASES[case], pooled)
-    assert serial == [] and pooled
-    assert np.array_equal(one, many)
-
-
-def test_pool_size_is_capped_by_the_memory_budget(monkeypatch):
-    # at m = 2^14 a 64-row block argument is 8 MiB; a 64-CPU host still
-    # gets only the workers whose arguments fit ALIAS_MEMORY. At K = 200
-    # each half of the ring (100, 200] spans two blocks, so a pool opens
-    m = 2 ** 14
-    cap = translates.ALIAS_MEMORY // (translates.ALIAS_BLOCK * 8 * m)
-    pools = []
-    _on_workers(64, monkeypatch,
-                lambda: pphi(TranslateSystem(_hat_profile(), 1.0), m=m,
-                             tail_terms=200), pools)
-    assert pools and max(pools) == cap == 2
-
-
-def test_blocks_reduce_in_block_order_not_completion_order(monkeypatch):
-    # the first block finishes last; its sum must still come first
-    def fn(g):
-        if g.min() == -200.0:
-            time.sleep(0.05)
-        return np.sinc(g) ** 2
-    system = TranslateSystem(FourierProfile("slow-first", fn), 1.0)
-
-    def run():
-        return pphi(system, m=64, tail_terms=200)[0].values
-    assert np.array_equal(_on_workers(1, monkeypatch, run),
-                          _on_workers(4, monkeypatch, run))
-
-
-@pytest.mark.parametrize("workers", [1, 4])
-def test_error_in_a_block_surfaces(workers, monkeypatch):
+def test_error_in_a_block_surfaces():
     # with K = 200 the outermost ring's positive half, 101 <= n <= 200, has
     # blocks starting at n = 101 and 165
     def fn(g):
@@ -681,5 +640,4 @@ def test_error_in_a_block_surfaces(workers, monkeypatch):
         return np.sinc(g) ** 2
     system = TranslateSystem(FourierProfile("second-block", fn), 1.0)
     with pytest.raises(ValueError, match="refuses the second block"):
-        _on_workers(workers, monkeypatch,
-                    lambda: pphi(system, m=64, tail_terms=200))
+        pphi(system, m=64, tail_terms=200)
