@@ -631,13 +631,16 @@ def test_sinc_squared_energy_stops_at_500():
     assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
-def test_error_in_a_block_surfaces():
+@pytest.mark.parametrize("inv_step", [1, 4])
+def test_error_in_a_block_surfaces(inv_step):
     # with K = 200 the outermost ring's positive half, 101 <= n <= 200, has
-    # blocks starting at n = 101 and 165
+    # blocks starting at n = 101 and 165; at the step 1 / inv_step the
+    # profile sees the second one from (0 + 165) * inv_step
     def fn(g):
-        if g.min() == 165.0:
+        if g.min() == 165.0 * inv_step:
             raise ValueError("profile refuses the second block")
         return np.sinc(g) ** 2
-    system = TranslateSystem(FourierProfile("second-block", fn), 1.0)
+    system = TranslateSystem(FourierProfile("second-block", fn),
+                             1.0 / inv_step)
     with pytest.raises(ValueError, match="refuses the second block"):
         pphi(system, m=64, tail_terms=200)
