@@ -183,7 +183,8 @@ class VectorFamily:
 
 
 def _checked_level(family: VectorFamily, level: tuple) -> tuple:
-    d, n_count = level
+    rule = "a level (d, N) needs whole numbers"
+    d, n_count = (whole_number(v, 0, rule) for v in level)
     if n_count < 1:
         raise ValueError(f"a level needs at least one member, got N={n_count}")
     if d < family.min_dim(n_count):

@@ -62,8 +62,8 @@ class ExponentialSystem:
     name: str = ""
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("density must be positive")
+        if not (np.isfinite(self.b) and self.b > 0):
+            raise ValueError("density must be positive and finite")
         cells = "need an even grid with at least 4 cells"
         self.m = whole_number(self.m, 4, cells)
         if self.m % 2:

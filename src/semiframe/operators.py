@@ -123,8 +123,11 @@ def adjoint_gap(family: VectorFamily, level: tuple, seed: int = 0) -> float:
 
 
 def _fit_dim(f: np.ndarray, d: int) -> np.ndarray:
-    """View f at ambient dimension d: truncate or zero-pad."""
+    """View f at ambient dimension d: truncate or zero-pad. A probe is a
+    1-d array of finite numbers."""
     f = np.asarray(f, dtype=complex)
+    if f.ndim != 1 or not np.isfinite(f).all():
+        raise ValueError("a probe must be a 1-d array of finite numbers")
     if f.size == d:
         return f
     if f.size > d:

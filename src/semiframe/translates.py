@@ -191,9 +191,10 @@ HURWITZ_DIRECT = 10
 # indicator max|p - 1| is 4.4e-16 at K = 10 (m = 256, 1024; 6.7e-16 at
 # m = 16384) against 1.6e-15 to 1.9e-15 at K = 10^4
 CLOSED_TAIL_TERMS = 10
-# two successive midpoint fits of an alias sum that differ by at most this
-# fraction of their largest modulus have settled (successive fits of the
-# hat's sinc^4 differ by 3.3e-16 to 6.7e-16 once they settle)
+# a midpoint fit of an alias sum whose remainder, estimated from the fit one
+# halving level below, is at most this fraction of its largest modulus has
+# settled (successive fits of the hat's sinc^4 differ by 3.3e-16 to 6.7e-16
+# once they settle)
 SETTLED = 8 * np.finfo(float).eps
 
 
@@ -286,14 +287,17 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     N^-(r+1) term that the fit does not cancel, and the order check must
     then send the sum on to the fallback.
 
-    The sum stops at the first level whose fit has the same order r as the
-    previous level's fit and differs from it by at most SETTLED times its
-    largest modulus, so K caps the terms summed. The stop assumes that the
-    clean power law the fit relies on at K already holds past the stop
-    level: terms beyond it are never evaluated. The hat's sinc^4 stops at
-    |n| <= 312 for K = 10^4 and at 250 for K = 1000 (m = 1024), and runs to
-    K at K = 100 and 200; the unit indicator's in-span cross brackets and
-    its bare sinc^2 stop at 500 for K = 2000.
+    Two successive fits F_{N/2} and F_N of the same order r both leave
+    c N^-(r+6), which halving N multiplies by 2^(r+6), so
+    delta = (F_N - F_{N/2}) / (2^(r+6) - 1) estimates F_N's remainder. The
+    sum stops at the first such level whose delta is at most SETTLED times
+    max|F_N| and returns F_N + delta, so K caps the terms summed. The stop
+    assumes that the clean power law the fit relies on at K already holds
+    past the stop level: terms beyond it are never evaluated. The hat's
+    sinc^4 stops at |n| <= 312 for K = 10^4 and at 250 for K = 1000
+    (m = 1024), and runs to K at K = 100 and 200; the unit indicator's
+    in-span cross brackets and its bare sinc^2 stop at 250 for K = 1000 to
+    4000.
     A summand whose law changes past the stop level is summed wrongly: an
     energy sinc^4 for |xi| < 300 and sinc^2 beyond stops at 250 for
     K = 1000 and misses the sinc^2 tail. When no level settles, the fit at
@@ -314,7 +318,11 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         term = profile.energy_at
     else:
         def term(arg):
-            return f_fn(arg) * np.conj(phi(arg))
+            f = np.asarray(f_fn(arg))
+            if f.shape != arg.shape or not np.isfinite(f).all():
+                raise ValueError(
+                    "f_hat must return one finite value per frequency")
+            return f * np.conj(phi(arg))
     if profile.support is not None:
         lo, hi = profile.support
         n_lo = int(np.floor(a * lo)) - 1
@@ -359,9 +367,12 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         w = np.linalg.solve([np.ones(4), t ** -r, t ** -(r + 2.0),
                              t ** -(r + 4.0)], [1.0, 0.0, 0.0, 0.0])
         vals = sum(wj * sj for wj, sj in zip(w, sums[i - 3:i + 1]))
-        if fit is not None and fit[0] == r and np.max(np.abs(vals - fit[1])) \
-                <= SETTLED * np.max(np.abs(vals)):
-            return vals / a, gap / a, True, n
+        if fit is not None and fit[0] == r:
+            # both fits leave c N^-(r+6), which halving N multiplies by
+            # 2^(r+6): delta estimates this level's remainder
+            delta = (vals - fit[1]) / (2.0 ** (r + 6) - 1.0)
+            if np.max(np.abs(delta)) <= SETTLED * np.max(np.abs(vals)):
+                return (vals + delta) / a, gap / a, True, n
         fit = (r, vals)
     if fit is not None:
         return fit[1] / a, gap / a, True, k
@@ -394,12 +405,12 @@ class PphiReport:
     closed tail where one is declared, else the outermost ring summed (the
     ring (N/2, N] when the midpoint fit settles at level N <= K, the ring
     (K, 2K] otherwise). extrapolated says whether a tail was added (closed
-    form) or cancelled (the three-order midpoint fit or the one-step
-    Richardson rule).
+    form) or cancelled (the three-order midpoint fit, plus its estimated
+    remainder where it settled, or the one-step Richardson rule).
     terms is the largest |n| summed explicitly: min(K, CLOSED_TAIL_TERMS)
     ahead of a closed tail, the shift window of a compact profile, the
-    level N where the midpoint fit settled (K when none settled), or 2K
-    for the one-step rule.
+    level N where the midpoint fit's remainder estimate fell within
+    SETTLED (K when it never did), or 2K for the one-step rule.
     """
 
     ess_inf: float
@@ -417,11 +428,12 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
     tail_terms K caps the explicit alias terms: a decaying profile without a
-    closed tail stops at the first halving level K // 2^j whose midpoint fit
-    agrees with the level below it (_alias_series), which assumes that its
-    clean power law holds past that level; the hat's sinc^4 at m = 1024
-    stops at |n| <= 250 for K = 1000 and at 312 for K = 10^4, and a bare
-    sinc^2 at 500 for K = 2000.
+    closed tail stops at the first halving level K // 2^j where the
+    difference from the level below it, scaled to the midpoint fit's next
+    order, puts the fit's remainder within SETTLED, and adds that remainder
+    (_alias_series); this assumes that its clean power law holds past that
+    level. The hat's sinc^4 at m = 1024 stops at |n| <= 250 for K = 1000
+    and at 312 for K = 10^4, and a bare sinc^2 at 250 for K = 1000 to 4000.
     PphiReport.terms says how far the sum went.
     """
     gamma = _lattice(m)
@@ -443,11 +455,12 @@ def bracket(system: TranslateSystem, f_hat: Callable, m: int = DEFAULT_GRID,
     generator's own profile reproduces the pphi values exactly. A decaying
     cross pairing sums at most |n| <= K and cancels its tail's three
     leading orders when the rings show a clean power law (the unit
-    indicator at a = 1 does), stopping below K once two successive halving
-    levels' fits agree to SETTLED, on the assumption that the power law
-    holds past that level (the unit indicator's in-span brackets at
-    K = 2000 stop at |n| <= 500); otherwise it sums |n| <= 2K for one
-    Richardson step.
+    indicator at a = 1 does), stopping below K once the remainder that two
+    successive halving levels' fits estimate is within SETTLED, and adding
+    it, on the assumption that the power law holds past that level (the
+    unit indicator's in-span brackets at K = 1000 to 4000 stop at
+    |n| <= 250); otherwise it sums |n| <= 2K for one Richardson step.
+    f_hat must return one finite value per frequency it is given.
     """
     gamma = _lattice(m)
     vals = _alias_series(system, gamma, tail_terms, f_fn=f_hat)[0]

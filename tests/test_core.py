@@ -30,8 +30,8 @@ from semiframe.muckenhoupt import (
     a2_estimate, a2_ratio, plateau_weight,
 )
 from semiframe.operators import (
-    canonical_dual, dual_via_pseudoinverse, lower_bound, parseval_canonical,
-    projector_for, reconstruct,
+    canonical_dual, dual_via_pseudoinverse, frame_matrix, lower_bound,
+    parseval_canonical, projector_for, reconstruct, s_apply,
 )
 from semiframe.translates import (
     FourierProfile, TranslateSystem, bracket, brute_apply,
@@ -326,6 +326,9 @@ HALF = Fraction(1, 2)
 PROBE_CELLS = "a probe needs one value per cell, shape (8,)"
 FLAT_8 = ExponentialSystem(ConstantWeight(1), 1.0, 8)
 LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
+LEVEL_NUMBERS = "a level (d, N) needs whole numbers"
+PROBE_VECTOR = "a probe must be a 1-d array of finite numbers"
+CROSS_PROBE = "f_hat must return one finite value per frequency"
 
 
 class SymbolWithoutSample:
@@ -475,6 +478,19 @@ def _sparse_rule(rows, positions, values):
      WEIGHT_VALUES),
     (lambda: ConstantWeight(2).average_power(1, 5, -3), "need 0 <= a < b <= 1"),
     (lambda: a2_ratio(ConstantWeight(2), 0.7, 0.2), "need 0 <= a < b <= 1"),
+    (lambda: frame_matrix(shared_direction_family(1.0), (5.5, 4)),
+     LEVEL_NUMBERS),
+    # bool subclasses int, so True would otherwise read as the dimension 1
+    (lambda: frame_matrix(shared_direction_family(1.0), (True, 1)),
+     LEVEL_NUMBERS),
+    (lambda: s_apply(DIANA, np.full(9, np.nan), (9, 8)), PROBE_VECTOR),
+    (lambda: s_apply(DIANA, np.ones((9, 1)), (9, 8)), PROBE_VECTOR),
+    (lambda: ExponentialSystem(ConstantWeight(1), np.inf, 8),
+     "density must be positive and finite"),
+    (lambda: bracket(INDICATOR, lambda xi: np.full(xi.shape, np.nan), m=64),
+     CROSS_PROBE),
+    (lambda: bracket(INDICATOR, lambda xi: np.ones(3), m=64), CROSS_PROBE),
+    (lambda: bracket(INDICATOR, lambda xi: 1.0, m=64), CROSS_PROBE),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -509,10 +525,20 @@ def _sparse_rule(rows, positions, values):
         "reconstruct-dual-at-another-level", "power-negative-alpha-at-zero",
         "power-below-zero", "power-above-one", "piecewise-inf",
         "piecewise-huge", "piecewise-underflow", "constant-average-reversed",
-        "constant-ratio-reversed"])
+        "constant-ratio-reversed", "level-dimension-fractional",
+        "level-dimension-true", "s-apply-probe-nan", "s-apply-probe-2d",
+        "density-inf", "bracket-probe-nan", "bracket-probe-wrong-length",
+        "bracket-probe-scalar"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
+
+
+def test_whole_float_levels_are_read_as_ints():
+    # a level's whole float dimension names the same members as its int
+    family = shared_direction_family(1.0)
+    assert np.array_equal(frame_matrix(family, (np.float64(5.0), 4)),
+                          frame_matrix(family, (5, 4)))
 
 
 GRID_NODES = "grid needs at least two nodes"

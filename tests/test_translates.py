@@ -599,35 +599,59 @@ def _indicator_probe(xi):
     return (1.0 + 0.5 * np.exp(2j * np.pi * xi)) * INDICATOR.profile(xi)
 
 
-def test_in_span_cross_bracket_stops_at_500():
-    # the bracket of q phi_hat is q p = 1 + 0.5 e^(2 pi i g). With three
-    # tail orders cancelled the fits at the levels 250 and 500 of K = 2000
-    # agree, so 1001 of the 4001 rows per node are summed; two-order fits
-    # still differ by 1.9e-14 between the levels 500 and 1000
+def _counted_in_span_bracket(m, k):
+    """The in-span bracket of q phi_hat and the points its probe saw."""
     points = []
 
     def counted(xi):
         points.append(xi.size)
         return _indicator_probe(xi)
-    m = 256
-    got = bracket(INDICATOR, counted, m=m, tail_terms=2000)
-    want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
-    assert sum(points) == 1001 * m
-    assert np.abs(got.values - want).max() <= 1e-14
+    return bracket(INDICATOR, counted, m=m, tail_terms=k), sum(points)
 
 
-def test_sinc_squared_energy_stops_at_500():
-    # the unit indicator's modulus without its declared energy and tail:
-    # the general route sums sinc^2, whose p is 1, and stops at 500
+def _counted_sinc_squared_energy(m, k):
+    """pphi of the unit indicator's modulus without its declared energy and
+    tail, and the points its profile saw."""
     points = []
 
     def counted(g):
         points.append(g.size)
         return np.sinc(g)
-    m = 256
     grid, rep = pphi(TranslateSystem(FourierProfile("counted", counted), 1.0),
-                     m=m, tail_terms=2000)
-    assert rep.terms == 500 and sum(points) == 1001 * m
+                     m=m, tail_terms=k)
+    return grid, rep, sum(points)
+
+
+def test_in_span_cross_bracket_stops_at_250():
+    # the bracket of q phi_hat is q p = 1 + 0.5 e^(2 pi i g). The fits at
+    # the levels 125 and 250 of K = 2000 differ by their remainder's
+    # 2^(r+6) - 1 multiple, so the remainder they estimate is added and 501
+    # of the 4001 rows per node are summed
+    m = 256
+    got, points = _counted_in_span_bracket(m, 2000)
+    want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
+    assert points == 501 * m
+    assert np.abs(got.values - want).max() <= 1e-14
+
+
+def test_sinc_squared_energy_stops_at_250():
+    # the general route sums sinc^2, whose p is 1, and stops at 250; the
+    # plain fit at 250, without its estimated remainder, reads 1.1e-15
+    m = 256
+    grid, rep, points = _counted_sinc_squared_energy(m, 2000)
+    assert rep.terms == 250 and points == 501 * m
+    assert np.abs(grid.values - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("k", [1000, 4000])
+@pytest.mark.parametrize("m", [64, 256, 2048])
+def test_unit_indicator_alias_sums_stop_at_250(m, k):
+    got, points = _counted_in_span_bracket(m, k)
+    want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
+    assert points == 501 * m
+    assert np.abs(got.values - want).max() <= 1e-14
+    grid, rep, points = _counted_sinc_squared_energy(m, k)
+    assert rep.terms == 250 and points == 501 * m
     assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
