@@ -183,7 +183,7 @@ class VectorFamily:
 
 
 def _checked_level(family: VectorFamily, level: tuple) -> tuple:
-    rule = "a level (d, N) needs whole numbers"
+    rule = "a level (d, N) needs whole numbers >= 0"
     d, n_count = (whole_number(v, 0, rule) for v in level)
     if n_count < 1:
         raise ValueError(f"a level needs at least one member, got N={n_count}")

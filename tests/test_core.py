@@ -326,7 +326,7 @@ HALF = Fraction(1, 2)
 PROBE_CELLS = "a probe needs one value per cell, shape (8,)"
 FLAT_8 = ExponentialSystem(ConstantWeight(1), 1.0, 8)
 LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
-LEVEL_NUMBERS = "a level (d, N) needs whole numbers"
+LEVEL_NUMBERS = "a level (d, N) needs whole numbers >= 0"
 PROBE_VECTOR = "a probe must be a 1-d array of finite numbers"
 CROSS_PROBE = "f_hat must return one finite value per frequency"
 

@@ -623,10 +623,10 @@ def _counted_sinc_squared_energy(m, k):
 
 
 def test_in_span_cross_bracket_stops_at_250():
-    # the bracket of q phi_hat is q p = 1 + 0.5 e^(2 pi i g). The fits at
-    # the levels 125 and 250 of K = 2000 differ by their remainder's
-    # 2^(r+6) - 1 multiple, so the remainder they estimate is added and 501
-    # of the 4001 rows per node are summed
+    # the bracket of q phi_hat is q p = 1 + 0.5 e^(2 pi i g). The remainder
+    # of the fit at level 250 of K = 2000, estimated from the fit at 125, is
+    # within SETTLED and is added, so 501 of the 4001 rows per node are
+    # summed
     m = 256
     got, points = _counted_in_span_bracket(m, 2000)
     want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
@@ -646,6 +646,7 @@ def test_sinc_squared_energy_stops_at_250():
 @pytest.mark.parametrize("k", [1000, 4000])
 @pytest.mark.parametrize("m", [64, 256, 2048])
 def test_unit_indicator_alias_sums_stop_at_250(m, k):
+    # the stop level holds across grids and caps K
     got, points = _counted_in_span_bracket(m, k)
     want = 1.0 + 0.5 * np.exp(2j * np.pi * got.nodes())
     assert points == 501 * m
