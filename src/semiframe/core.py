@@ -30,45 +30,42 @@ LADDER_R2 = 0.9                # relaxed: value ladders outgrow any power law
 
 
 def pairwise_sum(chunks: Iterable[np.ndarray]) -> np.ndarray:
-    """Sum of equal-shaped arrays, added in their order.
-
-    The chunks are stacked 64 at a time behind the running total and reduced
-    along the stack axis, which numpy adds one row after another: for chunks
-    of two or more entries the result is bit for bit t = t + c in chunk
-    order, so its rounding error grows with the number of chunks. (The
-    entries of one-entry chunks lie contiguously, and numpy sums those
-    pairwise.) The list order alone fixes every rounding, however its chunks
+    """Sum of arrays of one shape and dtype, added in their order: t = t + c,
+    chunk after chunk, so its rounding error grows with the number of
+    chunks. The list order alone fixes every rounding, however its chunks
     were computed.
     """
-    stack = [np.asarray(c) for c in chunks]
-    if not stack:
+    chunks = iter(chunks)
+    total = next(chunks, None)
+    if total is None:
         raise ValueError("nothing to sum")
-    total = stack[0].copy()
-    block = [total]
-    for c in stack[1:]:
-        block.append(c)
-        if len(block) == 64:
-            block = [np.sum(np.stack(block), axis=0)]
-    return np.sum(np.stack(block), axis=0) if len(block) > 1 else block[0]
+    total = np.array(total)
+    for c in chunks:
+        total += c
+    return total
+
+
+def roots_at(roots: np.ndarray, rows: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """roots[(r c) mod roots.size] for every integer row r and column c, as
+    a (rows, cols) array: exp(2 pi i r c / order) when roots holds the
+    order-th roots of unity in turn."""
+    at = np.multiply.outer(rows, cols)
+    return roots[np.remainder(at, roots.size, out=at)]
 
 
 def root_tables(first: int, count: int, cols: np.ndarray,
                 order: int) -> tuple:
     """(coarse, fine) tables of exact order-th roots of unity for the rows
     r = first + k, k < count, against integer columns c, read off one roots
-    array at residues mod order. With k = B k1 + k2 and B = ceil(sqrt(count)),
+    array by roots_at. With k = B k1 + k2 and B = ceil(sqrt(count)),
     coarse[k1, c] is the root at (first + B k1) c and fine[k2, c] the one at
     k2 c, so exp(2 pi i r c / order) = coarse[k1, c] fine[k2, c]."""
     roots = np.exp(2j * np.pi * np.arange(order) / order)
     width = math.isqrt(count - 1) + 1
     cols = np.asarray(cols) % order
     starts = (first + width * np.arange(-(-count // width))) % order
-
-    def table(rows):
-        at = np.multiply.outer(rows, cols)
-        return roots[np.remainder(at, order, out=at)]
-
-    return table(starts), table(np.arange(width))
+    return roots_at(roots, starts, cols), roots_at(roots, np.arange(width), cols)
 
 
 def modulation_round_trip(first: int, count: int, cols: np.ndarray,
@@ -152,8 +149,8 @@ class VectorFamily:
     Side knowledge travels with the family: `perp_directions` holds the
     0-based coordinates that span the known orthogonal complement of the
     analysis domain at every dimension (empty when the domain is dense, None
-    when undeclared), and `prefix_norm_rule` evaluates closed-form prefix
-    norms for the canonical ordering.
+    when undeclared), and `prefix_norm_rule(top)` evaluates the closed-form
+    norms of the prefixes 1..top of the canonical ordering.
     """
 
     name: str
@@ -162,7 +159,7 @@ class VectorFamily:
     start_index: int = 1
     min_dim: Callable[[int], int] = None
     perp_directions: tuple | None = None
-    prefix_norm_rule: Callable[[np.ndarray], np.ndarray] | None = None
+    prefix_norm_rule: Callable[[int], np.ndarray] | None = None
     generator: Callable[[int, int], np.ndarray] = field(init=False, repr=False)
     sparse: Callable[[int], tuple] | None = field(init=False, repr=False)
 
@@ -430,7 +427,7 @@ class GridFunction:
     step * M = period. Line grids cover a closed symmetric window with
     M = 2J + 1 nodes at j * step for j = -J..J, so step * (M - 1) spans the
     window. Node positions are integer multiples of a finite positive step,
-    which keeps lattice shifts exact.
+    which keeps lattice shifts exact. The values must be finite.
     """
 
     values: np.ndarray
@@ -441,6 +438,8 @@ class GridFunction:
         self.values = np.asarray(self.values)
         if self.values.ndim != 1 or self.values.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not np.isfinite(self.values).all():
+            raise ValueError("grid values must be finite")
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(
                 f"grid step must be finite and positive, got {self.step}")

@@ -17,8 +17,8 @@ import numpy as np
 
 from .core import (
     NO, UNDECIDED, YES, Classification, VectorFamily, bound_verdicts,
-    essential_bounds, frame_verdict, line_grid, periodize, whole_count,
-    whole_number,
+    essential_bounds, frame_verdict, line_grid, periodize, roots_at,
+    whole_count, whole_number,
 )
 from .muckenhoupt import IN_A2, NOT_IN_A2, a2_estimate, weight_candidates
 
@@ -80,12 +80,14 @@ class ExponentialSystem:
 
 
 def _probe(system: ExponentialSystem, f_values) -> np.ndarray:
-    """f_values as a complex array of one value per cell; refuses any other
-    shape."""
+    """f_values as a complex array of one finite value per cell; refuses
+    any other shape and any non-finite value."""
     f = np.asarray(f_values, dtype=complex)
     if f.shape != (system.m,):
         raise ValueError(f"a probe needs one value per cell, shape "
                          f"({system.m},), got {f.shape}")
+    if not np.isfinite(f).all():
+        raise ValueError("a probe needs finite values")
     return f
 
 
@@ -96,7 +98,7 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     approximate integrals over (0, 1). On x_i = (2i + 1) / 2M the member of
     frequency f is g_i / sqrt(M) times the 2M-th root of unity at
     (f b (2i + 1)) mod 2M, so b must be a whole number. The roots are taken
-    once per family and every block gathers from them.
+    once per family and every block gathers from them (core.roots_at).
     """
     b = whole_number(system.b, 1, "grid families need a whole-number density b")
     m = system.m
@@ -107,8 +109,7 @@ def family_on_grid(system: ExponentialSystem) -> VectorFamily:
     def block(idx, d):
         if d != m:
             raise ValueError("grid families live at dimension = cell count")
-        at = np.multiply.outer(_frequencies(idx) * b, nodes)
-        out = roots[np.remainder(at, 2 * m, out=at)]
+        out = roots_at(roots, _frequencies(idx) * b, nodes)
         out *= scaled
         return out
 

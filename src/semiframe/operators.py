@@ -527,10 +527,10 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
     tracks the running supremum of prefix norms: boundedness models
     membership in the pointwise-sum domain, growth with a fitted positive
     exponent models its failure. Families carrying a closed-form prefix-norm
-    rule are evaluated through it at the counts in `rule_counts` (defaults to
-    the ladder counts), which reaches far beyond materializable levels; its
-    exponent is the least-squares slope of log norm against log count from
-    an eighth of the largest count on.
+    rule evaluate it once, up to the largest count in `rule_counts` (defaults
+    to the ladder counts), far beyond materializable levels; its exponent
+    is the least-squares slope of log norm against log count from an eighth
+    of the largest count on.
     """
     if len(test_set) == 0:
         raise ValueError("test_set must hold at least one probe")
@@ -569,7 +569,7 @@ def w_membership(family: VectorFamily, f: np.ndarray, test_set: list,
         if top < 3:
             raise ValueError("the prefix-norm fit needs a count of at least 3, "
                              f"got at most {top}")
-        norms_full = family.prefix_norm_rule(np.arange(1, top + 1))
+        norms_full = family.prefix_norm_rule(top)
         sups = [float(np.max(norms_full[:m])) for m in counts]
         m_lo = max(top // 8, 2)
         exponent, _ = loglog_fit(np.arange(m_lo, top + 1),

@@ -314,15 +314,15 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     profile = system.profile
     phi = profile.fn
     self_paired = f_fn is None or f_fn is phi
-    if self_paired:
-        term = profile.energy_at
-    else:
-        def term(arg):
-            f = np.asarray(f_fn(arg))
-            if f.shape != arg.shape or not np.isfinite(f).all():
-                raise ValueError(
-                    "f_hat must return one finite value per frequency")
-            return f * np.conj(phi(arg))
+    summand, name = (profile.energy_at, "the generator profile") \
+        if self_paired else (f_fn, "f_hat")
+
+    def term(arg):
+        v = np.asarray(summand(arg))
+        if v.shape != arg.shape or not np.isfinite(v).all():
+            raise ValueError(f"{name} must return one finite value per "
+                             "frequency")
+        return v if self_paired else v * np.conj(phi(arg))
     if profile.support is not None:
         lo, hi = profile.support
         n_lo = int(np.floor(a * lo)) - 1
@@ -434,7 +434,8 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
     (_alias_series); this assumes that its clean power law holds past that
     level. The hat's sinc^4 at m = 1024 stops at |n| <= 250 for K = 1000
     and at 312 for K = 10^4, and a bare sinc^2 at 250 for K = 1000 to 4000.
-    PphiReport.terms says how far the sum went.
+    PphiReport.terms says how far the sum went. The generator profile must
+    return one finite value per frequency it is given.
     """
     gamma = _lattice(m)
     vals, gap, extr, terms = _alias_series(system, gamma, tail_terms)

@@ -21,10 +21,13 @@ from semiframe.core import (
     tail_diagnostic,
 )
 from semiframe.exponentials import (
-    ExponentialSystem, biorthogonality_gap, defer_negatives_ordering,
-    family_on_grid, reconstruct_exponentials, t_general, t_mult,
+    ExponentialSystem, analysis_exponentials, biorthogonality_gap,
+    defer_negatives_ordering, family_on_grid, reconstruct_exponentials,
+    t_general, t_mult,
 )
-from semiframe.families import shared_direction_family
+from semiframe.families import (
+    interleaved_prefix_norms, shared_direction_family,
+)
 from semiframe.muckenhoupt import (
     ConstantWeight, PiecewiseWeight, PowerWeight, SampledWeight, ScaledWeight,
     a2_estimate, a2_ratio, plateau_weight,
@@ -45,23 +48,11 @@ from helpers import orthonormal_family, scaled_basis_family
 RNG = np.random.default_rng(2024)
 
 
-def test_pairwise_sum_accuracy():
-    # pairwise trees keep the error logarithmic in the term count
-    terms = 0.1 * np.ones(4000)
-    exact = math.fsum([0.1] * 4000)
-    got = float(pairwise_sum([np.array([t]) for t in terms])[0])
-    naive = 0.0
-    for t in terms:
-        naive += t
-    assert abs(got - exact) <= abs(naive - exact)
-    assert abs(got - exact) < 1e-10
-
-
 def test_pairwise_sum_adds_chunks_in_order():
-    # chunks of two or more entries are added in their order, t = t + c, in
-    # blocks of 64 or not; the alias sums' bit-identity across worker counts
-    # rests on it
-    for size, count in ((2, 1), (3, 64), (5, 65), (16384, 3), (7, 700)):
+    # chunks of any size are added in their order, t = t + c, so the block
+    # order alone fixes every rounding of an alias sum
+    for size, count in ((1, 4000), (2, 1), (3, 64), (5, 65), (16384, 3),
+                        (7, 700)):
         scales = 10.0 ** RNG.integers(-8, 8, size=count)
         for imag in (0.0, 1j):          # float chunks, then complex ones
             chunks = [s * (RNG.normal(size=size) + imag * RNG.normal(size=size))
@@ -329,6 +320,16 @@ LADDER_LEVELS = "ladder levels (d, N) need whole numbers >= 1"
 LEVEL_NUMBERS = "a level (d, N) needs whole numbers >= 0"
 PROBE_VECTOR = "a probe must be a 1-d array of finite numbers"
 CROSS_PROBE = "f_hat must return one finite value per frequency"
+PROFILE_VALUES = "the generator profile must return one finite value per " \
+    "frequency"
+PROBE_FINITE = "a probe needs finite values"
+GRID_FINITE = "grid values must be finite"
+NAN_LINE_PROBE = np.full(33, np.nan)
+
+
+def _profile_system(fn):
+    """Translates at step 1 of a profile whose values come from fn."""
+    return TranslateSystem(FourierProfile("malformed", fn), 1.0)
 
 
 class SymbolWithoutSample:
@@ -491,6 +492,24 @@ def _sparse_rule(rows, positions, values):
      CROSS_PROBE),
     (lambda: bracket(INDICATOR, lambda xi: np.ones(3), m=64), CROSS_PROBE),
     (lambda: bracket(INDICATOR, lambda xi: 1.0, m=64), CROSS_PROBE),
+    (lambda: interleaved_prefix_norms(0), "need at least one prefix"),
+    (lambda: pphi(_profile_system(lambda g: np.full(g.shape, np.nan)), m=16,
+                  tail_terms=10), PROFILE_VALUES),
+    (lambda: pphi(_profile_system(lambda g: np.ones(3)), m=16, tail_terms=10),
+     PROFILE_VALUES),
+    (lambda: t_mult(FLAT_8, np.full(8, np.nan)), PROBE_FINITE),
+    (lambda: t_general(FLAT_8, np.full(8, np.nan)), PROBE_FINITE),
+    (lambda: analysis_exponentials(FLAT_8, np.full(8, np.nan)), PROBE_FINITE),
+    (lambda: reconstruct_exponentials(FLAT_8, np.full(8, np.nan)),
+     PROBE_FINITE),
+    (lambda: line_grid(NAN_LINE_PROBE, 1.0 / 16), GRID_FINITE),
+    (lambda: periodic_grid([1.0, np.inf]), GRID_FINITE),
+    (lambda: walnut_apply(INDICATOR, line_grid(NAN_LINE_PROBE, 1.0 / 16)),
+     GRID_FINITE),
+    (lambda: brute_apply(INDICATOR, line_grid(NAN_LINE_PROBE, 1.0 / 16), 4),
+     GRID_FINITE),
+    (lambda: walnut_apply(_profile_system(lambda g: np.full(g.shape, np.nan)),
+                          line_grid(np.ones(33), 1.0 / 16)), GRID_FINITE),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -528,7 +547,11 @@ def _sparse_rule(rows, positions, values):
         "constant-ratio-reversed", "level-dimension-fractional",
         "level-dimension-true", "s-apply-probe-nan", "s-apply-probe-2d",
         "density-inf", "bracket-probe-nan", "bracket-probe-wrong-length",
-        "bracket-probe-scalar"])
+        "bracket-probe-scalar", "prefix-norms-count-0", "pphi-profile-nan",
+        "pphi-profile-wrong-length", "t-mult-probe-nan", "t-general-probe-nan",
+        "analysis-exponentials-probe-nan", "reconstruct-exponentials-probe-nan",
+        "line-grid-nan", "periodic-grid-inf", "walnut-apply-probe-nan",
+        "brute-apply-probe-nan", "walnut-apply-profile-nan"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
@@ -678,14 +701,33 @@ def test_rising_slopes_judge_growth_faster_than_any_power():
     assert rising_slopes([1.0, 8.0, 9.0, 100.0], [1, 2, 3, 4]) is None
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy is imported inside the functions that use it (CSR members, the
-    # diagonal kept block, the zherk Gram), so the package's import time
-    # does not pay for it
-    code = ("import sys, semiframe; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _scipy_modules_after(code):
+    """The scipy modules loaded once code has run in a fresh interpreter."""
+    code += ("\nimport sys\nprint(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy'))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return out.strip().splitlines()[-1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported inside the functions that use it (CSR members, the
+    # diagonal kept block, the zherk Gram), so the package's import time
+    # does not pay for it
+    assert _scipy_modules_after("import semiframe") == "[]"
+
+
+def test_translate_and_exponential_commands_leave_scipy_unloaded():
+    # the frequency-side commands (alias sums with their closed Hurwitz
+    # tail, twisted FFTs, exact A2 scans) run on numpy alone, so they pay
+    # neither scipy's cold import nor its memory
+    code = ("from semiframe import cli\n"
+            "for argv in (['scenario', 'lower-translates'],\n"
+            "             ['scenario', 'plateau-exp'],\n"
+            "             ['scenario', 'orthonormal-translates'], ['pphi'],\n"
+            "             ['classify', 'translates'],\n"
+            "             ['classify', 'exponentials']):\n"
+            "    assert cli.main(argv) == 0, argv")
+    assert _scipy_modules_after(code) == "[]"

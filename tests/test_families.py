@@ -308,17 +308,6 @@ def test_prefix_norms_at_a_million_hold_no_full_length_temporaries():
     assert peak < 40 * 2 ** 20
 
 
-def test_prefix_norm_rule_indexing():
-    fam = interleaved_difference_family()
-    ms = np.array([1, 2, 7, 50])
-    rule = fam.prefix_norm_rule(ms)
-    full = interleaved_prefix_norms(50)
-    assert np.array_equal(rule, full[ms - 1])
-    assert full[0] == 1.0 and full[1] == 2.0
-    with pytest.raises(ValueError):
-        interleaved_prefix_norms(0)
-
-
 def test_prefix_norms_head_freezes_after_third_member():
     # e_1 coefficient after three members is the frozen head value
     fam = interleaved_difference_family()
