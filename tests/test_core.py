@@ -48,6 +48,18 @@ from helpers import orthonormal_family, scaled_basis_family
 RNG = np.random.default_rng(2024)
 
 
+def test_pairwise_sum_accuracy():
+    # in order, the error of n equal terms grows with n but stays small at
+    # 4000 one-entry chunks, and it is the plain loop's error bit for bit
+    exact = math.fsum([0.1] * 4000)
+    got = float(pairwise_sum([np.array([0.1]) for _ in range(4000)])[0])
+    naive = 0.0
+    for _ in range(4000):
+        naive += 0.1
+    assert got == naive
+    assert abs(got - exact) < 1e-10
+
+
 def test_pairwise_sum_adds_chunks_in_order():
     # chunks of any size are added in their order, t = t + c, so the block
     # order alone fixes every rounding of an alias sum

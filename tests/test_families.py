@@ -308,6 +308,17 @@ def test_prefix_norms_at_a_million_hold_no_full_length_temporaries():
     assert peak < 40 * 2 ** 20
 
 
+def test_prefix_norm_rule_indexing():
+    # entry m - 1 of the rule's array is the norm of prefix m, whatever
+    # top count it was asked for
+    fam = interleaved_difference_family()
+    full = fam.prefix_norm_rule(50)
+    assert np.array_equal(full, interleaved_prefix_norms(50))
+    for top in (1, 2, 7):
+        assert np.array_equal(fam.prefix_norm_rule(top), full[:top])
+    assert full[0] == 1.0 and full[1] == 2.0
+
+
 def test_prefix_norms_head_freezes_after_third_member():
     # e_1 coefficient after three members is the frozen head value
     fam = interleaved_difference_family()
