@@ -314,15 +314,21 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     profile = system.profile
     phi = profile.fn
     self_paired = f_fn is None or f_fn is phi
-    summand, name = (profile.energy_at, "the generator profile") \
-        if self_paired else (f_fn, "f_hat")
 
-    def term(arg):
-        v = np.asarray(summand(arg))
+    def checked(fn, name, arg):
+        v = np.asarray(fn(arg))
         if v.shape != arg.shape or not np.isfinite(v).all():
             raise ValueError(f"{name} must return one finite value per "
                              "frequency")
-        return v if self_paired else v * np.conj(phi(arg))
+        return v
+
+    def term(arg):
+        if self_paired:
+            return checked(profile.energy_at, "the generator profile", arg)
+        # v stays named: numpy writes a product over an unnamed left operand
+        # in place, and its in-place complex multiply rounds differently
+        v = checked(f_fn, "f_hat", arg)
+        return v * np.conj(checked(phi, "the generator profile", arg))
     if profile.support is not None:
         lo, hi = profile.support
         n_lo = int(np.floor(a * lo)) - 1
@@ -538,10 +544,16 @@ def brute_apply(system: TranslateSystem, f_hat_grid: GridFunction,
 
 def _sampled_p(system: TranslateSystem, m: int, tail_terms: int) -> np.ndarray:
     """p on the grid i/m: from the system's symbol when it declares one, from
-    pphi otherwise."""
-    if system.symbol is not None:
-        return np.asarray(system.symbol.sample(_lattice(m)), dtype=float)
-    return pphi(system, m, tail_terms)[0].values
+    pphi otherwise. A symbol must give one finite, non-negative value per
+    node."""
+    if system.symbol is None:
+        return pphi(system, m, tail_terms)[0].values
+    gamma = _lattice(m)
+    p = np.asarray(system.symbol.sample(gamma), dtype=float)
+    if p.shape != gamma.shape or not (np.isfinite(p) & (p >= 0)).all():
+        raise ValueError(f"{type(system.symbol).__name__} must sample p as "
+                         "one finite, non-negative value per node")
+    return p
 
 
 def canonical_dual_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
@@ -613,19 +625,24 @@ def reconstruct_translates(system: TranslateSystem, f_hat: Callable,
 # classification
 
 
-def _grid_lower(system: TranslateSystem, tail_terms: int) -> tuple:
-    """Lower verdict of a system whose symbol declares no lower bound.
+def _grid_lower(p_top: np.ndarray) -> tuple:
+    """Lower verdict of a system whose symbol declares no lower bound, off
+    p_top, p on the finest grid of GRID_LADDER. The grids are nested
+    dyadic, so the grid of size m is the stride p_top[::GRID_LADDER[-1] // m].
 
-    On each grid of GRID_LADDER the live minimum of p is its smallest value
-    above LIVE_RATIO times its sup; tail_diagnostic on the ladder of 1/min
-    reads Divergent for No (p vanishes where the grids close in), Convergent
-    for Yes and Inconclusive for Undecided. A finest minimum next to a node
+    On each grid the live minimum of p is its smallest value above
+    LIVE_RATIO times its sup; tail_diagnostic on the ladder of 1/min reads
+    Divergent for No (p vanishes where the grids close in), Convergent for
+    Yes and Inconclusive for Undecided. A finest minimum next to a node
     where p vanishes reads Undecided as well: a grid cannot tell a jump of
-    p to zero from a continuous zero whose nodes stop closing in.
+    p to zero from a continuous zero whose nodes stop closing in. An alias
+    sum on a coarser grid of its own could stop at another level (its stop
+    rule reads maxima over the grid); the strides read the finest grid's
+    one decision. No scenario, CLI path or test shows the two differ.
     """
     mins = []
     for m in GRID_LADDER:
-        p = _sampled_p(system, m, tail_terms)
+        p = p_top[::GRID_LADDER[-1] // m]
         live = p > LIVE_RATIO * p.max()
         if not live.any():
             return UNDECIDED, {"grid_min": mins}
@@ -652,7 +669,8 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
     and lower come from core.bound_verdicts on the symbol's bounds. Where
     no symbol declares the sup, the grid's counts when a grid half as fine
     agrees; where none declares the inf, _grid_lower judges p's minimum on
-    a ladder of grids.
+    a ladder of grids, strides of one p on its finest grid: this call's own
+    p when no symbol declares p and m is that grid, one _sampled_p else.
     Whole-line completeness is reported as a side note: a vanishing stretch
     of p or a compactly supported profile already rules it out.
     """
@@ -668,7 +686,10 @@ def classify_translates(system: TranslateSystem, m: int = DEFAULT_GRID,
         props["bessel"][1].update(bound=rep.ess_sup, tail_gap=rep.tail_gap,
                                   terms=rep.terms)
     if inf is None:
-        props["lower_for_span"] = _grid_lower(system, tail_terms)
+        top = GRID_LADDER[-1]
+        p_top = p_grid.values if system.symbol is None and m == top \
+            else _sampled_p(system, top, tail_terms)
+        props["lower_for_span"] = _grid_lower(p_top)
 
     props["frame_for_span"] = (
         frame_verdict(props["bessel"][0], props["lower_for_span"][0]),

@@ -37,10 +37,10 @@ from semiframe.operators import (
     parseval_canonical, projector_for, reconstruct, s_apply,
 )
 from semiframe.translates import (
-    FourierProfile, TranslateSystem, bracket, brute_apply,
-    canonical_dual_translates, line_window, pphi, raised_cosine_profile,
-    raised_cosine_symbol, reconstruct_translates, unit_indicator_profile,
-    walnut_apply,
+    ClosedFormSymbol, FourierProfile, TranslateSystem, bracket, brute_apply,
+    canonical_dual_translates, classify_translates, line_window, pphi,
+    raised_cosine_profile, raised_cosine_symbol, reconstruct_translates,
+    unit_indicator_profile, walnut_apply,
 )
 
 from helpers import orthonormal_family, scaled_basis_family
@@ -337,11 +337,20 @@ PROFILE_VALUES = "the generator profile must return one finite value per " \
 PROBE_FINITE = "a probe needs finite values"
 GRID_FINITE = "grid values must be finite"
 NAN_LINE_PROBE = np.full(33, np.nan)
+SYMBOL_SAMPLE = "ClosedFormSymbol must sample p as one finite, non-negative " \
+    "value per node"
 
 
 def _profile_system(fn):
     """Translates at step 1 of a profile whose values come from fn."""
     return TranslateSystem(FourierProfile("malformed", fn), 1.0)
+
+
+def _symbol_system(sample):
+    """The raised cosine at step 1 with p declared as sample(gamma) and no
+    bound, so the classifier judges its inf on the sampled symbol."""
+    return TranslateSystem(raised_cosine_profile(), 1.0,
+                           symbol=ClosedFormSymbol(sample, (None, None)))
 
 
 class SymbolWithoutSample:
@@ -522,6 +531,25 @@ def _sparse_rule(rows, positions, values):
      GRID_FINITE),
     (lambda: walnut_apply(_profile_system(lambda g: np.full(g.shape, np.nan)),
                           line_grid(np.ones(33), 1.0 / 16)), GRID_FINITE),
+    (lambda: classify_translates(_symbol_system(lambda g: 0.75), m=256),
+     SYMBOL_SAMPLE),
+    (lambda: classify_translates(_symbol_system(lambda g: np.ones(3)), m=256),
+     SYMBOL_SAMPLE),
+    (lambda: canonical_dual_translates(
+        _symbol_system(lambda g: np.full(g.shape, np.nan)), m=256),
+     SYMBOL_SAMPLE),
+    (lambda: classify_translates(
+        _symbol_system(lambda g: np.full(g.shape, -1.0)), m=256),
+     SYMBOL_SAMPLE),
+    (lambda: bracket(_profile_system(lambda g: np.full(g.shape, np.nan)),
+                     lambda xi: np.ones(xi.shape), m=16, tail_terms=10),
+     PROFILE_VALUES),
+    (lambda: bracket(_profile_system(lambda g: np.ones(3)),
+                     lambda xi: np.ones(xi.shape), m=16, tail_terms=10),
+     PROFILE_VALUES),
+    (lambda: bracket(_profile_system(lambda g: 1.0),
+                     lambda xi: np.ones(xi.shape), m=16, tail_terms=10),
+     PROFILE_VALUES),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -563,7 +591,11 @@ def _sparse_rule(rows, positions, values):
         "pphi-profile-wrong-length", "t-mult-probe-nan", "t-general-probe-nan",
         "analysis-exponentials-probe-nan", "reconstruct-exponentials-probe-nan",
         "line-grid-nan", "periodic-grid-inf", "walnut-apply-probe-nan",
-        "brute-apply-probe-nan", "walnut-apply-profile-nan"])
+        "brute-apply-probe-nan", "walnut-apply-profile-nan",
+        "classify-symbol-scalar", "classify-symbol-wrong-length",
+        "dual-symbol-nan", "classify-symbol-negative",
+        "bracket-profile-nan", "bracket-profile-wrong-length",
+        "bracket-profile-scalar"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()

@@ -4,7 +4,8 @@ import pytest
 from semiframe import core, translates
 from semiframe.core import line_grid
 from semiframe.translates import (
-    CLOSED_TAIL_TERMS, FourierProfile, TranslateSystem, analysis_translates, bracket,
+    CLOSED_TAIL_TERMS, GRID_LADDER, ClosedFormSymbol, FourierProfile,
+    TranslateSystem, analysis_translates, bracket,
     brute_apply, canonical_dual_translates, classify_translates,
     hurwitz_zeta, line_window, modulation_sum, pphi, plateau_band_system,
     raised_cosine_profile, raised_cosine_symbol, reconstruct_translates,
@@ -339,6 +340,61 @@ def test_grid_lower_bound_holds_where_p_stays_positive():
         assert verdict == "Yes"
         assert abs(evidence["bound"] - bound) < 1e-12
         assert evidence["ladder"] == "Convergent"
+
+
+@pytest.mark.parametrize("m, symbol, sums, samples", [
+    (GRID_LADDER[-1], False, 1, 0), (1024, False, 2, 0), (1024, True, 1, 1)])
+def test_grid_lower_bound_samples_p_once(monkeypatch, m, symbol, sums,
+                                         samples):
+    # the ladder is strides of one p on its finest grid: the classifier's
+    # own sum when it is that grid, one more sum or symbol sample otherwise
+    calls = {"sums": 0, "samples": 0}
+    alias_series = translates._alias_series
+
+    def counted_sum(*args, **kwargs):
+        calls["sums"] += 1
+        return alias_series(*args, **kwargs)
+
+    def counted_sample(gamma):
+        calls["samples"] += 1
+        return _cosine_p(gamma)
+    monkeypatch.setattr(translates, "_alias_series", counted_sum)
+    system = TranslateSystem(
+        raised_cosine_profile(), 1.0,
+        symbol=ClosedFormSymbol(counted_sample, (None, None))) \
+        if symbol else INDICATOR
+    verdict = classify_translates(system, m=m).verdict("lower_for_span")
+    assert verdict == "Yes"
+    assert calls == {"sums": sums, "samples": samples}
+
+
+HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
+
+
+@pytest.mark.parametrize("system, tail_terms, route", [
+    (INDICATOR, 2000, "closed"),
+    (TranslateSystem(unit_indicator_profile(), 0.4), 200, "2K"),
+    (TranslateSystem(unit_indicator_profile(), 0.3), 200, "2K"),
+    (TranslateSystem(raised_cosine_profile(), 1.0), 2000, "compact"),
+    (HAT, 10, "2K"), (HAT, 100, "fit"), (HAT, 2000, "fit"),
+], ids=["indicator-closed", "indicator-a0.4-2K", "indicator-a0.3-2K",
+        "cosine-compact", "hat-2K-K10", "hat-fit-K100", "hat-fit-K2000"])
+def test_grid_lower_strides_match_direct_sums(system, tail_terms, route):
+    # each stride of the finest p equals pphi summed on its own grid bit for
+    # bit, on every alias route (the hat at K = 10 takes the 2K step: no
+    # ring order fits that far in)
+    mins = []
+    for m in GRID_LADDER:
+        p, rep = pphi(system, m, tail_terms)
+        live = p.values > translates.LIVE_RATIO * p.values.max()
+        mins.append(float(p.values[live].min()))
+    assert {"closed": rep.terms == CLOSED_TAIL_TERMS,
+            "2K": rep.terms == 2 * tail_terms,
+            "compact": not rep.extrapolated,
+            "fit": rep.extrapolated and rep.terms <= tail_terms}[route]
+    evidence = classify_translates(
+        system, tail_terms=tail_terms).properties["lower_for_span"][1]
+    assert evidence["grid_min"] == mins
 
 
 def test_classify_indicator_orthonormal():
