@@ -501,15 +501,21 @@ def whole_count(ratio: float, precondition: str) -> int:
     return int(round(ratio))
 
 
+def finite_number(value) -> bool:
+    """Whether value is one finite real number; a bool is not one, although
+    it subclasses int."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
+
+
 def whole_number(value, least: int, precondition: str) -> int:
     """A count that must be a finite whole number >= least, as an int.
 
     Raises ValueError(precondition) for anything else: a fraction, a NaN,
     an infinity, a value below least, a bool or a non-number.
     """
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and np.isfinite(value)
-            and value >= least and value == int(value)):
+    if not (finite_number(value) and value >= least
+            and value == int(value)):
         raise ValueError(f"{precondition}, got {value!r}")
     return int(value)
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import (
     CONVERGENT, DIVERGENT, NO, UNDECIDED, YES, Classification, GridFunction,
-    bound_verdicts, covering_shifts, essential_bounds, frame_verdict,
-    line_grid, modulation_round_trip, pairwise_sum, periodic_grid, periodize,
-    tail_diagnostic, whole_count, whole_number,
+    bound_verdicts, covering_shifts, essential_bounds, finite_number,
+    frame_verdict, line_grid, modulation_round_trip, pairwise_sum,
+    periodic_grid, periodize, tail_diagnostic, whole_count, whole_number,
 )
 from .muckenhoupt import plateau_weight
 
@@ -43,41 +43,52 @@ class FourierProfile:
     """A generator's Fourier transform as a vectorized callable.
 
     support is a (lo, hi) window outside which the profile vanishes, or None
-    when it only decays. energy optionally gives |fn|^2 directly, so the
-    self-paired alias sums skip phases that cancel. tail optionally declares
-    (s, envelope) with energy(x) = envelope(x) |x|^-s, envelope 1-periodic:
-    the alias tail then has a closed form through the Hurwitz zeta.
+    when it only decays. autocorrelation optionally declares (A, half_width)
+    for a generator phi of compact support in time: A(t) = int phi(x)
+    conj(phi(x - t)) dx, vectorized in t, vanishes for |t| >= half_width,
+    and the self-paired alias sum becomes the finite sum of its
+    coefficients A(k a). A nonzero phi is not compact on both sides, so a
+    profile declares at most one of the two.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
     support: tuple | None = None
-    energy: Callable[[np.ndarray], np.ndarray] | None = None
-    tail: tuple | None = None
+    autocorrelation: tuple | None = None
 
     def __post_init__(self):
-        # hurwitz_zeta divides by s - 1
-        if self.tail is not None and not (np.isfinite(self.tail[0])
-                                          and self.tail[0] > 1):
-            raise ValueError("a declared tail exponent must be finite and "
-                             "above 1")
         if self.support is not None and not (
-                np.all(np.isfinite(self.support))
+                _pair(self.support) and all(map(finite_number, self.support))
                 and self.support[0] < self.support[1]):
             raise ValueError("a support window (lo, hi) needs lo < hi, both "
-                             f"finite, got {self.support}")
+                             f"finite, got {self.support!r}")
+        if self.autocorrelation is None:
+            return
+        if self.support is not None:
+            raise ValueError("declare support or autocorrelation, not both: "
+                             "a nonzero generator is not compact on both "
+                             "sides")
+        if not (_pair(self.autocorrelation)
+                and callable(self.autocorrelation[0])
+                and finite_number(self.autocorrelation[1])
+                and self.autocorrelation[1] > 0):
+            raise ValueError("an autocorrelation is a pair (A, half_width) "
+                             "of a callable A and one finite number > 0, got "
+                             f"{self.autocorrelation!r}")
 
     def __call__(self, gamma):
         return self.fn(np.asarray(gamma, dtype=float))
 
     def energy_at(self, x):
         """|fn(x)|^2 as a real array, from one profile evaluation."""
-        if self.energy is not None:
-            return self.energy(x)
         v = self.fn(x)
         if np.iscomplexobj(v):
             return v.real * v.real + v.imag * v.imag
         return v * v
+
+
+def _pair(x) -> bool:
+    return isinstance(x, (tuple, list)) and len(x) == 2
 
 
 @dataclass(frozen=True)
@@ -108,8 +119,9 @@ class TranslateSystem:
     ess_inf_hint: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError("shift step must be positive and finite")
+        if not (finite_number(self.step) and self.step > 0):
+            raise ValueError("shift step must be positive and finite: one "
+                             f"number, got {self.step!r}")
         if not self.name:
             self.name = f"translates-{self.profile.name}-a{self.step:g}"
         if self.known_p is not None:
@@ -137,14 +149,9 @@ def unit_indicator_profile() -> FourierProfile:
         out.real, out.imag = np.cos(r) * sinc, -s * sinc
         return out
 
-    def energy(g):
-        return np.sinc(g) ** 2
-
-    def envelope(g):
-        return np.sin(np.pi * g) ** 2 / np.pi ** 2
-
-    return FourierProfile("unit-indicator", fn, support=None,
-                          energy=energy, tail=(2, envelope))
+    # the indicator of [0, 1) overlaps its shift by t on 1 - |t|
+    return FourierProfile("unit-indicator", fn, autocorrelation=(
+        lambda t: np.maximum(1.0 - np.abs(t), 0.0), 1.0))
 
 
 def raised_cosine_profile() -> FourierProfile:
@@ -184,39 +191,11 @@ def plateau_band_system(k_max: int, power: int = 1) -> TranslateSystem:
 # aliased sums on the unit-periodic grid
 
 
-# Bernoulli numbers B_2, B_4, ..., B_12 of the Euler-Maclaurin remainder
-_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730)
-HURWITZ_DIRECT = 10
-# explicit alias terms |n| <= K ahead of a closed tail: on the unit
-# indicator max|p - 1| is 4.4e-16 at K = 10 (m = 256, 1024; 6.7e-16 at
-# m = 16384) against 1.6e-15 to 1.9e-15 at K = 10^4
-CLOSED_TAIL_TERMS = 10
 # a midpoint fit of an alias sum whose remainder, estimated from the fit one
 # halving level below, is at most this fraction of its largest modulus has
 # settled (successive fits of the hat's sinc^4 differ by 3.3e-16 to 6.7e-16
 # once they settle)
 SETTLED = 8 * np.finfo(float).eps
-
-
-def hurwitz_zeta(s: float, q) -> np.ndarray:
-    """zeta(s, q) = sum_{k >= 0} (q + k)^-s for s > 1, q > 0, vectorized in q.
-
-    The first HURWITZ_DIRECT terms are summed directly; the rest is the
-    Euler-Maclaurin integral, endpoint and Bernoulli terms at
-    x = q + HURWITZ_DIRECT >= 10, where the first omitted term is below
-    1e-16 relative for the exponents the profiles declare.
-    """
-    q = np.asarray(q, dtype=float)
-    x = q + HURWITZ_DIRECT
-    total = sum((q + k) ** -s for k in range(HURWITZ_DIRECT))
-    total = total + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** -s
-    # j-th correction: B_2j / (2j)! * s (s+1) ... (s+2j-2) * x^(-s-2j+1)
-    coef, power = s / 2.0, x ** (-s - 1.0)
-    for j, b in enumerate(_BERNOULLI, start=1):
-        total = total + b * coef * power
-        coef *= (s + 2 * j - 1) * (s + 2 * j) / ((2 * j + 1) * (2 * j + 2))
-        power = power / (x * x)
-    return total
 
 
 def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
@@ -227,13 +206,6 @@ def _alias_blocks(term, a: float, gamma: np.ndarray, n_lo: int, n_hi: int):
     return pairwise_sum([
         term((gamma[None, :] + ns[start:start + ALIAS_BLOCK, None]) / a)
         .sum(axis=0) for start in range(0, ns.size, ALIAS_BLOCK)])
-
-
-def _closed_tail_ok(profile: FourierProfile, a: float) -> bool:
-    """The tail model is periodic along the alias terms only when 1/a is an
-    integer: envelope((gamma + n)/a) then equals envelope(gamma/a)."""
-    inv = 1.0 / a
-    return profile.tail is not None and abs(inv - round(inv)) <= 1e-12 * inv
 
 
 def _ring_order(rings, nodes, tol):
@@ -268,9 +240,12 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     own fn) the summand is the profile's real energy |phi|^2. Returns
     (values, tail_gap, extrapolated, terms), where terms is the largest |n|
     summed explicitly. Compactly supported profiles sum exactly over the few
-    overlapping shifts. A self-paired profile with a declared tail model and
-    1/a an integer sums |n| <= min(K, CLOSED_TAIL_TERMS) and adds the tail
-    in closed form from there; tail_gap is that correction's size.
+    overlapping shifts. A self-paired profile that declares its
+    autocorrelation A sums, by Poisson summation, the trigonometric
+    polynomial p(gamma) = sum_k A(k a) exp(-2 pi i k gamma) over
+    |k| a < half_width (A vanishes at +-half_width), exact at every step
+    and whatever K; terms is then the largest |k|, and A(-t) = conj(A(t))
+    folds the -k terms into twice the real part of the k terms.
 
     Every other decaying series works up the halving ladder K_j = K // 2^j
     from the bottom; each level adds the ring (K_{j+1}, K_j], so every term
@@ -308,18 +283,16 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
     S_2K is returned.
     extrapolated says whether a tail was added or cancelled.
     """
-    tail_terms = whole_number(tail_terms, 1,
-                              "tail_terms must be a whole number >= 1")
+    k = whole_number(tail_terms, 1, "tail_terms must be a whole number >= 1")
     a = system.step
     profile = system.profile
     phi = profile.fn
     self_paired = f_fn is None or f_fn is phi
 
-    def checked(fn, name, arg):
+    def checked(fn, name, arg, per="frequency"):
         v = np.asarray(fn(arg))
         if v.shape != arg.shape or not np.isfinite(v).all():
-            raise ValueError(f"{name} must return one finite value per "
-                             "frequency")
+            raise ValueError(f"{name} must return one finite value per {per}")
         return v
 
     def term(arg):
@@ -335,14 +308,19 @@ def _alias_series(system: TranslateSystem, gamma: np.ndarray, tail_terms: int,
         n_hi = int(np.ceil(a * hi)) + 1
         vals = _alias_blocks(term, a, gamma, n_lo, n_hi)
         return vals / a, 0.0, False, max(-n_lo, n_hi)
-    closed = self_paired and _closed_tail_ok(profile, a)
-    k = min(tail_terms, CLOSED_TAIL_TERMS) if closed else tail_terms
-    if closed:
-        s, envelope = profile.tail
-        tail = envelope(gamma / a) * a ** s * (
-            hurwitz_zeta(s, k + 1 + gamma) + hurwitz_zeta(s, k + 1 - gamma))
-        s_k = _alias_blocks(term, a, gamma, -k, k)
-        return (s_k + tail) / a, float(np.max(np.abs(tail))) / a, True, k
+    if self_paired and profile.autocorrelation is not None:
+        acf, width = profile.autocorrelation
+        ks = np.arange(max(math.ceil(width / a), 1))
+        coef = checked(acf, "the autocorrelation", ks * a, "node k a") \
+            * np.where(ks > 0, 2.0, 1.0)
+
+        def waves(start):
+            rows = slice(start, start + ALIAS_BLOCK)
+            turns = np.multiply.outer(ks[rows], gamma)
+            turns -= np.rint(turns)     # exact, and keeps each phase small
+            return (coef[rows, None] * np.exp(-2j * np.pi * turns)).real.sum(0)
+        vals = pairwise_sum(map(waves, range(0, ks.size, ALIAS_BLOCK)))
+        return vals, 0.0, False, int(ks[-1])
 
     def ring(lo, hi):
         """The terms lo <= |n| <= hi."""
@@ -408,15 +386,15 @@ class PphiReport:
     """Grid extrema of p, its zero fraction, and the alias tail's health.
 
     tail_gap is the size of the last alias contribution pphi took in: the
-    closed tail where one is declared, else the outermost ring summed (the
-    ring (N/2, N] when the midpoint fit settles at level N <= K, the ring
-    (K, 2K] otherwise). extrapolated says whether a tail was added (closed
-    form) or cancelled (the three-order midpoint fit, plus its estimated
-    remainder where it settled, or the one-step Richardson rule).
-    terms is the largest |n| summed explicitly: min(K, CLOSED_TAIL_TERMS)
-    ahead of a closed tail, the shift window of a compact profile, the
-    level N where the midpoint fit's remainder estimate fell within
-    SETTLED (K when it never did), or 2K for the one-step rule.
+    outermost ring summed (the ring (N/2, N] when the midpoint fit settles
+    at level N <= K, the ring (K, 2K] otherwise), and 0 for the finite sums
+    of a compact profile or a declared autocorrelation. extrapolated says
+    whether a tail was cancelled (the three-order midpoint fit, plus its
+    estimated remainder where it settled, or the one-step Richardson rule).
+    terms is the largest |n| summed explicitly: the shift window of a
+    compact profile, the largest |k| of a declared autocorrelation's
+    coefficients, the level N where the midpoint fit's remainder estimate
+    fell within SETTLED (K when it never did), or 2K for the one-step rule.
     """
 
     ess_inf: float
@@ -433,15 +411,17 @@ def pphi(system: TranslateSystem, m: int = DEFAULT_GRID,
 
     Returns (GridFunction, PphiReport). ess bounds are grid extrema over the
     nonzero set; the zero set is cut at ZERO_MASK_RATIO times the sup.
-    tail_terms K caps the explicit alias terms: a decaying profile without a
-    closed tail stops at the first halving level K // 2^j where the
-    difference from the level below it, scaled to the midpoint fit's next
-    order, puts the fit's remainder within SETTLED, and adds that remainder
-    (_alias_series); this assumes that its clean power law holds past that
-    level. The hat's sinc^4 at m = 1024 stops at |n| <= 250 for K = 1000
-    and at 312 for K = 10^4, and a bare sinc^2 at 250 for K = 1000 to 4000.
-    PphiReport.terms says how far the sum went. The generator profile must
-    return one finite value per frequency it is given.
+    A profile that declares its autocorrelation A gets p exactly from the
+    coefficients A(k a). tail_terms K caps the explicit alias terms of any
+    other decaying profile: the sum stops at the first halving level
+    K // 2^j where the difference from the level below it, scaled to the
+    midpoint fit's next order, puts the fit's remainder within SETTLED, and
+    adds that remainder (_alias_series); this assumes that its clean power
+    law holds past that level. The hat's sinc^4 at m = 1024 stops at
+    |n| <= 250 for K = 1000 and at 312 for K = 10^4, and a bare sinc^2 at
+    250 for K = 1000 to 4000. PphiReport.terms says how far the sum went.
+    The generator profile must return one finite value per frequency it is
+    given, and A one finite value per node k a.
     """
     gamma = _lattice(m)
     vals, gap, extr, terms = _alias_series(system, gamma, tail_terms)

@@ -339,11 +339,24 @@ GRID_FINITE = "grid values must be finite"
 NAN_LINE_PROBE = np.full(33, np.nan)
 SYMBOL_SAMPLE = "ClosedFormSymbol must sample p as one finite, non-negative " \
     "value per node"
+SUPPORT_WINDOW = "a support window (lo, hi) needs lo < hi, both finite"
+STEP = "shift step must be positive and finite: one number"
+AUTOCORRELATION = "an autocorrelation is a pair (A, half_width) of a " \
+    "callable A and one finite number > 0"
+AC_VALUES = "the autocorrelation must return one finite value per node k a"
 
 
 def _profile_system(fn):
     """Translates at step 1 of a profile whose values come from fn."""
     return TranslateSystem(FourierProfile("malformed", fn), 1.0)
+
+
+def _autocorrelation_system(acf):
+    """Translates at step 1/2 of the unit indicator with A declared as acf,
+    so the coefficient sum reads A at the nodes 0 and 1/2."""
+    profile = FourierProfile("malformed", unit_indicator_profile().fn,
+                             autocorrelation=(acf, 1.0))
+    return TranslateSystem(profile, 0.5)
 
 
 def _symbol_system(sample):
@@ -400,10 +413,6 @@ def _sparse_rule(rows, positions, values):
      "a level needs at least one member"),
     (lambda: a2_estimate(ScaledWeight(ConstantWeight(1), 2)),
      "ScaledWeight has no dyadic-level kernel"),
-    (lambda: FourierProfile("tail-1", np.sinc, tail=(1, np.ones_like)),
-     "a declared tail exponent must be finite and above 1"),
-    (lambda: FourierProfile("tail-nan", np.sinc, tail=(np.nan, np.ones_like)),
-     "a declared tail exponent must be finite and above 1"),
     (lambda: FourierProfile("empty-support", np.sinc, support=(1.0, -1.0)),
      "a support window (lo, hi) needs lo < hi"),
     (lambda: lower_bound(DIANA_KEEPS_NOTHING, DIANA_LADDER),
@@ -550,6 +559,36 @@ def _sparse_rule(rows, positions, values):
     (lambda: bracket(_profile_system(lambda g: 1.0),
                      lambda xi: np.ones(xi.shape), m=16, tail_terms=10),
      PROFILE_VALUES),
+    (lambda: FourierProfile("scalar-support", np.sinc, support=1.0),
+     SUPPORT_WINDOW),
+    (lambda: FourierProfile("text-support", np.sinc, support=("a", "b")),
+     SUPPORT_WINDOW),
+    (lambda: FourierProfile("three-ends", np.sinc, support=(0.0, 1.0, 2.0)),
+     SUPPORT_WINDOW),
+    (lambda: TranslateSystem(raised_cosine_profile(), "1"), STEP),
+    (lambda: TranslateSystem(raised_cosine_profile(), True), STEP),
+    (lambda: FourierProfile("ac-not-callable", np.sinc,
+                            autocorrelation=(1.0, 1.0)), AUTOCORRELATION),
+    (lambda: FourierProfile("ac-width-0", np.sinc,
+                            autocorrelation=(np.ones_like, 0.0)),
+     AUTOCORRELATION),
+    (lambda: FourierProfile("ac-width-inf", np.sinc,
+                            autocorrelation=(np.ones_like, np.inf)),
+     AUTOCORRELATION),
+    (lambda: FourierProfile("ac-width-pair", np.sinc,
+                            autocorrelation=(np.ones_like, (1.0, 2.0))),
+     AUTOCORRELATION),
+    (lambda: FourierProfile("ac-width-true", np.sinc,
+                            autocorrelation=(np.ones_like, True)),
+     AUTOCORRELATION),
+    (lambda: FourierProfile("ac-bare", np.sinc, autocorrelation=np.ones_like),
+     AUTOCORRELATION),
+    (lambda: FourierProfile("both-sides", np.sinc, support=(-1.0, 1.0),
+                            autocorrelation=(np.ones_like, 1.0)),
+     "declare support or autocorrelation, not both"),
+    (lambda: pphi(_autocorrelation_system(
+        lambda t: np.full(np.shape(t), np.nan)), m=16), AC_VALUES),
+    (lambda: pphi(_autocorrelation_system(lambda t: 1.0), m=16), AC_VALUES),
 ], ids=["sampled-nan", "sampled-inf", "power-nan", "power-inf",
         "constant-nan", "scale-nan", "translate-step-nan", "density-nan",
         "empty-periodic-grid", "a2-depth-0", "translate-step-inf", "periodic-grid-nan-period",
@@ -557,8 +596,7 @@ def _sparse_rule(rows, positions, values):
         "pphi-tail-nan", "pphi-tail-negative", "pphi-hat-tail-0",
         "pphi-tail-fractional", "canonical-dual-no-members",
         "pseudoinverse-no-members",
-        "a2-weight-without-level-kernel", "profile-tail-exponent-1",
-        "profile-tail-exponent-nan", "profile-support-reversed",
+        "a2-weight-without-level-kernel", "profile-support-reversed",
         "lower-bound-projector-keeps-nothing",
         "canonical-dual-projector-keeps-nothing",
         "parseval-projector-keeps-nothing",
@@ -595,7 +633,14 @@ def _sparse_rule(rows, positions, values):
         "classify-symbol-scalar", "classify-symbol-wrong-length",
         "dual-symbol-nan", "classify-symbol-negative",
         "bracket-profile-nan", "bracket-profile-wrong-length",
-        "bracket-profile-scalar"])
+        "bracket-profile-scalar", "profile-support-scalar",
+        "profile-support-text", "profile-support-three-ends",
+        "translate-step-text", "translate-step-true",
+        "autocorrelation-not-callable", "autocorrelation-width-0",
+        "autocorrelation-width-inf", "autocorrelation-width-pair",
+        "autocorrelation-width-true", "autocorrelation-not-a-pair",
+        "profile-support-and-autocorrelation",
+        "pphi-autocorrelation-nan", "pphi-autocorrelation-scalar"])
 def test_malformed_input_is_refused(call, precondition):
     with pytest.raises(ValueError, match=re.escape(precondition)):
         call()
@@ -764,13 +809,15 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_translate_and_exponential_commands_leave_scipy_unloaded():
-    # the frequency-side commands (alias sums with their closed Hurwitz
-    # tail, twisted FFTs, exact A2 scans) run on numpy alone, so they pay
-    # neither scipy's cold import nor its memory
+    # the frequency-side commands (alias sums, the autocorrelation's
+    # coefficient sums at whole and fractional steps, twisted FFTs, exact A2
+    # scans) run on numpy alone, so they pay neither scipy's cold import nor
+    # its memory
     code = ("from semiframe import cli\n"
             "for argv in (['scenario', 'lower-translates'],\n"
             "             ['scenario', 'plateau-exp'],\n"
             "             ['scenario', 'orthonormal-translates'], ['pphi'],\n"
+            "             ['pphi', '--step', '0.4'],\n"
             "             ['classify', 'translates'],\n"
             "             ['classify', 'exponentials']):\n"
             "    assert cli.main(argv) == 0, argv")

@@ -152,9 +152,11 @@ def test_cli_scenario_all_writes_combined_report(tmp_path, capsys):
             assert _within(check["value"], gold["value"], gold["tol"]), \
                 check["name"]
             assert _digits_kept(check["value"], gold["value"]), check["name"]
-    # the closed tail sums |n| <= CLOSED_TAIL_TERMS explicitly
+    # the unit indicator's declared autocorrelation has the one coefficient
+    # A(0) = 1 at step 1: no alias term, no tail
     flat, = [c for s, c in checks if c["name"] == "aliased-energy-identically-one"]
-    assert flat["detail"]["terms"] == 10
+    assert flat["detail"]["terms"] == 0
+    assert flat["detail"]["extrapolated"] is False
     # one scenario runs through the sweep's path: its report, CSV rows and
     # stdout lines are the sweep's entry for it
     one = tmp_path / "diana.json"

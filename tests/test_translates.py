@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from semiframe import core, translates
 from semiframe.core import line_grid
 from semiframe.translates import (
-    CLOSED_TAIL_TERMS, GRID_LADDER, ClosedFormSymbol, FourierProfile,
+    GRID_LADDER, ClosedFormSymbol, FourierProfile,
     TranslateSystem, analysis_translates, bracket,
     brute_apply, canonical_dual_translates, classify_translates,
-    hurwitz_zeta, line_window, modulation_sum, pphi, plateau_band_system,
+    line_window, modulation_sum, pphi, plateau_band_system,
     raised_cosine_profile, raised_cosine_symbol, reconstruct_translates,
     unit_indicator_profile, walnut_apply,
 )
@@ -74,74 +76,50 @@ def test_indicator_profile_is_accurate_far_out():
 
 
 def test_pphi_indicator_is_flat():
+    # the declared autocorrelation (1 - |t|)_+ has the one coefficient
+    # A(0) = 1 at step 1: a finite sum with no tail
     grid, rep = pphi(INDICATOR, m=128, tail_terms=2000)
     assert np.abs(grid.values - 1.0).max() < 1e-6
-    assert rep.extrapolated
+    assert not rep.extrapolated and rep.terms == 0
     assert rep.zero_fraction == 0.0
 
 
-def _without_tail_model(profile):
-    """Same transform with no declared energy or tail: 2K + Richardson."""
+def _undeclared(profile):
+    """Same transform with no declared autocorrelation: the general alias
+    route (the midpoint fit or the 2K rule)."""
     return FourierProfile(profile.name, profile.fn)
 
 
 def test_pphi_indicator_closed_tail_flat_over_sweep():
+    # the coefficient sum does not read K
     for k in (10, 100, 1000, 10 ** 4):
         grid, rep = pphi(INDICATOR, m=64, tail_terms=k)
         assert np.abs(grid.values - 1.0).max() <= 1e-14
-        assert rep.extrapolated
-        # the closed tail starts after |n| <= min(K, CLOSED_TAIL_TERMS); its
-        # correction at gamma = 1/2 is (1/pi^2) 2 zeta(2, K + 1/2) ~ 2/(pi^2 K)
-        kc = min(k, CLOSED_TAIL_TERMS)
-        assert abs(rep.tail_gap * np.pi ** 2 * kc / 2.0 - 1.0) < 1.0 / kc
-
-
-def test_closed_tail_caps_the_explicit_terms():
-    prof = unit_indicator_profile()
-    points = []
-
-    def counted(x):
-        points.append(x.size)
-        return prof.energy(x)
-
-    m = 256
-    system = TranslateSystem(
-        FourierProfile(prof.name, prof.fn, energy=counted, tail=prof.tail), 1.0)
-    grid, rep = pphi(system, m=m, tail_terms=10 ** 4)
-    assert sum(points) == (2 * CLOSED_TAIL_TERMS + 1) * m
-    assert rep.terms == CLOSED_TAIL_TERMS
-    assert np.abs(grid.values - 1.0).max() <= 1e-15
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5])
 def test_pphi_closed_tail_matches_richardson(step):
+    # the coefficient sum against the undeclared copy's fitted alias sum
     k = 1000
-    closed, _ = pphi(TranslateSystem(unit_indicator_profile(), step),
-                     m=128, tail_terms=k)
-    oracle, rep = pphi(
-        TranslateSystem(_without_tail_model(unit_indicator_profile()), step),
+    got, rep = pphi(TranslateSystem(unit_indicator_profile(), step),
+                    m=128, tail_terms=k)
+    oracle, rep_o = pphi(
+        TranslateSystem(_undeclared(unit_indicator_profile()), step),
         m=128, tail_terms=k)
-    assert rep.extrapolated
-    assert np.abs(closed.values - oracle.values).max() <= k ** -2.0
+    assert rep_o.extrapolated and not rep.extrapolated
+    assert np.abs(got.values - oracle.values).max() <= 2e-15
 
 
 def test_pphi_indicator_off_lattice_step_uses_richardson():
-    # 1/a is not an integer: the envelope is not periodic along alias terms
+    # 1/a is not an integer: the undeclared copy's rings show no clean power
+    # law and its sum takes the 2K rule, 8.4e-7 from the coefficient sum
+    # at K = 200
     system = TranslateSystem(unit_indicator_profile(), 2.0 / 3.0)
-    oracle = TranslateSystem(_without_tail_model(system.profile), 2.0 / 3.0)
+    oracle = TranslateSystem(_undeclared(system.profile), 2.0 / 3.0)
     got, rep = pphi(system, m=64, tail_terms=200)
     want, rep_o = pphi(oracle, m=64, tail_terms=200)
-    # same route; only the declared sinc^2 rounds apart from |fn|^2
-    assert np.abs(got.values - want.values).max() <= 1e-14
-    assert abs(rep.tail_gap - rep_o.tail_gap) <= 1e-14
-
-
-def test_hurwitz_zeta_against_scipy():
-    special = pytest.importorskip("scipy.special")
-    q = np.concatenate([np.linspace(1.0, 10.0, 500), np.logspace(1, 5, 500)])
-    for s in (2, 4):
-        rel = np.abs(hurwitz_zeta(s, q) / special.zeta(s, q) - 1.0)
-        assert rel.max() <= 1e-13
+    assert rep_o.terms == 400 and rep.terms == 1
+    assert np.abs(got.values - want.values).max() <= 200 ** -2.0
 
 
 def test_pphi_cosine_closed_form():
@@ -372,9 +350,9 @@ HAT = TranslateSystem(FourierProfile("hat", lambda g: np.sinc(g) ** 2), 1.0)
 
 
 @pytest.mark.parametrize("system, tail_terms, route", [
-    (INDICATOR, 2000, "closed"),
-    (TranslateSystem(unit_indicator_profile(), 0.4), 200, "2K"),
-    (TranslateSystem(unit_indicator_profile(), 0.3), 200, "2K"),
+    (INDICATOR, 2000, "coefficients"),
+    (TranslateSystem(_undeclared(unit_indicator_profile()), 0.4), 200, "2K"),
+    (TranslateSystem(_undeclared(unit_indicator_profile()), 0.3), 200, "2K"),
     (TranslateSystem(raised_cosine_profile(), 1.0), 2000, "compact"),
     (HAT, 10, "2K"), (HAT, 100, "fit"), (HAT, 2000, "fit"),
 ], ids=["indicator-closed", "indicator-a0.4-2K", "indicator-a0.3-2K",
@@ -388,7 +366,7 @@ def test_grid_lower_strides_match_direct_sums(system, tail_terms, route):
         p, rep = pphi(system, m, tail_terms)
         live = p.values > translates.LIVE_RATIO * p.values.max()
         mins.append(float(p.values[live].min()))
-    assert {"closed": rep.terms == CLOSED_TAIL_TERMS,
+    assert {"coefficients": rep.terms == 0 and not rep.extrapolated,
             "2K": rep.terms == 2 * tail_terms,
             "compact": not rep.extrapolated,
             "fit": rep.extrapolated and rep.terms <= tail_terms}[route]
@@ -541,11 +519,15 @@ def test_alias_sum_does_not_stop_while_its_rings_straddle_a_change_of_law():
     assert np.abs(grid.values - exact).max() <= 1e-14
 
 
-def _indicator_p(gamma, step):
-    # Poisson side of the unit indicator's autocorrelation (1 - |t|)_+
-    ks = np.arange(-int(1 / step), int(1 / step) + 1)
-    return sum((1 - abs(k) * step) * np.cos(2 * np.pi * k * gamma)
-               for k in ks if abs(k) * step < 1)
+def _indicator_p(m, step):
+    """Poisson side of the unit indicator's autocorrelation on the grid i/m:
+    sum_k (1 - |k| a)_+ e^(2 pi i k i/m), each phase k i/m reduced to
+    [-1/2, 1/2) in integers."""
+    i = np.arange(m)
+    n = int(1 / step)
+    return sum(max(1.0 - abs(k) * step, 0.0)
+               * np.exp(2j * np.pi * ((k * i + m // 2) % m - m // 2) / m)
+               for k in range(-n, n + 1)).real
 
 
 # max|p - exact| with the 2K rule at K = 10, 100, 2000 (m = 256), rounded up
@@ -557,14 +539,61 @@ FALLBACK_ERRORS = {0.4: (1.9e-4, 2.1e-6, 5.1e-9),
 
 @pytest.mark.parametrize("step", FALLBACK_ERRORS)
 def test_indicator_off_lattice_steps_are_no_worse(step):
-    # 1/a is not an integer, so the rings show no clean power law and the
-    # sum falls back to 2K terms and one Richardson step
-    system = TranslateSystem(unit_indicator_profile(), step)
+    # without its autocorrelation, 1/a not an integer leaves the rings no
+    # clean power law, and the sum falls back to 2K terms and one
+    # Richardson step
+    system = TranslateSystem(_undeclared(unit_indicator_profile()), step)
     for k, bound in zip((10, 100, 2000), FALLBACK_ERRORS[step]):
         grid, rep = pphi(system, m=256, tail_terms=k)
         assert rep.extrapolated
-        err = np.abs(grid.values - _indicator_p(grid.nodes(), step)).max()
+        err = np.abs(grid.values - _indicator_p(256, step)).max()
         assert err <= bound
+
+
+EXACT_STEPS = (1.0, 0.5, 0.4, 0.3, 0.7, 1.5, 3 / 7)
+
+
+@pytest.mark.parametrize("step, m, tails", [
+    (0.4, 64, (8, 9, 12)), *[(step, 4096, (2000,)) for step in EXACT_STEPS]],
+    ids=["a0.4-m64-K8-9-12", *[f"a{step:.4g}-m4096" for step in EXACT_STEPS]])
+def test_indicator_p_is_its_trigonometric_polynomial(step, m, tails):
+    # the declared autocorrelation gives p exactly at every step and K; an
+    # undeclared copy's 2K rule reads 2.8e-4, 2.25e-3 and 1.3e-4 at
+    # a = 0.4, m = 64 and K = 8, 9, 12, and 5.1e-9 to 2.9e-8 at the
+    # fractional steps on m = 4096, K = 2000
+    system = TranslateSystem(unit_indicator_profile(), step)
+    for k in tails:
+        grid, rep = pphi(system, m=m, tail_terms=k)
+        assert np.abs(grid.values - _indicator_p(m, step)).max() <= 1e-15
+        assert rep.tail_gap == 0.0 and not rep.extrapolated
+        assert rep.terms == math.ceil(1.0 / step) - 1
+
+
+def _hat_autocorrelation(t):
+    # the hat (1 - |x|)_+ overlaps its shift by t: the cubic B-spline
+    t = np.abs(np.asarray(t, dtype=float))
+    return np.where(t < 1.0, 2.0 / 3.0 - t * t + t ** 3 / 2.0,
+                    np.where(t < 2.0, (2.0 - t) ** 3 / 6.0, 0.0))
+
+
+DECLARED_HAT = FourierProfile("hat", lambda g: np.sinc(g) ** 2,
+                              autocorrelation=(_hat_autocorrelation, 2.0))
+
+
+def test_declared_hat_p_at_integer_step():
+    grid, rep = pphi(TranslateSystem(DECLARED_HAT, 1.0), m=4096)
+    assert np.abs(grid.values - _hat_p(grid.nodes())).max() <= 1e-15
+    assert rep.terms == 1 and not rep.extrapolated
+
+
+@pytest.mark.parametrize("step", [0.4, 0.7])
+def test_declared_hat_matches_its_alias_sum(step):
+    # the undeclared hat takes the 2K rule, 4000 terms, at both steps
+    got, rep = pphi(TranslateSystem(DECLARED_HAT, step), m=256)
+    want, rep_o = pphi(TranslateSystem(_hat_profile(), step), m=256)
+    assert rep_o.terms == 4000
+    assert rep.terms == math.ceil(2.0 / step) - 1 and not rep.extrapolated
+    assert np.abs(got.values - want.values).max() <= 1e-14
 
 
 def _two_k_rule(term, step, gamma, k):
@@ -595,11 +624,11 @@ def _cross_probe(xi):
 
 def test_short_sums_keep_the_2k_rule_bit_for_bit():
     # below K = 8 there are too few rings for the fit
-    prof = unit_indicator_profile()
+    prof = _undeclared(unit_indicator_profile())
     gamma = np.arange(64) / 64
     for k in range(1, 8):
         for step in FALLBACK_ERRORS:
-            want, gap = _two_k_rule(prof.energy, step, gamma, k)
+            want, gap = _two_k_rule(prof.energy_at, step, gamma, k)
             grid, rep = pphi(TranslateSystem(prof, step), m=64, tail_terms=k)
             assert np.array_equal(grid.values, want) and rep.tail_gap == gap
         want, _ = _two_k_rule(lambda x: _cross_probe(x) * np.conj(prof.fn(x)),
@@ -623,6 +652,7 @@ def test_cross_probe_off_the_span_is_no_worse():
     for lo in range(-50000, 50001, 5000):
         x = gamma[None, :] + np.arange(lo, min(lo + 5000, 50001))[:, None]
         odd += (_cross_probe(x) * np.conj(INDICATOR.profile(x))).sum(axis=0)
+    special = pytest.importorskip("scipy.special")
     # phi_hat(xi) / (1 + |xi|): the summand sinc^2(x) / (1 + |x|) has
     # different expansions at +inf and -inf, so the +-n pairs leave an odd
     # correction that the midpoint fit does not cancel, and the order check
@@ -634,7 +664,7 @@ def test_cross_probe_off_the_span_is_no_worse():
     absolute = (np.sinc(x) ** 2 / (1.0 + np.abs(x))).sum(axis=0)
     for q in (201 + gamma, 201 - gamma):
         absolute += np.sin(np.pi * gamma) ** 2 / np.pi ** 2 * (
-            hurwitz_zeta(2, q) - 1.0 / q)
+            special.zeta(2, q) - 1.0 / q)
     for probe, oracle, bounds in (
             (_cross_probe, odd, ((10, 1.1e-6), (100, 1.2e-10), (2000, 1e-14))),
             (_abs_probe, absolute, ((100, 2.8e-8), (2000, 3.6e-12)))):
@@ -666,8 +696,8 @@ def _counted_in_span_bracket(m, k):
 
 
 def _counted_sinc_squared_energy(m, k):
-    """pphi of the unit indicator's modulus without its declared energy and
-    tail, and the points its profile saw."""
+    """pphi of the unit indicator's modulus, which declares no
+    autocorrelation, and the points its profile saw."""
     points = []
 
     def counted(g):
